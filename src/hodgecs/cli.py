@@ -14,10 +14,11 @@ failed (an inequality violated, a validation or positivity gate tripped),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import zoo
 from .bundle import parse_ring_bundle, resolve_class, serialize_ring_bundle
@@ -52,6 +53,8 @@ from .ring import (
     IntersectionRing,
     MODE_STRICT,
     MixedSetup,
+    ValidationIssue,
+    ValidationReport,
     as_kahler,
     mixed_setup,
     sanity_check_kahler,
@@ -105,31 +108,39 @@ def _setup_class(ring: IntersectionRing, text: str, nef: bool) -> ClassVector:
     return as_kahler(ring, c)
 
 
-def _split_multi(values: Optional[Sequence[str]]) -> list[str]:
-    out: list[str] = []
-    for chunk in values or []:
-        out.extend(part for part in chunk.split(";") if part.strip())
-    return out
+def _reference(ring: IntersectionRing, args) -> tuple[Callable[[], ClassVector], list[ClassVector]]:
+    """Resolve w and the slots w_1 .. w_(n-2p), checking the range of p first.
+
+    --omegas must name exactly n-2p classes, which fill the slots; otherwise
+    every slot holds w: --omega, else the first declared Kahler sample. w is
+    returned as a function and resolved on first use, once.
+    """
+    n, p = ring.n, args.p
+    if not 1 <= p <= n // 2:
+        raise DegreeError(f"p must satisfy 1 <= p <= {n // 2}, got {p}")
+    nef = getattr(args, "nef", False)
+
+    @functools.cache
+    def omega() -> ClassVector:
+        if args.omega is not None:
+            return _setup_class(ring, args.omega, nef)
+        samples = ring.kahler_samples()
+        if not samples:
+            raise MissingSamplesError(f"ring {ring.name!r} declares no Kahler samples")
+        return samples[0]
+
+    count = n - 2 * p
+    texts = [t for chunk in args.omegas or [] for t in chunk.split(";") if t.strip()]
+    if not texts:
+        return omega, [omega()] * count if count else []
+    if len(texts) != count:
+        raise DegreeError(f"--omegas needs exactly {count} classes, got {len(texts)}")
+    return omega, [_setup_class(ring, t, nef) for t in texts]
 
 
 def _build_setup(ring: IntersectionRing, args) -> MixedSetup:
-    omega = _setup_class(ring, args.omega, args.nef)
-    texts = _split_multi(getattr(args, "omegas", None))
-    count = ring.n - 2 * args.p
-    if texts:
-        if len(texts) != count:
-            raise DegreeError(f"--omegas needs exactly {count} classes, got {len(texts)}")
-        omegas = [_setup_class(ring, t, args.nef) for t in texts]
-    else:
-        omegas = [omega] * count
-    return mixed_setup(args.p, omega, omegas)
-
-
-def _default_omega(ring: IntersectionRing) -> ClassVector:
-    samples = ring.kahler_samples()
-    if not samples:
-        raise MissingSamplesError(f"ring {ring.name!r} declares no Kahler samples")
-    return samples[0]
+    omega, omegas = _reference(ring, args)
+    return mixed_setup(args.p, omega(), omegas)
 
 
 # -- command handlers -----------------------------------------------------------
@@ -160,23 +171,28 @@ def _cmd_info(args) -> tuple[int, dict, list[str]]:
     return 0, report, lines
 
 
+def _issue_records(issues) -> list[dict]:
+    return [{"check": i.check, "location": i.location, "message": i.message} for i in issues]
+
+
 def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     try:
         ring = _load_ring(args.ring)
     except BundleSemanticError as exc:
-        issues = getattr(exc, "issues", None)
-        records = (
-            [{"check": i.check, "location": i.location, "message": i.message} for i in issues]
-            if issues
-            else [{"check": exc.constraint, "location": exc.path, "message": Exception.__str__(exc)}]
-        )
-        report = {"command": "validate", "ring": args.ring, "ok": False, "issues": records}
-        lines = [f"INVALID: {args.ring}"] + [
-            f"  [{r['check']}] {r['location']}: {r['message']}" for r in records
+        issues = getattr(exc, "issues", None) or [
+            ValidationIssue(exc.constraint, exc.path, Exception.__str__(exc))
         ]
-        return 1, report, lines
+        report = {"command": "validate", "ring": args.ring, "ok": False,
+                  "issues": _issue_records(issues)}
+        return 1, report, [f"INVALID: {args.ring}"] + [f"  {i}" for i in issues]
 
-    ring_report = validate_ring(ring)
+    # Parsing a bundle file already ran validate_ring and raised on any issue;
+    # only rings built by zoo code still need the checks.
+    if args.ring.startswith("zoo:"):
+        ring_report = validate_ring(ring)
+    else:
+        ring_report = ValidationReport(ring.name)
+    lines = [str(ring_report)]
     sample_reports = []
     failures = len(ring_report.issues)
     for s in ring.samples:
@@ -190,27 +206,17 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in check.checks
             ],
         })
+        lines.append(f"kahler sample {s.name!r}: {'ok' if check.passed else 'FAIL'}")
         if not check.passed:
             failures += 1
+            lines += [f"  {c}" for c in check.checks]
     report = {
         "command": "validate",
         "ring": ring.name,
         "ok": failures == 0,
-        "issues": [
-            {"check": i.check, "location": i.location, "message": i.message}
-            for i in ring_report.issues
-        ],
+        "issues": _issue_records(ring_report.issues),
         "kahler_samples": sample_reports,
     }
-    lines = [str(ring_report)]
-    for rec in sample_reports:
-        status = "ok" if rec["passed"] else "FAIL"
-        lines.append(f"kahler sample {rec['sample']!r}: {status}")
-        if not rec["passed"]:
-            lines += [
-                f"  {'ok  ' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}"
-                for c in rec["checks"]
-            ]
     return (0 if failures == 0 else 1), report, lines
 
 
@@ -239,16 +245,7 @@ def _cmd_zoo(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_signature(args) -> tuple[int, dict, list[str]]:
     ring = _load_ring(args.ring)
-    count = ring.n - 2 * args.p
-    texts = _split_multi(args.omegas)
-    if texts:
-        if len(texts) != count:
-            raise DegreeError(f"--omegas needs exactly {count} classes, got {len(texts)}")
-        omegas = [_setup_class(ring, t, args.nef) for t in texts]
-    elif args.omega is not None:
-        omegas = [_setup_class(ring, args.omega, args.nef)] * count
-    else:
-        omegas = [_default_omega(ring)] * count
+    _, omegas = _reference(ring, args)
     form = gram_matrix_Q(ring, args.p, omegas)
     report = {
         "command": "signature",
@@ -411,20 +408,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_counterexample(args) -> tuple[int, dict, list[str]]:
     ring = _load_ring(args.ring)
-    if args.omega is None:
-        omega = _default_omega(ring)
-        texts: list[str] = []
-    else:
-        omega = _setup_class(ring, args.omega, nef=False)
-        texts = _split_multi(args.omegas)
-    count = ring.n - 2 * args.p
-    if texts:
-        if len(texts) != count:
-            raise DegreeError(f"--omegas needs exactly {count} classes, got {len(texts)}")
-        omegas = [_setup_class(ring, t, nef=False) for t in texts]
-    else:
-        omegas = [omega] * count
-    setup = mixed_setup(args.p, omega, omegas)
+    setup = _build_setup(ring, args)
     condition = hodge_condition(ring, args.p, args.kind)
     ce = construct_counterexample(ring, args.p, setup, args.kind)
     report = {
@@ -528,28 +512,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omegas", action="append", help="reference classes (';'-separated, repeatable)")
     p.add_argument("--nef", action="store_true", help="flag literal reference classes nef")
 
-    p = add("decompose", _cmd_decompose, "mixed Lefschetz decomposition of a class")
-    p.add_argument("ring")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--omega", required=True)
-    p.add_argument("--omegas", action="append")
+    def add_class_command(name, handler, help_text):
+        p = add(name, handler, help_text)
+        p.add_argument("ring")
+        p.add_argument("-p", type=int, required=True)
+        p.add_argument("--alpha", required=True)
+        p.add_argument("--omega", required=True)
+        p.add_argument("--omegas", action="append")
+        return p
+
+    p = add_class_command("decompose", _cmd_decompose, "mixed Lefschetz decomposition of a class")
     p.add_argument("--nef", action="store_true")
 
-    p = add("g", _cmd_g, "evaluate g(alpha, omega; Omega_p)")
-    p.add_argument("ring")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--omega", required=True)
-    p.add_argument("--omegas", action="append")
+    p = add_class_command("g", _cmd_g, "evaluate g(alpha, omega; Omega_p)")
     p.add_argument("--nef", action="store_true")
 
-    p = add("check", _cmd_check, "inequality verdict for one class")
-    p.add_argument("ring")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--omega", required=True)
-    p.add_argument("--omegas", action="append")
+    p = add_class_command("check", _cmd_check, "inequality verdict for one class")
     p.add_argument("--direction", choices=DIRECTIONS, default=DIRECTION_CS)
     p.add_argument("--nef", action="store_true")
 

@@ -88,10 +88,6 @@ def compute_g_decomposed(alpha: ClassVector, setup: MixedSetup) -> DecomposedG:
     """
     _check_alpha(alpha, setup)
     dec = LefschetzDecomposer(setup).decompose(alpha)
-    return _decomposed_from(dec, setup)
-
-
-def _decomposed_from(dec: DecompositionResult, setup: MixedSetup) -> DecomposedG:
     vol = integrate_real(wedge(power(setup.omega, 2 * setup.p), setup.omega_p))
     terms = dec.pairing_terms()
     return DecomposedG(vol * sum(terms, Fraction(0)), terms, dec)
@@ -128,6 +124,16 @@ class CsVerdict:
         return f"g = {self.g_value} ({self.relation}); {self.direction} {status}{extra}"
 
 
+def _g_verdict(alpha: ClassVector, setup: MixedSetup) -> tuple[Fraction, str, bool]:
+    """g, the relation of g to zero, and whether alpha is proportional to w^p."""
+    g = compute_g_direct(alpha, setup)
+    prop = proportional(alpha, power(setup.omega, setup.p))
+    relation = RELATION_ZERO if g == 0 else (
+        RELATION_POSITIVE if g > 0 else RELATION_NEGATIVE
+    )
+    return g, relation, prop
+
+
 def check_cs(alpha: ClassVector, setup: MixedSetup, direction: str = DIRECTION_CS) -> CsVerdict:
     """Check one direction of the inequality for ``alpha`` in ``setup``.
 
@@ -137,11 +143,7 @@ def check_cs(alpha: ClassVector, setup: MixedSetup, direction: str = DIRECTION_C
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    g = compute_g_direct(alpha, setup)
-    prop = proportional(alpha, power(setup.omega, setup.p))
-    relation = RELATION_ZERO if g == 0 else (
-        RELATION_POSITIVE if g > 0 else RELATION_NEGATIVE
-    )
+    g, relation, prop = _g_verdict(alpha, setup)
     satisfied = g >= 0 if direction == DIRECTION_CS else g <= 0
 
     odd_vanish = even_vanish = None
@@ -261,14 +263,12 @@ def construct_counterexample(
         return None
     witness = prim.basis[0]
     theta = power(setup.omega, p) + wedge(witness, power(setup.omega, p - deg))
-    g = compute_g_direct(theta, setup)
     verdict = check_cs(theta, setup, kind)
-    wrong_side = g < 0 if kind == DIRECTION_CS else g > 0
-    if not wrong_side:
+    if verdict.satisfied:
         raise ArithmeticError(
             "constructed class fails to violate the inequality; ring data is inconsistent"
         )
-    return Counterexample(kind, i0, witness, theta, g, verdict)
+    return Counterexample(kind, i0, witness, theta, verdict.g_value, verdict)
 
 
 @dataclass
@@ -342,9 +342,14 @@ def verify_theorem(
     the corresponding inequality, with equality exactly at classes
     proportional to w^p. Directions whose condition fails are witnessed by an
     explicit counterexample instead. Deterministic for fixed (seed, height).
+    Raises ValueError for ``samples`` below 0 or ``height`` below 1.
     """
     from .sampling import random_strict_setup, sample_random_class
 
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    if height < 1:
+        raise ValueError(f"height must be at least 1, got {height}")
     cond_cs = hodge_condition(ring, p, DIRECTION_CS)
     cond_opp = hodge_condition(ring, p, DIRECTION_OPPOSITE)
     report = TheoremReport(ring.name, p, seed, height, cond_cs, cond_opp)
@@ -352,10 +357,7 @@ def verify_theorem(
     for k in range(samples):
         setup = random_strict_setup(ring, p, height, seed, k)
         alpha = sample_random_class(ring, p, height, seed, k)
-        g = compute_g_direct(alpha, setup)
-        prop = proportional(alpha, power(setup.omega, p))
-        relation = RELATION_ZERO if g == 0 else (
-            RELATION_POSITIVE if g > 0 else RELATION_NEGATIVE)
+        g, relation, prop = _g_verdict(alpha, setup)
         report.records.append(SampleRecord(k, alpha, setup.omega, g, relation, prop))
         if g == 0:
             report.equality_count += 1

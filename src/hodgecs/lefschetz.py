@@ -37,6 +37,7 @@ from .ring import (
     IntersectionRing,
     MixedSetup,
     MODE_STRICT,
+    form_matrix,
     integrate,
     integrate_real,
     multiplication_matrix,
@@ -82,6 +83,18 @@ class SymmetricFormReport:
         return self.inertia[2] == 0
 
 
+def _omega_product(
+    ring: IntersectionRing, p: int, classes: Sequence[ClassVector]
+) -> ClassVector:
+    """Omega, the product of the n-2p degree-1 classes that pair degree p."""
+    classes = tuple(classes)
+    if len(classes) != ring.n - 2 * p:
+        raise DegreeError(
+            f"expected {ring.n - 2 * p} classes for degree {p}, got {len(classes)}"
+        )
+    return wedge_all(classes, ring)
+
+
 def lefschetz_operator(
     ring: IntersectionRing, p: int, classes: Sequence[ClassVector]
 ) -> tuple[Matrix, bool]:
@@ -90,15 +103,16 @@ def lefschetz_operator(
     Omega is the product of the given n-2p degree-1 classes; the flag records
     whether the map is an isomorphism (square of full rank).
     """
-    classes = tuple(classes)
-    if len(classes) != ring.n - 2 * p:
-        raise DegreeError(
-            f"expected {ring.n - 2 * p} classes for degree {p}, got {len(classes)}"
-        )
-    omega_big = wedge_all(classes, ring)
-    m = multiplication_matrix(ring, p, omega_big)
+    m = multiplication_matrix(ring, p, _omega_product(ring, p, classes))
     iso = m.rows == m.cols and m.rank() == ring.dim(p)
     return m, iso
+
+
+def _kernel(ring: IntersectionRing, p: int, by: ClassVector) -> tuple[ClassVector, ...]:
+    """Canonical echelon basis of the kernel of a -> a * ``by`` on degree p."""
+    return tuple(
+        ring.class_vector(p, v) for v in multiplication_matrix(ring, p, by).nullspace()
+    )
 
 
 def primitive_basis(
@@ -111,29 +125,14 @@ def primitive_basis(
     multiplier = wedge(omega, wedge_all(omegas, ring))
     if p + multiplier.degree > ring.n:
         raise DegreeError("reference product leaves the grading")
-    m = multiplication_matrix(ring, p, multiplier)
-    basis = tuple(ring.class_vector(p, v) for v in m.nullspace())
-    return PrimitiveSubspace(p, omega, omegas, basis)
+    return PrimitiveSubspace(p, omega, omegas, _kernel(ring, p, multiplier))
 
 
 def gram_matrix_Q(
     ring: IntersectionRing, p: int, omegas: Sequence[ClassVector]
 ) -> SymmetricFormReport:
     """Gram matrix of the degree-p form against the product of ``omegas``."""
-    omegas = tuple(omegas)
-    if len(omegas) != ring.n - 2 * p:
-        raise DegreeError(
-            f"expected {ring.n - 2 * p} classes for degree {p}, got {len(omegas)}"
-        )
-    omega_big = wedge_all(omegas, ring)
-    h = ring.dim(p)
-    unsigned = Matrix([
-        [
-            integrate(wedge(wedge(ring.basis_class(p, i), ring.basis_class(p, j)), omega_big))
-            for j in range(h)
-        ]
-        for i in range(h)
-    ])
+    unsigned = form_matrix(ring, p, _omega_product(ring, p, omegas))
     sign = -1 if p % 2 else 1
     signed = unsigned.scaled(sign)
     si = signed.inertia(hermitian=True)
@@ -290,10 +289,7 @@ class LefschetzDecomposer:
         for i in range(p, 0, -1):
             ref = wedge(power(setup.omega, 2 * (p - i)), setup.omega_p)
             cert_multiplier = wedge(setup.omega, ref)
-            prim = tuple(
-                ring.class_vector(i, v)
-                for v in multiplication_matrix(ring, i, cert_multiplier).nullspace()
-            )
+            prim = _kernel(ring, i, cert_multiplier)
             image_cols = [
                 wedge(ring.basis_class(i - 1, j), setup.omega).coeffs
                 for j in range(ring.dim(i - 1))

@@ -223,15 +223,7 @@ class IntersectionRing:
 
     def pairing_matrix(self, p: int) -> Matrix:
         """Matrix of (a, b) -> integral of a*b on degree p x degree n-p."""
-        q = self.n - p
-        rows = []
-        for i in range(self.dim(p)):
-            ei = self.basis_class(p, i)
-            row = []
-            for j in range(self.dim(q)):
-                row.append(integrate(wedge(ei, self.basis_class(q, j))))
-            rows.append(row)
-        return Matrix(rows)
+        return form_matrix(self, p, self.unit())
 
     # -- comparison ---------------------------------------------------------
 
@@ -396,10 +388,7 @@ def power(a: ClassVector, k: int) -> ClassVector:
         raise DegreeError(
             f"power {k} of a degree-{a.degree} class exceeds top degree {a.ring.n}"
         )
-    out = a.ring.unit()
-    for _ in range(k):
-        out = wedge(out, a)
-    return out
+    return wedge_all([a] * k, a.ring)
 
 
 def wedge_all(classes: Sequence[ClassVector], ring: IntersectionRing) -> ClassVector:
@@ -522,6 +511,9 @@ class KahlerCheck:
     passed: bool
     detail: str
 
+    def __str__(self):
+        return f"{'ok  ' if self.passed else 'FAIL'} {self.name}: {self.detail}"
+
 
 @dataclass
 class KahlerCheckReport:
@@ -534,8 +526,7 @@ class KahlerCheckReport:
 
     def __str__(self):
         lines = [f"kahler sanity on {self.ring_name!r}:"]
-        for c in self.checks:
-            lines.append(f"  {'ok  ' if c.passed else 'FAIL'} {c.name}: {c.detail}")
+        lines += [f"  {c}" for c in self.checks]
         return "\n".join(lines)
 
 
@@ -544,6 +535,20 @@ def multiplication_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Ma
     target = p + by.degree
     cols = [wedge(ring.basis_class(p, i), by).coeffs for i in range(ring.dim(p))]
     return Matrix.from_columns(cols, rows=ring.dim(target))
+
+
+def form_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Matrix:
+    """Matrix of (a, b) -> integral of a * b * ``by``, in the ring bases.
+
+    Rows run over degree p, columns over degree n - p - deg(by); each column
+    class b * by is formed once.
+    """
+    q = ring.n - p - by.degree
+    right = [wedge(ring.basis_class(q, j), by) for j in range(ring.dim(q))]
+    return Matrix([
+        [integrate(wedge(ring.basis_class(p, i), r)) for r in right]
+        for i in range(ring.dim(p))
+    ])
 
 
 def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckReport:
@@ -580,16 +585,8 @@ def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckRe
         )
 
     if n >= 2 and w.is_real:
-        wn2 = power(w, n - 2)
         h1 = ring.dim(1)
-        gram = Matrix([
-            [
-                integrate(wedge(wedge(ring.basis_class(1, i), ring.basis_class(1, j)), wn2))
-                for j in range(h1)
-            ]
-            for i in range(h1)
-        ])
-        sig = gram.inertia(hermitian=True)
+        sig = form_matrix(ring, 1, power(w, n - 2)).inertia(hermitian=True)
         ok = sig == (1, h1 - 1, 0)
         checks.append(
             KahlerCheck(

@@ -112,6 +112,22 @@ def sample_random_class(
             return ring.class_vector(degree, coeffs)
 
 
+def _cone_draws(ring: IntersectionRing, rng: Xoshiro256StarStar, height: int):
+    """A function drawing strictly positive rational combinations of the
+    declared Kahler samples from ``rng``, one call per class."""
+    generators = ring.kahler_samples()
+    if not generators:
+        raise MissingSamplesError(f"ring {ring.name!r} declares no Kahler cone samples")
+
+    def draw() -> ClassVector:
+        out = ring.zero_class(1)
+        for gen in generators:
+            out = out + gen.scaled(rng.rational(height, positive=True))
+        return out.with_flag(FLAG_KAHLER)
+
+    return draw
+
+
 def random_cone_class(
     ring: IntersectionRing, height: int, seed: int, index: int
 ) -> ClassVector:
@@ -120,31 +136,14 @@ def random_cone_class(
     The Kahler cone is user-declared through the ring's samples; interior
     points are closed under positive combinations, so the result is Kahler.
     """
-    generators = ring.kahler_samples()
-    if not generators:
-        raise MissingSamplesError(f"ring {ring.name!r} declares no Kahler cone samples")
-    rng = Xoshiro256StarStar(seed, STREAM_CONE, index)
-    out = ring.zero_class(1)
-    for gen in generators:
-        out = out + gen.scaled(rng.rational(height, positive=True))
-    return out.with_flag(FLAG_KAHLER)
+    return _cone_draws(ring, Xoshiro256StarStar(seed, STREAM_CONE, index), height)()
 
 
 def random_strict_setup(
     ring: IntersectionRing, p: int, height: int, seed: int, index: int
 ) -> MixedSetup:
     """A strict Kahler setup (w, w_1..w_(n-2p)) drawn from the declared cone."""
-    generators = ring.kahler_samples()
-    if not generators:
-        raise MissingSamplesError(f"ring {ring.name!r} declares no Kahler cone samples")
-    rng = Xoshiro256StarStar(seed, STREAM_SETUP, index)
-
-    def draw() -> ClassVector:
-        out = ring.zero_class(1)
-        for gen in generators:
-            out = out + gen.scaled(rng.rational(height, positive=True))
-        return out.with_flag(FLAG_KAHLER)
-
+    draw = _cone_draws(ring, Xoshiro256StarStar(seed, STREAM_SETUP, index), height)
     omega = draw()
     omegas = [draw() for _ in range(ring.n - 2 * p)]
     return mixed_setup(p, omega, omegas)

@@ -216,3 +216,88 @@ def test_export_round_trip(tmp_path, capsys):
     code2, out2, _ = run(capsys, "info", str(path), "--output", "json")
     assert code2 == 0
     assert json.loads(out2)["hodge"] == [1, 1, 2, 1, 1]
+
+
+def _bundle_without_samples(tmp_path, capsys):
+    _, out, _ = run(capsys, "export", "zoo:blp4")
+    doc = json.loads(out)
+    doc["samples"] = []
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_signature_checks_p_range_first(capsys):
+    code, out, err = run(capsys, "signature", "zoo:p4", "-p", "3")
+    assert code == 2 and out == ""
+    assert "p must satisfy 1 <= p <= 2, got 3" in err
+
+
+def test_counterexample_uses_omegas_without_omega(capsys):
+    code, out, _ = run(capsys, "counterexample", "zoo:blp4", "-p", "1",
+                       "--omegas", "sample:omega2;sample:omega2", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["witness"]["expr"] == "1*H + -9/2*E"
+    assert "reference=[3*H + -2*E, 3*H + -2*E]" in doc["setup"]
+
+
+def test_signature_omegas_need_no_declared_samples(tmp_path, capsys):
+    path = _bundle_without_samples(tmp_path, capsys)
+    code, out, _ = run(capsys, "signature", path, "-p", "1",
+                       "--omegas", "2*H-1*E;3*H-2*E")
+    assert code == 0
+    assert "inertia" in out
+
+
+def test_signature_middle_degree_needs_no_declared_samples(tmp_path, capsys):
+    # At p = n/2 there is no reference slot, so no sample is looked up.
+    path = _bundle_without_samples(tmp_path, capsys)
+    code, out, _ = run(capsys, "signature", path, "-p", "2")
+    assert code == 0
+    assert "inertia" in out
+
+
+def test_signature_omegas_override_omega(capsys):
+    base = ("signature", "zoo:blp4", "-p", "1", "--omegas", "sample:omega;sample:omega2")
+    _, expected, _ = run(capsys, *base)
+    # --omega is ignored when --omegas is given, even when it would fail the gate.
+    code, out, _ = run(capsys, *base, "--omega", "0*H+1*E")
+    assert code == 0
+    assert out == expected
+
+
+def test_validate_file_validates_once(tmp_path, monkeypatch, capsys):
+    import hodgecs.bundle
+    import hodgecs.cli
+
+    _, text, _ = run(capsys, "export", "zoo:blp4")
+    path = tmp_path / "blp4.json"
+    path.write_text(text)
+    _, zoo_out, _ = run(capsys, "validate", "zoo:blp4")
+
+    calls = []
+    real = hodgecs.bundle.validate_ring
+
+    def counting(ring):
+        calls.append(ring.name)
+        return real(ring)
+
+    monkeypatch.setattr(hodgecs.bundle, "validate_ring", counting)
+    monkeypatch.setattr(hodgecs.cli, "validate_ring", counting)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    assert calls == ["blp4"]
+    assert out == zoo_out
+
+
+def test_verify_rejects_negative_samples(capsys):
+    code, out, err = run(capsys, "verify", "zoo:p1xp1", "-p", "1", "--samples", "-5")
+    assert code == 2 and out == ""
+    assert "samples" in err
+
+
+def test_verify_rejects_zero_height(capsys):
+    code, out, err = run(capsys, "verify", "zoo:p1xp1", "-p", "1", "--height", "0")
+    assert code == 2 and out == ""
+    assert "height" in err and "range must be positive" not in err
