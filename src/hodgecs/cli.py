@@ -186,9 +186,9 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
                   "issues": _issue_records(issues)}
         return 1, report, [f"INVALID: {args.ring}"] + [f"  {i}" for i in issues]
 
-    # Parsing a bundle file already ran validate_ring and raised on any issue;
-    # only rings built by zoo code still need the checks.
-    if args.ring.startswith("zoo:"):
+    # Parsing a bundle file or a bundled zoo entry already ran validate_ring
+    # and raised on any issue; only rings built by zoo code still need the checks.
+    if args.ring.startswith("zoo:") and args.ring[len("zoo:"):] not in zoo._BUNDLED:
         ring_report = validate_ring(ring)
     else:
         ring_report = ValidationReport(ring.name)

@@ -18,10 +18,10 @@ class FlagError(ToolError, ValueError):
 
 
 class SingularSplitError(ToolError, ArithmeticError):
-    """The primitive/image split system is singular.
+    """A mixed hard Lefschetz map used by the decomposition is singular.
 
-    For genuinely Kahler reference classes the split is a direct sum, so a
-    singular system means the declared positivity flags are wrong.
+    For genuinely Kahler reference classes that map is an isomorphism, so a
+    singular one means the declared positivity flags are wrong.
     """
 
 

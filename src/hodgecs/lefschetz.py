@@ -16,10 +16,12 @@ The mixed Lefschetz decomposition writes a degree-p class a as
     a = lam * w^p + sum_i a_i * w^(p-i),    a_i primitive in degree i
                                             w.r.t. (w, w^(2(p-i)) * Omega_p),
 
-by peeling one primitive component per level: each level solves a linear
-system against an explicit basis of (primitive subspace) + w * (lower piece).
-For genuine Kahler references that sum is direct, so the system is uniquely
-solvable; a singular system is reported as evidence of wrong flags.
+by peeling one primitive component per level. At level i the current class c
+splits as c = a_i + w * r with r of degree i-1; multiplying by
+C_i = w^(2(p-i)+1) * Omega_p kills a_i, so r solves the mixed hard Lefschetz
+system r * w * C_i = c * C_i in degree i-1. For genuine Kahler references that
+map is an isomorphism, so r and a_i = c - w * r are unique; a singular map is
+reported as evidence of wrong flags.
 """
 
 from __future__ import annotations
@@ -108,13 +110,6 @@ def lefschetz_operator(
     return m, iso
 
 
-def _kernel(ring: IntersectionRing, p: int, by: ClassVector) -> tuple[ClassVector, ...]:
-    """Canonical echelon basis of the kernel of a -> a * ``by`` on degree p."""
-    return tuple(
-        ring.class_vector(p, v) for v in multiplication_matrix(ring, p, by).nullspace()
-    )
-
-
 def primitive_basis(
     ring: IntersectionRing, p: int, omega: ClassVector, omegas: Sequence[ClassVector]
 ) -> PrimitiveSubspace:
@@ -125,7 +120,8 @@ def primitive_basis(
     multiplier = wedge(omega, wedge_all(omegas, ring))
     if p + multiplier.degree > ring.n:
         raise DegreeError("reference product leaves the grading")
-    return PrimitiveSubspace(p, omega, omegas, _kernel(ring, p, multiplier))
+    kernel = multiplication_matrix(ring, p, multiplier).nullspace()
+    return PrimitiveSubspace(p, omega, omegas, tuple(ring.class_vector(p, v) for v in kernel))
 
 
 def gram_matrix_Q(
@@ -133,11 +129,12 @@ def gram_matrix_Q(
 ) -> SymmetricFormReport:
     """Gram matrix of the degree-p form against the product of ``omegas``."""
     unsigned = form_matrix(ring, p, _omega_product(ring, p, omegas))
-    sign = -1 if p % 2 else 1
-    signed = unsigned.scaled(sign)
-    si = signed.inertia(hermitian=True)
     ui = unsigned.inertia(hermitian=True)
-    return SymmetricFormReport(p, sign, signed, si, unsigned, ui)
+    if p % 2 == 0:
+        return SymmetricFormReport(p, 1, unsigned, ui, unsigned, ui)
+    # Negating a form swaps its positive and negative index.
+    signed_inertia = (ui[1], ui[0], ui[2])
+    return SymmetricFormReport(p, -1, unsigned.scaled(-1), signed_inertia, unsigned, ui)
 
 
 def restrict_form(report: SymmetricFormReport, basis: Sequence[ClassVector]) -> Matrix:
@@ -273,10 +270,10 @@ class DecompositionResult:
 class LefschetzDecomposer:
     """Reusable decomposition engine for a fixed strict setup.
 
-    Per level i = p .. 1 it precomputes the primitive basis with respect to
-    (w, w^(2(p-i)) * Omega_p) and the split matrix whose columns are that
-    basis followed by w times the degree-(i-1) basis. Decomposing a class is
-    then one exact linear solve per level.
+    Per level i = p .. 1 it precomputes C_i = w^(2(p-i)+1) * Omega_p and the
+    matrix of the mixed hard Lefschetz map r -> r * w * C_i on degree i-1,
+    checking once that it is invertible. Decomposing a class is then one
+    h^(i-1)-sized exact solve per level.
     """
 
     def __init__(self, setup: MixedSetup):
@@ -287,22 +284,16 @@ class LefschetzDecomposer:
         p = setup.p
         self._levels = []
         for i in range(p, 0, -1):
-            ref = wedge(power(setup.omega, 2 * (p - i)), setup.omega_p)
-            cert_multiplier = wedge(setup.omega, ref)
-            prim = _kernel(ring, i, cert_multiplier)
-            image_cols = [
-                wedge(ring.basis_class(i - 1, j), setup.omega).coeffs
-                for j in range(ring.dim(i - 1))
-            ]
-            split = Matrix.from_columns(
-                [b.coeffs for b in prim] + image_cols, rows=ring.dim(i)
-            )
-            if split.rows != split.cols or split.rank() != split.rows:
+            cert_multiplier = wedge(power(setup.omega, 2 * (p - i) + 1), setup.omega_p)
+            lower = multiplication_matrix(ring, i - 1, wedge(setup.omega, cert_multiplier))
+            rank = lower.rank()
+            if lower.rows != lower.cols or rank != lower.cols:
                 raise SingularSplitError(
-                    f"level {i}: split system is {split.rows}x{split.cols} of rank "
-                    f"{split.rank()}; the reference classes are not Kahler"
+                    f"level {i}: the Lefschetz map on degree {i - 1} is "
+                    f"{lower.rows}x{lower.cols} of rank {rank}; "
+                    f"the reference classes are not Kahler"
                 )
-            self._levels.append((i, prim, cert_multiplier, split))
+            self._levels.append((i, cert_multiplier, lower))
 
     def decompose(self, alpha: ClassVector) -> DecompositionResult:
         setup = self.setup
@@ -315,16 +306,14 @@ class LefschetzDecomposer:
         components: dict[int, ClassVector] = {}
         certificates: dict[int, ClassVector] = {}
         current = alpha
-        for i, prim, cert_multiplier, split in self._levels:
-            sol = split.solve(current.coeffs)
-            if sol is None:
-                raise SingularSplitError(f"level {i}: split system is inconsistent")
-            comp = ring.zero_class(i)
-            for c, b in zip(sol[: len(prim)], prim):
-                comp = comp + b.scaled(c)
-            components[i] = comp
-            certificates[i] = wedge(comp, cert_multiplier)
-            current = ring.class_vector(i - 1, sol[len(prim):])
+        for i, cert_multiplier, lower in self._levels:
+            # The map is invertible, so the solve always succeeds.
+            rest = ring.class_vector(
+                i - 1, lower.solve(wedge(current, cert_multiplier).coeffs)
+            )
+            components[i] = current - wedge(rest, setup.omega)
+            certificates[i] = wedge(components[i], cert_multiplier)
+            current = rest
         lam = current.coeffs[0]
 
         # The recursion remainder must match the closed form

@@ -575,12 +575,11 @@ def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckRe
     for p in range(n):
         if 2 * p >= n:
             break
-        m = multiplication_matrix(ring, p, w)
-        ok = m.rank() == ring.dim(p)
+        rank = multiplication_matrix(ring, p, w).rank()
         checks.append(
             KahlerCheck(
-                f"lefschetz-injectivity p={p}", ok,
-                f"rank {m.rank()} of {ring.dim(p)}",
+                f"lefschetz-injectivity p={p}", rank == ring.dim(p),
+                f"rank {rank} of {ring.dim(p)}",
             )
         )
 

@@ -9,6 +9,7 @@ can be inspected, diffed and extended without touching code.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,6 +222,9 @@ def load_bundled(name: str) -> ZooEntry:
     return ZooEntry(name, ring, f"bundled ring data ({filename})")
 
 
+# Entries shipped as data files; loading one parses it, which validates it.
+_BUNDLED = ("quadric4", "flag3")
+
 _BUILDERS: dict[str, Callable[[], ZooEntry]] = {
     "p1": lambda: projective_space(1),
     "p2": lambda: projective_space(2),
@@ -231,8 +235,7 @@ _BUILDERS: dict[str, Callable[[], ZooEntry]] = {
     "blp4": lambda: blowup_pn(4),
     "p1xp1": _build_p1xp1,
     "p1xp2": _build_p1xp2,
-    "quadric4": lambda: load_bundled("quadric4"),
-    "flag3": lambda: load_bundled("flag3"),
+    **{name: functools.partial(load_bundled, name) for name in _BUNDLED},
 }
 
 _CACHE: dict[str, ZooEntry] = {}

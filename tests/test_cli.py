@@ -270,11 +270,13 @@ def test_signature_omegas_override_omega(capsys):
 def test_validate_file_validates_once(tmp_path, monkeypatch, capsys):
     import hodgecs.bundle
     import hodgecs.cli
+    import hodgecs.zoo
 
     _, text, _ = run(capsys, "export", "zoo:blp4")
     path = tmp_path / "blp4.json"
     path.write_text(text)
     _, zoo_out, _ = run(capsys, "validate", "zoo:blp4")
+    _, flag3_out, _ = run(capsys, "validate", "zoo:flag3")
 
     calls = []
     real = hodgecs.bundle.validate_ring
@@ -289,6 +291,14 @@ def test_validate_file_validates_once(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert calls == ["blp4"]
     assert out == zoo_out
+
+    # A bundled zoo entry is validated by the parse that loads it.
+    monkeypatch.setattr(hodgecs.zoo, "_CACHE", {})
+    calls.clear()
+    code, out, _ = run(capsys, "validate", "zoo:flag3")
+    assert code == 0
+    assert calls == ["flag3"]
+    assert out == flag3_out
 
 
 def test_verify_rejects_negative_samples(capsys):

@@ -300,6 +300,29 @@ def test_verify_deterministic():
     assert [str(v) for v in first.violations] == [str(v) for v in second.violations]
 
 
+def test_verify_draws_each_setup_once(monkeypatch):
+    import hodgecs.sampling
+
+    real = hodgecs.sampling.random_strict_setup
+    indices = []
+
+    def counting(ring, p, height, seed, index):
+        indices.append(index)
+        return real(ring, p, height, seed, index)
+
+    monkeypatch.setattr(hodgecs.sampling, "random_strict_setup", counting)
+    ring = zoo.get("blp4").ring
+    report = verify_theorem(ring, 2, 3, seed=4)
+    assert indices == [0, 1, 2]
+    expected = construct_counterexample(ring, 2, real(ring, 2, 10, 4, 0), "cs")
+    assert report.counterexamples["cs"].theta == expected.theta
+
+    indices.clear()
+    report = verify_theorem(ring, 2, 0, seed=4)
+    assert indices == [0]
+    assert report.counterexamples["cs"].theta == expected.theta
+
+
 def test_part2_universality_with_proportional_cases():
     ring = zoo.get("blp2").ring
     for k in range(50):

@@ -15,8 +15,10 @@ from hodgecs.lefschetz import (
     mixed_lefschetz_decompose,
     primitive_basis,
 )
+from hodgecs.linalg import Matrix
 from hodgecs.ring import (
     FLAG_KAHLER,
+    as_kahler,
     integrate_real,
     mixed_setup,
     power,
@@ -260,3 +262,71 @@ def test_decompose_singular_split_reports_bad_flags():
     setup = mixed_setup(2, fake, [])
     with pytest.raises(SingularSplitError):
         LefschetzDecomposer(setup)
+
+
+def test_decompose_level_one_singular_map():
+    ring = zoo.get("p1xp1").ring
+    fake = ring.sample("a").with_flag(FLAG_KAHLER)  # nef boundary class
+    with pytest.raises(SingularSplitError, match="level 1"):
+        LefschetzDecomposer(mixed_setup(1, fake, []))
+
+
+# -- decomposition against a split-system oracle ----------------------------------
+
+def _split_oracle(alpha, setup):
+    """Decompose level by level against [primitive basis | w * degree-(i-1) basis].
+
+    Returns (lam, components, certificates) in the layout of
+    DecompositionResult, computed independently of LefschetzDecomposer.
+    """
+    ring, p, w = setup.ring, setup.p, setup.omega
+    components, certificates = [], []
+    current = alpha
+    for i in range(p, 0, -1):
+        prim = primitive_basis(ring, i, w, [w] * (2 * (p - i)) + list(setup.omegas)).basis
+        image = [wedge(ring.basis_class(i - 1, j), w) for j in range(ring.dim(i - 1))]
+        split = Matrix.from_columns([c.coeffs for c in prim + tuple(image)], rows=ring.dim(i))
+        assert split.rows == split.cols
+        sol = split.solve(current.coeffs)
+        comp = ring.zero_class(i)
+        for c, b in zip(sol, prim):
+            comp = comp + b.scaled(c)
+        components.insert(0, comp)
+        certificates.insert(0, wedge(comp, wedge(power(w, 2 * (p - i) + 1), setup.omega_p)))
+        current = ring.class_vector(i - 1, sol[len(prim):])
+    return current.coeffs[0], tuple(components), tuple(certificates)
+
+
+def _p1_fourth():
+    return zoo.product(
+        zoo.product(zoo.projective_space(1, "a"), zoo.projective_space(1, "b")),
+        zoo.product(zoo.projective_space(1, "c"), zoo.projective_space(1, "d")),
+        name="p1fourth",
+    ).ring
+
+
+def test_decompose_matches_split_oracle():
+    # Random cone setups on every zoo (ring, p) and on blp6; mixed setups of
+    # distinct ample classes on (P1)^4.
+    cases = []
+    for ring in [zoo.get(name).ring for name in zoo.list_entries()] + [zoo.blowup_pn(6).ring]:
+        for p in range(1, ring.n // 2 + 1):
+            cases.append(random_strict_setup(ring, p, 5, seed=41, index=p))
+    ring = _p1_fourth()
+    a, b, c = (as_kahler(ring, ring.class_vector(1, v))
+               for v in ([1, 2, 3, 4], [3, 1, 1, 2], [1, 1, 5, 1]))
+    cases += [mixed_setup(1, a, [b, c]), mixed_setup(2, a, [])]
+
+    for k, setup in enumerate(cases):
+        ring, p = setup.ring, setup.p
+        decomposer = LefschetzDecomposer(setup)
+        real = sample_random_class(ring, p, 6, seed=43, index=k)
+        imag = sample_random_class(ring, p, 6, seed=44, index=k)
+        for alpha in (real, real + imag.scaled(GaussianRational(0, 1))):
+            dec = decomposer.decompose(alpha)
+            lam, components, certificates = _split_oracle(alpha, setup)
+            where = (ring.name, p, alpha)
+            assert dec.lam == lam, where
+            assert dec.components == components, where
+            assert dec.certificates == certificates, where
+            assert all(c.is_zero for c in certificates), where
