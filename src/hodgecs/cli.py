@@ -43,7 +43,7 @@ from .inequalities import (
     kt_chain,
     verify_theorem,
 )
-from .lefschetz import LefschetzDecomposer, gram_matrix_Q
+from .lefschetz import gram_matrix_Q
 from .linalg import Matrix
 from .ring import (
     FLAG_KAHLER,
@@ -275,7 +275,7 @@ def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
     ring = _load_ring(args.ring)
     setup = _build_setup(ring, args)
     alpha = resolve_class(ring, args.p, args.alpha)
-    dec = LefschetzDecomposer(setup).decompose(alpha)
+    dec = setup.decomposer.decompose(alpha)
     recon_ok = dec.reconstruct() == alpha
     certs_ok = all(c.is_zero for c in dec.certificates)
     report = {

@@ -38,7 +38,7 @@ from .ring import (
     power,
     wedge,
 )
-from .lefschetz import DecompositionResult, LefschetzDecomposer, primitive_basis
+from .lefschetz import DecompositionResult, primitive_basis
 
 DIRECTION_CS = "cs"
 DIRECTION_OPPOSITE = "opposite"
@@ -52,21 +52,14 @@ def proportional(a: ClassVector, b: ClassVector) -> bool:
     return Matrix([a.coeffs, b.coeffs]).rank() <= 1
 
 
-def _check_alpha(alpha: ClassVector, setup: MixedSetup) -> None:
-    if alpha.degree != setup.p:
-        raise DegreeError(f"expected a degree-{setup.p} class, got degree {alpha.degree}")
-    if alpha.ring is not setup.ring and alpha.ring != setup.ring:
-        raise DegreeError("class belongs to a different ring")
-
-
 def compute_g_direct(alpha: ClassVector, setup: MixedSetup) -> Fraction:
     """Evaluate g from its defining integrals; the result is provably real."""
-    _check_alpha(alpha, setup)
-    w_p = power(setup.omega, setup.p)
+    setup.check_class(alpha)
+    mid = setup.tower[setup.p]
     pair_aa = integrate(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
-    vol = integrate(wedge(wedge(w_p, w_p), setup.omega_p))
-    mixed = integrate(wedge(wedge(alpha, w_p), setup.omega_p))
-    mixed_conj = integrate(wedge(wedge(alpha.conjugate(), w_p), setup.omega_p))
+    vol = integrate(setup.tower[2 * setup.p])
+    mixed = integrate(wedge(alpha, mid))
+    mixed_conj = integrate(wedge(alpha.conjugate(), mid))
     g = pair_aa * vol - mixed * mixed_conj
     return real_fraction(g)
 
@@ -86,9 +79,8 @@ def compute_g_decomposed(alpha: ClassVector, setup: MixedSetup) -> DecomposedG:
     This route never forms the defining integrals of g, so comparing it with
     :func:`compute_g_direct` cross-checks the decomposition exactly.
     """
-    _check_alpha(alpha, setup)
-    dec = LefschetzDecomposer(setup).decompose(alpha)
-    vol = integrate_real(wedge(power(setup.omega, 2 * setup.p), setup.omega_p))
+    dec = setup.decomposer.decompose(alpha)
+    vol = integrate_real(setup.tower[2 * setup.p])
     terms = dec.pairing_terms()
     return DecomposedG(vol * sum(terms, Fraction(0)), terms, dec)
 
@@ -149,7 +141,7 @@ def check_cs(alpha: ClassVector, setup: MixedSetup, direction: str = DIRECTION_C
     odd_vanish = even_vanish = None
     uncharacterized = False
     if setup.mode == MODE_STRICT:
-        dec = LefschetzDecomposer(setup).decompose(alpha)
+        dec = setup.decomposer.decompose(alpha)
         odd_vanish = all(c.is_zero for i, c in enumerate(dec.components, 1) if i % 2 == 1)
         even_vanish = all(c.is_zero for i, c in enumerate(dec.components, 1) if i % 2 == 0)
     elif g == 0:

@@ -21,7 +21,8 @@ splits as c = a_i + w * r with r of degree i-1; multiplying by
 C_i = w^(2(p-i)+1) * Omega_p kills a_i, so r solves the mixed hard Lefschetz
 system r * w * C_i = c * C_i in degree i-1. For genuine Kahler references that
 map is an isomorphism, so r and a_i = c - w * r are unique; a singular map is
-reported as evidence of wrong flags.
+reported as evidence of wrong flags. The products w^k * Omega_p come from
+``MixedSetup.tower``, and ``MixedSetup.decomposer`` is built once per setup.
 """
 
 from __future__ import annotations
@@ -259,33 +260,30 @@ class DecompositionResult:
     def pairing_terms(self) -> tuple[Fraction, ...]:
         """The reals t_i = integral of a_i * conj(a_i) * w^(2(p-i)) * Omega_p."""
         s = self.setup
-        terms = []
-        for i, comp in enumerate(self.components, start=1):
-            piece = wedge(wedge(comp, comp.conjugate()),
-                          wedge(power(s.omega, 2 * (s.p - i)), s.omega_p))
-            terms.append(integrate_real(piece))
-        return tuple(terms)
+        return tuple(
+            integrate_real(wedge(wedge(comp, comp.conjugate()), s.tower[2 * (s.p - i)]))
+            for i, comp in enumerate(self.components, start=1)
+        )
 
 
 class LefschetzDecomposer:
     """Reusable decomposition engine for a fixed strict setup.
 
-    Per level i = p .. 1 it precomputes C_i = w^(2(p-i)+1) * Omega_p and the
-    matrix of the mixed hard Lefschetz map r -> r * w * C_i on degree i-1,
-    checking once that it is invertible. Decomposing a class is then one
-    h^(i-1)-sized exact solve per level.
+    Per level i = p .. 1 it takes C_i = w^(2(p-i)+1) * Omega_p from the
+    setup's tower and builds the matrix of the mixed hard Lefschetz map
+    r -> r * w * C_i on degree i-1, checking once that it is invertible.
+    Decomposing a class is then one h^(i-1)-sized exact solve per level.
+    ``MixedSetup.decomposer`` holds the one instance a setup needs.
     """
 
     def __init__(self, setup: MixedSetup):
         if setup.mode != MODE_STRICT:
             raise FlagError("decomposition requires a strictly Kahler setup")
         self.setup = setup
-        ring = setup.ring
-        p = setup.p
+        ring, p, tower = setup.ring, setup.p, setup.tower
         self._levels = []
         for i in range(p, 0, -1):
-            cert_multiplier = wedge(power(setup.omega, 2 * (p - i) + 1), setup.omega_p)
-            lower = multiplication_matrix(ring, i - 1, wedge(setup.omega, cert_multiplier))
+            lower = multiplication_matrix(ring, i - 1, tower[2 * (p - i) + 2])
             rank = lower.rank()
             if lower.rows != lower.cols or rank != lower.cols:
                 raise SingularSplitError(
@@ -293,44 +291,41 @@ class LefschetzDecomposer:
                     f"{lower.rows}x{lower.cols} of rank {rank}; "
                     f"the reference classes are not Kahler"
                 )
-            self._levels.append((i, cert_multiplier, lower))
+            self._levels.append((i, tower[2 * (p - i) + 1], lower))
 
     def decompose(self, alpha: ClassVector) -> DecompositionResult:
         setup = self.setup
         ring = setup.ring
-        if alpha.degree != setup.p:
-            raise DegreeError(f"expected a degree-{setup.p} class")
-        if alpha.ring is not ring and alpha.ring != ring:
-            raise DegreeError("class belongs to a different ring")
+        setup.check_class(alpha)
 
-        components: dict[int, ClassVector] = {}
-        certificates: dict[int, ClassVector] = {}
+        components: list[ClassVector] = []      # levels p .. 1
+        certificates: list[ClassVector] = []
         current = alpha
         for i, cert_multiplier, lower in self._levels:
             # The map is invertible, so the solve always succeeds.
             rest = ring.class_vector(
                 i - 1, lower.solve(wedge(current, cert_multiplier).coeffs)
             )
-            components[i] = current - wedge(rest, setup.omega)
-            certificates[i] = wedge(components[i], cert_multiplier)
+            components.append(current - wedge(rest, setup.omega))
+            certificates.append(wedge(components[-1], cert_multiplier))
             current = rest
         lam = current.coeffs[0]
 
         # The recursion remainder must match the closed form
         # lam = (int a * w^p * Omega_p) / (int w^(2p) * Omega_p).
-        denom = integrate(wedge(power(setup.omega, 2 * setup.p), setup.omega_p))
-        numer = integrate(wedge(wedge(alpha, power(setup.omega, setup.p)), setup.omega_p))
+        denom = integrate(setup.tower[2 * setup.p])
+        numer = integrate(wedge(alpha, setup.tower[setup.p]))
         if lam * denom != numer:
             raise SingularSplitError(
                 "recursion remainder disagrees with the closed-form coefficient; "
                 "the reference classes are not Kahler"
             )
 
-        ordered = tuple(components[i] for i in range(1, setup.p + 1))
-        certs = tuple(certificates[i] for i in range(1, setup.p + 1))
-        return DecompositionResult(setup, alpha, lam, ordered, certs)
+        return DecompositionResult(
+            setup, alpha, lam, tuple(reversed(components)), tuple(reversed(certificates))
+        )
 
 
 def mixed_lefschetz_decompose(alpha: ClassVector, setup: MixedSetup) -> DecompositionResult:
-    """One-shot decomposition; build a LefschetzDecomposer for repeated use."""
-    return LefschetzDecomposer(setup).decompose(alpha)
+    """Decompose ``alpha`` with the setup's own decomposer, built on first use."""
+    return setup.decomposer.decompose(alpha)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegreeError, FlagError, RingMismatchError
@@ -164,18 +166,6 @@ class IntersectionRing:
         except KeyError:
             raise KeyError(f"no basis element {label!r} in degree {p}") from None
 
-    _ZEROS_CACHE: dict[int, tuple[Fraction, ...]] = {}
-
-    def structure(self, da: int, ia: int, db: int, ib: int) -> tuple[Fraction, ...]:
-        out = self.products.get(canonical_product_key(da, ia, db, ib))
-        if out is not None:
-            return out
-        dim = self.hodge[da + db]
-        cached = self._ZEROS_CACHE.get(dim)
-        if cached is None:
-            cached = self._ZEROS_CACHE.setdefault(dim, (Fraction(0),) * dim)
-        return cached
-
     # -- class construction ------------------------------------------------
 
     def class_vector(self, p: int, coeffs: Sequence, flag: str = FLAG_NONE) -> "ClassVector":
@@ -186,8 +176,8 @@ class IntersectionRing:
             )
         if flag not in FLAGS:
             raise FlagError(f"unknown positivity flag {flag!r}")
-        if flag != FLAG_NONE and p != 1:
-            raise FlagError("kahler/nef flags only apply to degree-1 classes")
+        if flag != FLAG_NONE and (p != 1 or not all(c.is_real for c in coeffs)):
+            raise FlagError("kahler/nef flags only apply to real degree-1 classes")
         return ClassVector(self, p, coeffs, flag)
 
     def basis_class(self, p: int, i: int) -> "ClassVector":
@@ -373,8 +363,11 @@ def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
         for j, cb in enumerate(b.coeffs):
             if not cb:
                 continue
+            out = ring.products.get(canonical_product_key(a.degree, i, b.degree, j))
+            if out is None:
+                continue
             cab = ca * cb
-            for k, f in enumerate(ring.structure(a.degree, i, b.degree, j)):
+            for k, f in enumerate(out):
                 if f:
                     acc[k] = acc[k] + cab * f
     return ClassVector(ring, total, tuple(acc))
@@ -493,11 +486,11 @@ def validate_ring(ring: IntersectionRing) -> ValidationReport:
                                 )
 
     for p in range(n + 1):
-        pairing = ring.pairing_matrix(p)
-        if pairing.rank() != ring.dim(p):
+        rank = ring.pairing_matrix(p).rank()
+        if rank != ring.dim(p):
             report.add(
                 "poincare-duality", f"pairing p={p}",
-                f"rank {pairing.rank()} < {ring.dim(p)}: pairing is degenerate",
+                f"rank {rank} < {ring.dim(p)}: pairing is degenerate",
             )
 
     return report
@@ -616,8 +609,9 @@ MODE_BOUNDARY = "boundary"
 class MixedSetup:
     """A target degree p with reference classes w, w_1 .. w_(n-2p).
 
-    ``omega_p`` caches the product of the w_i. The mode is strict when every
-    reference class is Kahler-flagged and boundary when nef classes occur.
+    ``omega_p`` is the product Omega_p of the w_i and ``tower[0]`` of the
+    products w^k * Omega_p. The mode is strict when every reference class is
+    Kahler-flagged and boundary when nef classes occur.
     """
 
     p: int
@@ -629,6 +623,24 @@ class MixedSetup:
     @property
     def ring(self) -> IntersectionRing:
         return self.omega.ring
+
+    @cached_property
+    def tower(self) -> tuple[ClassVector, ...]:
+        """w^k * Omega_p for k = 0 .. 2p, each one product from the last."""
+        return tuple(accumulate([self.omega] * (2 * self.p), wedge, initial=self.omega_p))
+
+    @cached_property
+    def decomposer(self):
+        """The setup's LefschetzDecomposer, built on first use; raises as it does."""
+        from .lefschetz import LefschetzDecomposer
+        return LefschetzDecomposer(self)
+
+    def check_class(self, alpha: ClassVector) -> None:
+        """Raise DegreeError unless ``alpha`` is a degree-p class of the ring."""
+        if alpha.degree != self.p:
+            raise DegreeError(f"expected a degree-{self.p} class, got degree {alpha.degree}")
+        if alpha.ring is not self.ring and alpha.ring != self.ring:
+            raise DegreeError("class belongs to a different ring")
 
     def describe(self) -> str:
         ws = ", ".join(str(w) for w in self.omegas) or "(empty)"

@@ -7,6 +7,7 @@ import pytest
 from hodgecs import zoo
 from hodgecs.errors import FlagError, SingularSplitError
 from hodgecs.gaussian import GaussianRational
+from hodgecs.inequalities import check_cs, compute_g_decomposed, verify_theorem
 from hodgecs.lefschetz import (
     LefschetzDecomposer,
     gram_matrix_Q,
@@ -305,6 +306,13 @@ def _p1_fourth():
     ).ring
 
 
+def _p1_fourth_ample():
+    """Three distinct ample classes on (P1)^4."""
+    ring = _p1_fourth()
+    return tuple(as_kahler(ring, ring.class_vector(1, v))
+                 for v in ([1, 2, 3, 4], [3, 1, 1, 2], [1, 1, 5, 1]))
+
+
 def test_decompose_matches_split_oracle():
     # Random cone setups on every zoo (ring, p) and on blp6; mixed setups of
     # distinct ample classes on (P1)^4.
@@ -312,9 +320,7 @@ def test_decompose_matches_split_oracle():
     for ring in [zoo.get(name).ring for name in zoo.list_entries()] + [zoo.blowup_pn(6).ring]:
         for p in range(1, ring.n // 2 + 1):
             cases.append(random_strict_setup(ring, p, 5, seed=41, index=p))
-    ring = _p1_fourth()
-    a, b, c = (as_kahler(ring, ring.class_vector(1, v))
-               for v in ([1, 2, 3, 4], [3, 1, 1, 2], [1, 1, 5, 1]))
+    a, b, c = _p1_fourth_ample()
     cases += [mixed_setup(1, a, [b, c]), mixed_setup(2, a, [])]
 
     for k, setup in enumerate(cases):
@@ -330,3 +336,48 @@ def test_decompose_matches_split_oracle():
             assert dec.components == components, where
             assert dec.certificates == certificates, where
             assert all(c.is_zero for c in certificates), where
+
+
+# -- one tower and one decomposer per setup ------------------------------------------
+
+def test_tower_matches_powers_times_omega_p():
+    a, b, c = _p1_fourth_ample()
+    setups = [mixed_setup(1, a, [b, c])]
+    for name in zoo.list_entries():
+        ring = zoo.get(name).ring
+        for p in range(1, ring.n // 2 + 1):
+            setups.append(random_strict_setup(ring, p, 5, seed=45, index=p))
+    for setup in setups:
+        tower = setup.tower
+        assert len(tower) == 2 * setup.p + 1
+        assert tower[0] is setup.omega_p
+        for k, entry in enumerate(tower):
+            assert entry == wedge(power(setup.omega, k), setup.omega_p), (setup.describe(), k)
+        assert setup.tower is tower
+
+
+def test_each_setup_builds_one_decomposer(monkeypatch):
+    builds = []
+    original = LefschetzDecomposer.__init__
+
+    def counting_init(self, setup):
+        builds.append(setup)
+        original(self, setup)
+
+    monkeypatch.setattr(LefschetzDecomposer, "__init__", counting_init)
+    ring = _p1_fourth()
+    setup = random_strict_setup(ring, 2, 5, seed=46, index=0)
+    alpha = sample_random_class(ring, 2, 5, seed=46, index=0)
+    for direction in ("cs", "opposite"):
+        check_cs(alpha, setup, direction)
+    compute_g_decomposed(alpha, setup)
+    mixed_lefschetz_decompose(alpha, setup)
+    assert len(builds) == 1 and builds[0] is setup
+    assert setup.decomposer is setup.decomposer
+
+    # Both dimension conditions fail on (P1)^4 at p = 2, so verify_theorem
+    # builds two counterexamples on the setup of sample 0.
+    builds.clear()
+    report = verify_theorem(ring, 2, samples=2, seed=47)
+    assert sorted(report.counterexamples) == ["cs", "opposite"]
+    assert len(builds) == 1

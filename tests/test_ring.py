@@ -246,3 +246,16 @@ def test_mixed_setup_caches_reference_product():
     w = bl.sample("omega")
     setup = mixed_setup(1, w, [w, bl.sample("omega2")])
     assert setup.omega_p == wedge(w, bl.sample("omega2"))
+
+
+def test_positivity_flags_reject_complex_classes():
+    bl = zoo.get("blp4").ring
+    coeffs = [GaussianRational(2, 1), -1]
+    for flag in ("kahler", "nef"):
+        with pytest.raises(FlagError, match="real degree-1"):
+            bl.class_vector(1, coeffs, flag)
+        with pytest.raises(FlagError, match="real degree-1"):
+            bl.class_vector(1, coeffs).with_flag(flag)
+    # Unflagged complex classes and real flagged classes are still accepted.
+    assert not bl.class_vector(1, coeffs).is_real
+    assert bl.class_vector(1, [2, -1], "kahler").flag == "kahler"
