@@ -35,10 +35,11 @@ from .ring import (
     MixedSetup,
     integrate,
     integrate_real,
+    multiplication_matrix,
     power,
     wedge,
 )
-from .lefschetz import DecompositionResult, primitive_basis
+from .lefschetz import DecompositionResult
 
 DIRECTION_CS = "cs"
 DIRECTION_OPPOSITE = "opposite"
@@ -55,12 +56,12 @@ def proportional(a: ClassVector, b: ClassVector) -> bool:
 def compute_g_direct(alpha: ClassVector, setup: MixedSetup) -> Fraction:
     """Evaluate g from its defining integrals; the result is provably real."""
     setup.check_class(alpha)
-    mid = setup.tower[setup.p]
     pair_aa = integrate(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
     vol = integrate(setup.tower[2 * setup.p])
-    mixed = integrate(wedge(alpha, mid))
-    mixed_conj = integrate(wedge(alpha.conjugate(), mid))
-    g = pair_aa * vol - mixed * mixed_conj
+    # The tower is real (positivity flags need real classes), so the integral
+    # of conj(alpha) * w^p * Omega_p is the conjugate of this one.
+    mixed = integrate(wedge(alpha, setup.tower[setup.p]))
+    g = pair_aa * vol - mixed.abs2()
     return real_fraction(g)
 
 
@@ -249,11 +250,11 @@ def construct_counterexample(
         return None
     i0, deg = jump
 
-    refs = [setup.omega] * (2 * (p - deg)) + list(setup.omegas)
-    prim = primitive_basis(ring, deg, setup.omega, refs)
-    if not prim.basis:
+    # Primitive classes of degree deg: the kernel of a -> a * w^(2(p-deg)+1) * Omega_p.
+    kernel = multiplication_matrix(ring, deg, setup.tower[2 * (p - deg) + 1]).nullspace()
+    if not kernel:
         return None
-    witness = prim.basis[0]
+    witness = ring.class_vector(deg, kernel[0])
     theta = power(setup.omega, p) + wedge(witness, power(setup.omega, p - deg))
     verdict = check_cs(theta, setup, kind)
     if verdict.satisfied:

@@ -3,13 +3,25 @@
 Everything here is deterministic: pivots are chosen leftmost-first and
 normalised to 1, so echelon forms, kernel bases and particular solutions are
 canonical and reproducible byte-for-byte. Inertia is computed by symmetric
-(conjugate-)congruence elimination, never by eigenvalues, so no square roots
-are needed and the answer is exact.
+congruence elimination, never by eigenvalues, so no square roots are needed
+and the answer is exact.
+
+Entries are Gaussian rationals at the interface, but a real matrix is
+reduced on Python ints. For echelon forms each row is scaled by the lcm of
+its denominators, a positive factor that keeps the row space, and one
+fraction-free Gauss-Jordan loop (Bareiss 1968) divides every update exactly
+by the previous pivot; only the final pivot rows are divided by their pivot.
+A matrix with a non-real entry runs the same loop in the field of Gaussian
+rationals. Inertia scales the form by the lcm of all its denominators and
+reduces it by integer congruence; a complex Hermitian H = A + iB enters as
+the real symmetric [[A, -B], [B, A]], which has exactly twice its inertia.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import floordiv, truediv
 from typing import Optional, Sequence
 
 from .gaussian import GQ_ONE, GQ_ZERO, GaussianRational
@@ -36,6 +48,15 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def _of(cls, rows: list[list[GaussianRational]]) -> "Matrix":
+        """A matrix of rows that already hold Gaussian rationals, not coerced again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(m, "_e", tuple(map(tuple, rows)))
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -136,25 +157,17 @@ class Matrix:
         normalised to 1, so the result is the canonical echelon basis of the
         row space.
         """
-        a = [list(row) for row in self._e]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot_row = next((i for i in range(r, self.rows) if a[i][c]), None)
-            if pivot_row is None:
-                continue
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            inv = GQ_ONE / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(self.rows):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(a), tuple(pivots)
+        if self.is_real():
+            re = [[x.re for x in row] for row in self._e]
+            a = [_cleared(row, lcm(*(x.denominator for x in row))) for row in re]
+            pivots, d = _bareiss_jordan(a, self.cols, floordiv)
+            out = [[GaussianRational(Fraction(x, d)) if x else GQ_ZERO for x in row] for row in a]
+        else:
+            a = [list(row) for row in self._e]
+            pivots, d = _bareiss_jordan(a, self.cols, truediv)
+            inv = GQ_ONE / d
+            out = [[x * inv for x in row] for row in a]
+        return Matrix._of(out), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -187,20 +200,25 @@ class Matrix:
 
         Among all solutions the canonical one is returned: free variables of
         the echelon parametrization are set to zero, so pivot variables carry
-        the full right-hand side ("pivot-first" convention).
+        the full right-hand side ("pivot-first" convention). That solution is
+        linear in b, so a real matrix with a complex b is reduced once as
+        [self | Re b | Im b] on the integer path.
         """
         rhs = as_vector(b)
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length does not match row count")
         if self.rows == 0:
             return tuple([GQ_ZERO] * self.cols)
-        aug = Matrix([list(self._e[i]) + [rhs[i]] for i in range(self.rows)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        split = not all(x.is_real for x in rhs) and self.is_real()
+        tails = [[x.re, x.im] if split else [x] for x in rhs]
+        red, pivots = Matrix([list(row) + t for row, t in zip(self._e, tails)]).rref()
+        n = self.cols
+        if pivots and pivots[-1] >= n:
             return None
-        x = [GQ_ZERO] * self.cols
+        x = [GQ_ZERO] * n
         for r, c in enumerate(pivots):
-            x[c] = red._e[r][self.cols]
+            row = red._e[r]
+            x[c] = GaussianRational(row[n].re, row[n + 1].re) if split else row[n]
         return tuple(x)
 
     # -- inertia ---------------------------------------------------------
@@ -209,42 +227,103 @@ class Matrix:
         """Sylvester inertia (n_plus, n_minus, n_zero) of a quadratic form.
 
         With ``hermitian`` unset the matrix must be real symmetric; set, it
-        must equal its conjugate transpose. The form is reduced by exact
-        congruence: a nonzero diagonal pivot eliminates its row and column,
-        and when the active block has an all-zero diagonal a nonzero
-        off-diagonal entry is split off as a hyperbolic pair, which always
-        contributes (1, 1, 0).
+        must equal its conjugate transpose. A complex Hermitian H = A + iB is
+        replaced by the real symmetric [[A, -B], [B, A]], whose inertia is
+        exactly twice that of H. The real form is scaled by the lcm of its
+        denominators and reduced on ints by :func:`_int_inertia`.
         """
         if self.rows != self.cols:
             raise ValueError("inertia requires a square matrix")
+        real = self.is_real()
         if hermitian:
             if not self.is_hermitian():
                 raise ValueError("matrix is not conjugate-symmetric")
         else:
-            if not self.is_real():
+            if not real:
                 raise ValueError("symmetric inertia requires real entries; "
                                  "pass hermitian=True for complex forms")
             if not self.is_symmetric():
                 raise ValueError("matrix is not symmetric")
 
-        a = [list(row) for row in self._e]
-        n_plus = n_minus = n_zero = 0
-        while a:
-            k = len(a)
-            d_idx = next((i for i in range(k) if a[i][i]), None)
-            if d_idx is not None:
-                _sym_swap(a, 0, d_idx)
-                d = a[0][0]
-                # Hermitian diagonals are real; real-symmetric ones trivially so.
-                if d.re > 0:
-                    n_plus += 1
-                else:
-                    n_minus += 1
-                a = [
-                    [a[i][j] - a[i][0] * a[0][j] / d for j in range(1, k)]
-                    for i in range(1, k)
-                ]
-                continue
+        re = [[x.re for x in row] for row in self._e]
+        if real:
+            form, copies = re, 1
+        else:
+            im = [[x.im for x in row] for row in self._e]
+            form = [ra + [-x for x in rb] for ra, rb in zip(re, im)] + [
+                rb + ra for ra, rb in zip(re, im)
+            ]
+            copies = 2
+        scale = lcm(*(x.denominator for row in form for x in row))
+        n_plus, n_minus, n_zero = _int_inertia([_cleared(row, scale) for row in form])
+        return n_plus // copies, n_minus // copies, n_zero // copies
+
+
+def _cleared(values: list[Fraction], scale: int) -> list[int]:
+    """``values`` times ``scale``, a positive common multiple of their denominators."""
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _bareiss_jordan(a: list[list], cols: int, div) -> tuple[tuple[int, ...], object]:
+    """Fraction-free Gauss-Jordan elimination of the rows ``a``, in place.
+
+    Each step multiplies every other row by the pivot d, subtracts the pivot
+    row times that row's entry, and divides by the previous pivot. The
+    division is exact (Bareiss 1968), so ``div`` is ``//`` on ints and ``/``
+    in a field. Returns the pivot columns and the last pivot D; afterwards
+    the pivot rows come first, each holding D in its own pivot column and 0
+    in the others, and the remaining rows are zero, so dividing by D gives
+    the reduced echelon form.
+    """
+    pivots: list[int] = []
+    prev = 1
+    n = len(a)
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        k = next((i for i in range(r, n) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        top = a[r]
+        d = top[c]
+        for i in range(n):
+            if i != r:
+                f = a[i][c]
+                a[i] = [div(d * x - f * y, prev) for x, y in zip(a[i], top)]
+        pivots.append(c)
+        prev = d
+    return tuple(pivots), prev
+
+
+def _int_inertia(a: list[list[int]]) -> tuple[int, int, int]:
+    """Inertia of an integer symmetric form by exact congruence.
+
+    A nonzero diagonal pivot d eliminates its row and column; when the
+    active block has an all-zero diagonal, a nonzero off-diagonal pair t is
+    split off as a hyperbolic block [[0, t], [t, 0]], which contributes
+    (1, 1, 0). Each Schur complement is multiplied by |d| or |t| to stay
+    integral and then divided by the gcd of its entries; both factors are
+    positive, so the inertia is unchanged.
+    """
+    n_plus = n_minus = n_zero = 0
+    while a:
+        k = len(a)
+        d_idx = next((i for i in range(k) if a[i][i]), None)
+        if d_idx is not None:
+            _sym_swap(a, 0, d_idx)
+            d = a[0][0]
+            if d > 0:
+                n_plus += 1
+            else:
+                n_minus += 1
+            s = 1 if d > 0 else -1
+            a = [
+                [s * (d * a[i][j] - a[i][0] * a[0][j]) for j in range(1, k)]
+                for i in range(1, k)
+            ]
+        else:
             off = next(
                 ((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j]),
                 None,
@@ -256,22 +335,20 @@ class Matrix:
             _sym_swap(a, 0, i)
             _sym_swap(a, 1, j)  # j > i >= 0, so j never collides with slot 0
             t = a[0][1]
-            tc = t.conjugate()
-            # Schur complement w.r.t. the invertible block [[0, t], [conj(t), 0]],
-            # whose own inertia is (1, 1, 0).
             n_plus += 1
             n_minus += 1
+            s = 1 if t > 0 else -1
             a = [
-                [
-                    a[p][q] - a[p][0] * a[1][q] / tc - a[p][1] * a[0][q] / t
-                    for q in range(2, k)
-                ]
+                [s * (t * a[p][q] - a[p][0] * a[1][q] - a[p][1] * a[0][q]) for q in range(2, k)]
                 for p in range(2, k)
             ]
-        return n_plus, n_minus, n_zero
+        g = gcd(*(x for row in a for x in row))
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
+    return n_plus, n_minus, n_zero
 
 
-def _sym_swap(a: list[list[GaussianRational]], i: int, j: int) -> None:
+def _sym_swap(a: list[list[int]], i: int, j: int) -> None:
     if i == j:
         return
     a[i], a[j] = a[j], a[i]

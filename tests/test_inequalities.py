@@ -1,9 +1,11 @@
 """g evaluation, inequality verdicts, counterexamples, and the KT chain."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hodgecs.ring
 from hodgecs import zoo
 from hodgecs.errors import DegreeError, FlagError
 from hodgecs.gaussian import GaussianRational
@@ -17,7 +19,17 @@ from hodgecs.inequalities import (
     proportional,
     verify_theorem,
 )
-from hodgecs.ring import FLAG_KAHLER, FLAG_NEF, integrate_real, mixed_setup, power, wedge
+from hodgecs.lefschetz import primitive_basis
+from hodgecs.ring import (
+    FLAG_KAHLER,
+    FLAG_NEF,
+    as_kahler,
+    integrate,
+    integrate_real,
+    mixed_setup,
+    power,
+    wedge,
+)
 from hodgecs.sampling import random_strict_setup, sample_random_class
 
 
@@ -321,6 +333,57 @@ def test_verify_draws_each_setup_once(monkeypatch):
     report = verify_theorem(ring, 2, 0, seed=4)
     assert indices == [0]
     assert report.counterexamples["cs"].theta == expected.theta
+
+
+def _count_wedges(monkeypatch):
+    """Route every hodgecs binding of ``wedge`` through a call counter."""
+    real = hodgecs.ring.wedge
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hodgecs" or name.startswith("hodgecs."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+def test_g_direct_conjugates_its_mixed_integral(monkeypatch):
+    ring = zoo.blowup_pn(8).ring
+    setup = random_strict_setup(ring, 3, 10, seed=1, index=0)
+    alpha = sample_random_class(ring, 3, 10, seed=1, index=0) + sample_random_class(
+        ring, 3, 10, seed=2, index=0).scaled(GaussianRational(0, 1))
+    # Oracle: the defining integrals, the conjugate one formed on its own.
+    mid = wedge(power(setup.omega, 3), setup.omega_p)
+    expected = (
+        integrate(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
+        * integrate(wedge(power(setup.omega, 6), setup.omega_p))
+        - integrate(wedge(alpha, mid)) * integrate(wedge(alpha.conjugate(), mid))
+    )
+    setup.tower  # built once per setup, not per call
+    calls = _count_wedges(monkeypatch)
+    assert compute_g_direct(alpha, setup) == expected
+    assert len(calls) == 3  # alpha*conj(alpha), its product with Omega_p, alpha*w^p*Omega_p
+
+
+def test_counterexample_kernel_comes_from_the_tower(monkeypatch):
+    p1 = [zoo.projective_space(1, label) for label in "abcd"]
+    ring = zoo.product(zoo.product(p1[0], p1[1]), zoo.product(p1[2], p1[3])).ring
+    w = as_kahler(ring, ring.class_vector(1, [1, 2, 3, 4]))
+    setup = mixed_setup(2, w, [])
+    # Oracle: the primitive basis for (w, w^2), multiplied out on its own.
+    witness = primitive_basis(ring, 1, w, [w, w]).basis[0]
+    theta = power(w, 2) + wedge(witness, w)
+    setup.decomposer  # builds the tower and the decomposer before counting
+    calls = _count_wedges(monkeypatch)
+    ce = construct_counterexample(ring, 2, setup, "cs")
+    assert (ce.witness, ce.theta) == (witness, theta)
+    # The kernel operator multiplies by tower[3]; g conjugates its mixed integral.
+    assert len(calls) == 20
 
 
 def test_part2_universality_with_proportional_cases():
