@@ -11,17 +11,17 @@ reduced on Python ints. For echelon forms each row is scaled by the lcm of
 its denominators, a positive factor that keeps the row space, and one
 fraction-free Gauss-Jordan loop (Bareiss 1968) divides every update exactly
 by the previous pivot; only the final pivot rows are divided by their pivot.
-A matrix with a non-real entry runs the same loop in the field of Gaussian
-rationals. Inertia scales the form by the lcm of all its denominators and
-reduces it by integer congruence; a complex Hermitian H = A + iB enters as
-the real symmetric [[A, -B], [B, A]], which has exactly twice its inertia.
+A matrix with a non-real entry is cleared the same way to Gaussian integers
+and runs the same loop on them. Inertia scales the form by the lcm of all
+its denominators and reduces it by integer congruence; a complex Hermitian
+H = A + iB enters as the real symmetric [[A, -B], [B, A]], which has exactly
+twice its inertia.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import floordiv, truediv
 from typing import Optional, Sequence
 
 from .gaussian import GQ_ONE, GQ_ZERO, GaussianRational
@@ -160,13 +160,15 @@ class Matrix:
         if self.is_real():
             re = [[x.re for x in row] for row in self._e]
             a = [_cleared(row, lcm(*(x.denominator for x in row))) for row in re]
-            pivots, d = _bareiss_jordan(a, self.cols, floordiv)
+        else:
+            a = [_cleared_gaussian(row) for row in self._e]
+        pivots, d = _bareiss_jordan(a, self.cols)
+        # d stays the int 1 when there is no pivot, and then every entry is 0.
+        if d.__class__ is int:
             out = [[GaussianRational(Fraction(x, d)) if x else GQ_ZERO for x in row] for row in a]
         else:
-            a = [list(row) for row in self._e]
-            pivots, d = _bareiss_jordan(a, self.cols, truediv)
-            inv = GQ_ONE / d
-            out = [[x * inv for x in row] for row in a]
+            inv = GQ_ONE / GaussianRational(d.re, d.im)
+            out = [[GaussianRational(x.re, x.im) * inv if x else GQ_ZERO for x in row] for row in a]
         return Matrix._of(out), pivots
 
     def rank(self) -> int:
@@ -200,25 +202,20 @@ class Matrix:
 
         Among all solutions the canonical one is returned: free variables of
         the echelon parametrization are set to zero, so pivot variables carry
-        the full right-hand side ("pivot-first" convention). That solution is
-        linear in b, so a real matrix with a complex b is reduced once as
-        [self | Re b | Im b] on the integer path.
+        the full right-hand side ("pivot-first" convention).
         """
         rhs = as_vector(b)
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length does not match row count")
         if self.rows == 0:
             return tuple([GQ_ZERO] * self.cols)
-        split = not all(x.is_real for x in rhs) and self.is_real()
-        tails = [[x.re, x.im] if split else [x] for x in rhs]
-        red, pivots = Matrix([list(row) + t for row, t in zip(self._e, tails)]).rref()
+        red, pivots = Matrix._of([list(row) + [v] for row, v in zip(self._e, rhs)]).rref()
         n = self.cols
-        if pivots and pivots[-1] >= n:
+        if pivots and pivots[-1] == n:
             return None
         x = [GQ_ZERO] * n
         for r, c in enumerate(pivots):
-            row = red._e[r]
-            x[c] = GaussianRational(row[n].re, row[n + 1].re) if split else row[n]
+            x[c] = red._e[r][n]
         return tuple(x)
 
     # -- inertia ---------------------------------------------------------
@@ -264,13 +261,50 @@ def _cleared(values: list[Fraction], scale: int) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _bareiss_jordan(a: list[list], cols: int, div) -> tuple[tuple[int, ...], object]:
+def _cleared_gaussian(row: Sequence[GaussianRational]) -> list["_GaussianInt"]:
+    """``row`` times the lcm of the denominators of its real and imaginary parts."""
+    scale = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+    return [_GaussianInt(*_cleared([x.re, x.im], scale)) for x in row]
+
+
+class _GaussianInt:
+    """A Gaussian integer re + i*im on Python ints, for the elimination loop.
+
+    ``//`` is exact division and is only used where the divisor divides;
+    the divisor is another Gaussian integer or the loop's starting int 1.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __mul__(self, other: "_GaussianInt") -> "_GaussianInt":
+        return _GaussianInt(self.re * other.re - self.im * other.im,
+                            self.re * other.im + self.im * other.re)
+
+    def __sub__(self, other: "_GaussianInt") -> "_GaussianInt":
+        return _GaussianInt(self.re - other.re, self.im - other.im)
+
+    def __floordiv__(self, other) -> "_GaussianInt":
+        if other.__class__ is int:
+            return _GaussianInt(self.re // other, self.im // other)
+        norm = other.re * other.re + other.im * other.im
+        return _GaussianInt((self.re * other.re + self.im * other.im) // norm,
+                            (self.im * other.re - self.re * other.im) // norm)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+
+def _bareiss_jordan(a: list[list], cols: int) -> tuple[tuple[int, ...], object]:
     """Fraction-free Gauss-Jordan elimination of the rows ``a``, in place.
 
-    Each step multiplies every other row by the pivot d, subtracts the pivot
-    row times that row's entry, and divides by the previous pivot. The
-    division is exact (Bareiss 1968), so ``div`` is ``//`` on ints and ``/``
-    in a field. Returns the pivot columns and the last pivot D; afterwards
+    The entries are ints or :class:`_GaussianInt`. Each step multiplies
+    every other row by the pivot d, subtracts the pivot row times that row's
+    entry, and divides by the previous pivot; the division is exact in any
+    integral domain (Bareiss 1968), so it is ``//``. Returns the pivot columns and the last pivot D; afterwards
     the pivot rows come first, each holding D in its own pivot column and 0
     in the others, and the remaining rows are zero, so dividing by D gives
     the reduced echelon form.
@@ -291,7 +325,7 @@ def _bareiss_jordan(a: list[list], cols: int, div) -> tuple[tuple[int, ...], obj
         for i in range(n):
             if i != r:
                 f = a[i][c]
-                a[i] = [div(d * x - f * y, prev) for x, y in zip(a[i], top)]
+                a[i] = [(d * x - f * y) // prev for x, y in zip(a[i], top)]
         pivots.append(c)
         prev = d
     return tuple(pivots), prev

@@ -18,9 +18,9 @@ from hodgecs.gaussian import GaussianRational
 from hodgecs.linalg import Matrix
 from hodgecs.ring import multiplication_matrix, power
 from hodgecs.sampling import sample_random_class
+from test_inertia_oracle import sturm_inertia
 
 I = GaussianRational(0, 1)
-_LAM = sympy.Symbol("lam")
 
 
 def _gauss_jordan(rows, cols):
@@ -198,18 +198,6 @@ def test_real_matrix_complex_rhs_is_two_real_solves():
         _check_solve(m, b)
 
 
-def _sturm_inertia(sym_matrix):
-    n = sym_matrix.rows
-    poly = sympy.Poly(sym_matrix.charpoly(_LAM).as_expr(), _LAM)
-    nz = 0
-    while poly.eval(0) == 0:
-        poly = sympy.Poly(sympy.cancel(poly.as_expr() / _LAM), _LAM)
-        nz += 1
-    n_plus, n_minus = poly.count_roots(0, sympy.oo), poly.count_roots(-sympy.oo, 0)
-    assert n_plus + n_minus + nz == n
-    return (n_plus, n_minus, nz)
-
-
 def test_zero_diagonal_forms_match_sturm_counts():
     rng = random.Random(4242)
     for trial in range(40):
@@ -226,7 +214,7 @@ def test_zero_diagonal_forms_match_sturm_counts():
                 row[-1] = row[0]
             a[-1][-1] = a[0][0]
         m = Matrix(a)
-        assert m.inertia() == _sturm_inertia(_sym_matrix(m)), a
+        assert m.inertia() == sturm_inertia(_sym_matrix(m)), a
         assert m.inertia(hermitian=True) == m.inertia()
 
 
@@ -242,4 +230,4 @@ def test_zero_diagonal_hermitian_forms_match_sturm_counts():
                                          rng.randint(-4, 4))
                     a[i][j], a[j][i] = z, z.conjugate()
         m = Matrix(a)
-        assert m.inertia(hermitian=True) == _sturm_inertia(_sym_matrix(m)), a
+        assert m.inertia(hermitian=True) == sturm_inertia(_sym_matrix(m)), a
