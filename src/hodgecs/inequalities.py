@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import DegreeError, FlagError
-from .linalg import Matrix, real_fraction
+from .linalg import real_fraction
 from .ring import (
     FLAG_KAHLER,
     POSITIVE_FLAGS,
@@ -47,10 +48,27 @@ DIRECTIONS = (DIRECTION_CS, DIRECTION_OPPOSITE)
 
 
 def proportional(a: ClassVector, b: ClassVector) -> bool:
-    """Exact test that {a, b} spans at most a line (rank of the stacked pair)."""
+    """Exact test that {a, b} spans at most a line.
+
+    On Gaussian-integer multiples of a and b, with a_k the first nonzero
+    coordinate of a, that holds exactly when b_i * a_k == a_i * b_k for all i.
+    """
     if a.degree != b.degree:
         raise DegreeError("proportionality needs classes of equal degree")
-    return Matrix([a.coeffs, b.coeffs]).rank() <= 1
+    av, bv = _gaussian_ints(a), _gaussian_ints(b)
+    k = next((k for k, x in enumerate(av) if any(x)), None)
+    if k is None:
+        return True
+    (ar, ai), (br, bi) = av[k], bv[k]
+    return all(yr * ar - yi * ai == xr * br - xi * bi and yr * ai + yi * ar == xr * bi + xi * br
+               for (xr, xi), (yr, yi) in zip(av, bv))
+
+
+def _gaussian_ints(c: ClassVector) -> list[tuple[int, int]]:
+    """The coefficients of ``c`` times the lcm of their denominators, as (re, im) pairs."""
+    s = lcm(*(x.re.denominator for x in c.coeffs), *(x.im.denominator for x in c.coeffs))
+    return [(x.re.numerator * (s // x.re.denominator), x.im.numerator * (s // x.im.denominator))
+            for x in c.coeffs]
 
 
 def compute_g_direct(alpha: ClassVector, setup: MixedSetup) -> Fraction:

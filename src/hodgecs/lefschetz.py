@@ -130,7 +130,7 @@ def gram_matrix_Q(
 ) -> SymmetricFormReport:
     """Gram matrix of the degree-p form against the product of ``omegas``."""
     unsigned = form_matrix(ring, p, _omega_product(ring, p, omegas))
-    ui = unsigned.inertia(hermitian=True)
+    ui = unsigned.inertia()
     if p % 2 == 0:
         return SymmetricFormReport(p, 1, unsigned, ui, unsigned, ui)
     # Negating a form swaps its positive and negative index.
@@ -139,9 +139,9 @@ def gram_matrix_Q(
 
 
 def restrict_form(report: SymmetricFormReport, basis: Sequence[ClassVector]) -> Matrix:
-    """Gram matrix of the signed form restricted to the span of ``basis``."""
+    """Gram matrix of the signed form restricted to the span of the real ``basis``."""
     cols = Matrix.from_columns([b.coeffs for b in basis], rows=report.gram.rows)
-    return cols.conj_transpose() @ report.gram @ cols
+    return cols.transpose() @ report.gram @ cols
 
 
 @dataclass
@@ -209,7 +209,7 @@ def hr_check(
 
     if prim.dim:
         restricted = restrict_form(form, prim.basis)
-        ri = restricted.inertia(hermitian=True)
+        ri = restricted.inertia()
     else:
         restricted = Matrix([])
         ri = (0, 0, 0)

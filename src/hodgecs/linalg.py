@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact dense linear algebra: elimination over the rationals.
 
 Everything here is deterministic: pivots are chosen leftmost-first and
 normalised to 1, so echelon forms, kernel bases and particular solutions are
@@ -6,16 +6,13 @@ canonical and reproducible byte-for-byte. Inertia is computed by symmetric
 congruence elimination, never by eigenvalues, so no square roots are needed
 and the answer is exact.
 
-Entries are Gaussian rationals at the interface, but a real matrix is
-reduced on Python ints. For echelon forms each row is scaled by the lcm of
-its denominators, a positive factor that keeps the row space, and one
-fraction-free Gauss-Jordan loop (Bareiss 1968) divides every update exactly
-by the previous pivot; only the final pivot rows are divided by their pivot.
-A matrix with a non-real entry is cleared the same way to Gaussian integers
-and runs the same loop on them. Inertia scales the form by the lcm of all
-its denominators and reduces it by integer congruence; a complex Hermitian
-H = A + iB enters as the real symmetric [[A, -B], [B, A]], which has exactly
-twice its inertia.
+Entries are Gaussian rationals at the interface, but elimination is over the
+rationals, on Python ints: a non-real entry raises ``ValueError``, and the
+only complex input accepted is the right-hand side of ``solve``. For echelon
+forms each row is scaled by the lcm of its denominators, a positive factor
+that keeps the row space, and one fraction-free Gauss-Jordan loop (Bareiss
+1968) divides every update exactly by the previous pivot. Inertia scales the
+form by the lcm of its denominators and reduces it by integer congruence.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ def as_vector(entries: Sequence) -> Vector:
 
 
 class Matrix:
-    """An immutable rows x cols matrix of Gaussian rationals."""
+    """An immutable rows x cols matrix of Gaussian rationals; elimination needs real ones."""
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -103,12 +100,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix([[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def conjugate(self) -> "Matrix":
-        return Matrix([[x.conjugate() for x in row] for row in self._e])
-
-    def conj_transpose(self) -> "Matrix":
-        return self.transpose().conjugate()
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
@@ -141,34 +132,24 @@ class Matrix:
             self._e[i][j] == self._e[j][i] for i in range(self.rows) for j in range(i)
         )
 
-    def is_hermitian(self) -> bool:
-        return self.rows == self.cols and all(
-            self._e[i][j] == self._e[j][i].conjugate()
-            for i in range(self.rows)
-            for j in range(i + 1)
-        )
-
     # -- elimination ---------------------------------------------------
 
+    def _rational_rows(self) -> list[list[Fraction]]:
+        """The entries as rationals; a non-real entry raises ``ValueError``."""
+        if not self.is_real():
+            raise ValueError("exact elimination requires real entries")
+        return [[x.re for x in row] for row in self._e]
+
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns.
+        """Reduced row echelon form over the rationals and its pivot columns.
 
         Pivots are taken leftmost-first from the topmost available row and
         normalised to 1, so the result is the canonical echelon basis of the
-        row space.
+        row space. The matrix must be real.
         """
-        if self.is_real():
-            re = [[x.re for x in row] for row in self._e]
-            a = [_cleared(row, lcm(*(x.denominator for x in row))) for row in re]
-        else:
-            a = [_cleared_gaussian(row) for row in self._e]
+        a = [_cleared(row, lcm(*(x.denominator for x in row))) for row in self._rational_rows()]
         pivots, d = _bareiss_jordan(a, self.cols)
-        # d stays the int 1 when there is no pivot, and then every entry is 0.
-        if d.__class__ is int:
-            out = [[GaussianRational(Fraction(x, d)) if x else GQ_ZERO for x in row] for row in a]
-        else:
-            inv = GQ_ONE / GaussianRational(d.re, d.im)
-            out = [[GaussianRational(x.re, x.im) * inv if x else GQ_ZERO for x in row] for row in a]
+        out = [[GaussianRational(Fraction(x, d)) if x else GQ_ZERO for x in row] for row in a]
         return Matrix._of(out), pivots
 
     def rank(self) -> int:
@@ -200,60 +181,39 @@ class Matrix:
     def solve(self, b: Sequence) -> Optional[Vector]:
         """Solve self @ x = b exactly, or return None if inconsistent.
 
-        Among all solutions the canonical one is returned: free variables of
-        the echelon parametrization are set to zero, so pivot variables carry
-        the full right-hand side ("pivot-first" convention).
+        The matrix must be real and ``b`` may be complex: one reduction of
+        [A | Re b | Im b] gives x = x_re + i*x_im. Free variables of the
+        echelon parametrization are set to zero, so pivot variables carry the
+        full right-hand side (the canonical "pivot-first" solution).
         """
         rhs = as_vector(b)
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length does not match row count")
-        if self.rows == 0:
-            return tuple([GQ_ZERO] * self.cols)
-        red, pivots = Matrix._of([list(row) + [v] for row, v in zip(self._e, rhs)]).rref()
+        red, pivots = Matrix._of([
+            [*row, GaussianRational(v.re), GaussianRational(v.im)]
+            for row, v in zip(self._e, rhs)
+        ]).rref()
         n = self.cols
-        if pivots and pivots[-1] == n:
+        if pivots and pivots[-1] >= n:
             return None
         x = [GQ_ZERO] * n
         for r, c in enumerate(pivots):
-            x[c] = red._e[r][n]
+            x[c] = GaussianRational(red._e[r][n].re, red._e[r][n + 1].re)
         return tuple(x)
 
     # -- inertia ---------------------------------------------------------
 
-    def inertia(self, hermitian: bool = False) -> tuple[int, int, int]:
+    def inertia(self) -> tuple[int, int, int]:
         """Sylvester inertia (n_plus, n_minus, n_zero) of a quadratic form.
 
-        With ``hermitian`` unset the matrix must be real symmetric; set, it
-        must equal its conjugate transpose. A complex Hermitian H = A + iB is
-        replaced by the real symmetric [[A, -B], [B, A]], whose inertia is
-        exactly twice that of H. The real form is scaled by the lcm of its
+        The matrix must be real symmetric. It is scaled by the lcm of its
         denominators and reduced on ints by :func:`_int_inertia`.
         """
-        if self.rows != self.cols:
-            raise ValueError("inertia requires a square matrix")
-        real = self.is_real()
-        if hermitian:
-            if not self.is_hermitian():
-                raise ValueError("matrix is not conjugate-symmetric")
-        else:
-            if not real:
-                raise ValueError("symmetric inertia requires real entries; "
-                                 "pass hermitian=True for complex forms")
-            if not self.is_symmetric():
-                raise ValueError("matrix is not symmetric")
-
-        re = [[x.re for x in row] for row in self._e]
-        if real:
-            form, copies = re, 1
-        else:
-            im = [[x.im for x in row] for row in self._e]
-            form = [ra + [-x for x in rb] for ra, rb in zip(re, im)] + [
-                rb + ra for ra, rb in zip(re, im)
-            ]
-            copies = 2
+        form = self._rational_rows()
+        if not self.is_symmetric():
+            raise ValueError("inertia requires a square symmetric matrix")
         scale = lcm(*(x.denominator for row in form for x in row))
-        n_plus, n_minus, n_zero = _int_inertia([_cleared(row, scale) for row in form])
-        return n_plus // copies, n_minus // copies, n_zero // copies
+        return _int_inertia([_cleared(row, scale) for row in form])
 
 
 def _cleared(values: list[Fraction], scale: int) -> list[int]:
@@ -261,53 +221,15 @@ def _cleared(values: list[Fraction], scale: int) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _cleared_gaussian(row: Sequence[GaussianRational]) -> list["_GaussianInt"]:
-    """``row`` times the lcm of the denominators of its real and imaginary parts."""
-    scale = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
-    return [_GaussianInt(*_cleared([x.re, x.im], scale)) for x in row]
+def _bareiss_jordan(a: list[list[int]], cols: int) -> tuple[tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan elimination of the int rows ``a``, in place.
 
-
-class _GaussianInt:
-    """A Gaussian integer re + i*im on Python ints, for the elimination loop.
-
-    ``//`` is exact division and is only used where the divisor divides;
-    the divisor is another Gaussian integer or the loop's starting int 1.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
-
-    def __mul__(self, other: "_GaussianInt") -> "_GaussianInt":
-        return _GaussianInt(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    def __sub__(self, other: "_GaussianInt") -> "_GaussianInt":
-        return _GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __floordiv__(self, other) -> "_GaussianInt":
-        if other.__class__ is int:
-            return _GaussianInt(self.re // other, self.im // other)
-        norm = other.re * other.re + other.im * other.im
-        return _GaussianInt((self.re * other.re + self.im * other.im) // norm,
-                            (self.im * other.re - self.re * other.im) // norm)
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-
-def _bareiss_jordan(a: list[list], cols: int) -> tuple[tuple[int, ...], object]:
-    """Fraction-free Gauss-Jordan elimination of the rows ``a``, in place.
-
-    The entries are ints or :class:`_GaussianInt`. Each step multiplies
-    every other row by the pivot d, subtracts the pivot row times that row's
-    entry, and divides by the previous pivot; the division is exact in any
-    integral domain (Bareiss 1968), so it is ``//``. Returns the pivot columns and the last pivot D; afterwards
-    the pivot rows come first, each holding D in its own pivot column and 0
-    in the others, and the remaining rows are zero, so dividing by D gives
-    the reduced echelon form.
+    Each step sets every other row to (d * row - f * pivot row) // previous
+    pivot, where d is the pivot and f the row's entry; the division is exact
+    (Bareiss 1968). Returns the pivot columns and the last pivot D (1 if none).
+    Afterwards the pivot rows come first, each holding D in its pivot column
+    and 0 in the others, and the other rows are zero: divided by D, a is the
+    reduced echelon form.
     """
     pivots: list[int] = []
     prev = 1
@@ -400,8 +322,8 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     return m.solve(b)
 
 
-def inertia(m: Matrix, hermitian: bool = False) -> tuple[int, int, int]:
-    return m.inertia(hermitian=hermitian)
+def inertia(m: Matrix) -> tuple[int, int, int]:
+    return m.inertia()
 
 
 def rank(m: Matrix) -> int:

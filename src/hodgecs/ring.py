@@ -547,10 +547,10 @@ def form_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Matrix:
 def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckReport:
     """Necessary (not sufficient) conditions for a degree-1 class to be Kahler.
 
-    Checks positive volume, injectivity of multiplication up to the middle
-    degree, and the Lorentzian signature (1, h^(1,1)-1, 0) of the degree-1
-    intersection form. Use :func:`as_kahler` to obtain the reflagged class
-    once the gate passes.
+    Checks reality and positive volume; for a real class also injectivity of
+    multiplication up to the middle degree and the Lorentzian signature
+    (1, h^(1,1)-1, 0) of the degree-1 form, both eliminations over the
+    rationals. :func:`as_kahler` returns the reflagged class once this passes.
     """
     if w.degree != 1:
         raise DegreeError("only degree-1 classes can be Kahler")
@@ -565,9 +565,10 @@ def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckRe
     except ArithmeticError:
         checks.append(KahlerCheck("volume", False, "volume is not real"))
 
-    for p in range(n):
-        if 2 * p >= n:
-            break
+    if not w.is_real:
+        return KahlerCheckReport(ring.name, checks)
+
+    for p in range((n + 1) // 2):
         rank = multiplication_matrix(ring, p, w).rank()
         checks.append(
             KahlerCheck(
@@ -576,9 +577,9 @@ def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckRe
             )
         )
 
-    if n >= 2 and w.is_real:
+    if n >= 2:
         h1 = ring.dim(1)
-        sig = form_matrix(ring, 1, power(w, n - 2)).inertia(hermitian=True)
+        sig = form_matrix(ring, 1, power(w, n - 2)).inertia()
         ok = sig == (1, h1 - 1, 0)
         checks.append(
             KahlerCheck(
@@ -587,8 +588,7 @@ def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckRe
             )
         )
 
-    report = KahlerCheckReport(ring.name, checks)
-    return report
+    return KahlerCheckReport(ring.name, checks)
 
 
 def as_kahler(ring: IntersectionRing, w: ClassVector) -> ClassVector:

@@ -2,7 +2,7 @@
 
 The oracle never touches the congruence code path: it counts characteristic
 polynomial roots by sign with Sturm sequences (sympy), which is exact for the
-rational/Gaussian-rational matrices used here. Skipped when sympy is absent.
+rational matrices used here. Skipped when sympy is absent.
 """
 
 from fractions import Fraction
@@ -11,7 +11,6 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from hodgecs.gaussian import GaussianRational
 from hodgecs.linalg import Matrix
 from hodgecs.sampling import Xoshiro256StarStar
 
@@ -45,27 +44,3 @@ def test_real_symmetric_matches_root_counts():
             [sympy.Rational(x.numerator, x.denominator) for x in row] for row in sym
         ]))
         assert mine == oracle, sym
-
-
-def test_hermitian_matches_root_counts():
-    rng = Xoshiro256StarStar(321)
-    for trial in range(20):
-        n = rng.int_between(1, 4)
-        raw = [
-            [GaussianRational(rng.int_between(-3, 3), rng.int_between(-3, 3))
-             for _ in range(n)]
-            for _ in range(n)
-        ]
-        herm = [[raw[i][j] + raw[j][i].conjugate() for j in range(n)] for i in range(n)]
-        for i in range(n):
-            herm[i][i] = GaussianRational(herm[i][i].re, 0)
-        mine = Matrix(herm).inertia(hermitian=True)
-        oracle = sturm_inertia(sympy.Matrix([
-            [
-                sympy.Rational(x.re.numerator, x.re.denominator)
-                + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
-                for x in row
-            ]
-            for row in herm
-        ]))
-        assert mine == oracle, herm

@@ -126,12 +126,6 @@ def test_inertia_hyperbolic_pair():
     assert inertia(Matrix([[0, 1], [1, 0]])) == (1, 1, 0)
 
 
-def test_inertia_hermitian_complex():
-    m = Matrix([[GaussianRational(0), I], [-I, GaussianRational(0)]])
-    assert m.is_hermitian()
-    assert inertia(m, hermitian=True) == (1, 1, 0)
-
-
 def test_inertia_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         inertia(Matrix([[0, 1], [2, 0]]))
@@ -141,12 +135,6 @@ def test_inertia_rejects_complex_without_flag():
     m = Matrix([[GaussianRational(0), I], [I, GaussianRational(0)]])
     with pytest.raises(ValueError):
         inertia(m)
-
-
-def test_inertia_rejects_nonhermitian():
-    m = Matrix([[GaussianRational(0), I], [I, GaussianRational(0)]])
-    with pytest.raises(ValueError):
-        inertia(m, hermitian=True)
 
 
 def test_inertia_congruence_invariant():
