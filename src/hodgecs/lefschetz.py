@@ -207,12 +207,8 @@ def hr_check(
             f"primitive dim {prim.dim} != h^({p},{p}) - h^({p - 1},{p - 1}) = {prim.expected_dim}",
         ))
 
-    if prim.dim:
-        restricted = restrict_form(form, prim.basis)
-        ri = restricted.inertia()
-    else:
-        restricted = Matrix([])
-        ri = (0, 0, 0)
+    restricted = restrict_form(form, prim.basis)
+    ri = restricted.inertia()
     if ri != (prim.dim, 0, 0):
         violations.append(HrViolation(
             "positivity",

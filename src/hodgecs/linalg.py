@@ -12,7 +12,8 @@ only complex input accepted is the right-hand side of ``solve``. For echelon
 forms each row is scaled by the lcm of its denominators, a positive factor
 that keeps the row space, and one fraction-free Gauss-Jordan loop (Bareiss
 1968) divides every update exactly by the previous pivot. Inertia scales the
-form by the lcm of its denominators and reduces it by integer congruence.
+form by the lcm of its denominators and reduces it by integer congruence with
+1x1 pivots only (P^T A P diagonal). Empty matrices keep their shape.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ def as_vector(entries: Sequence) -> Vector:
 
 
 class Matrix:
-    """An immutable rows x cols matrix of Gaussian rationals; elimination needs real ones."""
+    """An immutable rows x cols matrix of Gaussian rationals; elimination needs real ones.
+
+    The shape is stored: only ``Matrix(entries)`` reads it off the rows (none: 0x0).
+    """
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -47,31 +51,29 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _of(cls, rows: list[list[GaussianRational]]) -> "Matrix":
-        """A matrix of rows that already hold Gaussian rationals, not coerced again."""
+    def _of(cls, rows: list[list[GaussianRational]], cols: int) -> "Matrix":
+        """A matrix of ``cols`` columns from rows that already hold Gaussian rationals."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "_e", tuple(map(tuple, rows)))
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)])
+        return cls._of([[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[GQ_ZERO] * cols for _ in range(rows)])
+        return cls._of([[GQ_ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: Optional[int] = None) -> "Matrix":
         cols = [as_vector(c) for c in columns]
-        if not cols:
-            return cls.zeros(rows or 0, 0)
-        n = len(cols[0])
+        n = max(map(len, cols), default=0) if rows is None else rows
         if any(len(c) != n for c in cols):
             raise ValueError("ragged columns")
-        return cls([[c[i] for c in cols] for i in range(n)])
+        return cls._of([[c[i] for c in cols] for i in range(n)], len(cols))
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
@@ -86,10 +88,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._e == other._e
+        return self.cols == other.cols and self._e == other._e
 
     def __hash__(self):
-        return hash(self._e)
+        return hash((self.cols, self._e))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self._e)
@@ -98,18 +100,18 @@ class Matrix:
     # -- basic algebra -------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._of([[row[j] for row in self._e] for j in range(self.cols)], self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        return Matrix([
+        return Matrix._of([
             [
                 sum((self._e[i][k] * other._e[k][j] for k in range(self.cols)), GQ_ZERO)
                 for j in range(other.cols)
             ]
             for i in range(self.rows)
-        ])
+        ], other.cols)
 
     def apply(self, vec: Sequence) -> Vector:
         v = as_vector(vec)
@@ -122,7 +124,7 @@ class Matrix:
 
     def scaled(self, factor) -> "Matrix":
         f = GaussianRational.coerce(factor)
-        return Matrix([[x * f for x in row] for row in self._e])
+        return Matrix._of([[x * f for x in row] for row in self._e], self.cols)
 
     def is_real(self) -> bool:
         return all(x.is_real for row in self._e for x in row)
@@ -150,7 +152,7 @@ class Matrix:
         a = [_cleared(row, lcm(*(x.denominator for x in row))) for row in self._rational_rows()]
         pivots, d = _bareiss_jordan(a, self.cols)
         out = [[GaussianRational(Fraction(x, d)) if x else GQ_ZERO for x in row] for row in a]
-        return Matrix._of(out), pivots
+        return Matrix._of(out, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -166,8 +168,6 @@ class Matrix:
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        if not free:
-            return []
         raw = []
         for f in free:
             v = [GQ_ZERO] * self.cols
@@ -175,7 +175,7 @@ class Matrix:
             for r, c in enumerate(pivots):
                 v[c] = -red._e[r][f]
             raw.append(v)
-        canon, _ = Matrix(raw).rref()
+        canon, _ = Matrix._of(raw, self.cols).rref()
         return [canon.row(i) for i in range(len(free))]
 
     def solve(self, b: Sequence) -> Optional[Vector]:
@@ -192,7 +192,7 @@ class Matrix:
         red, pivots = Matrix._of([
             [*row, GaussianRational(v.re), GaussianRational(v.im)]
             for row, v in zip(self._e, rhs)
-        ]).rref()
+        ], self.cols + 2).rref()
         n = self.cols
         if pivots and pivots[-1] >= n:
             return None
@@ -254,62 +254,41 @@ def _bareiss_jordan(a: list[list[int]], cols: int) -> tuple[tuple[int, ...], int
 
 
 def _int_inertia(a: list[list[int]]) -> tuple[int, int, int]:
-    """Inertia of an integer symmetric form by exact congruence.
+    """Inertia of an integer symmetric form by exact congruence; consumes ``a``.
 
-    A nonzero diagonal pivot d eliminates its row and column; when the
-    active block has an all-zero diagonal, a nonzero off-diagonal pair t is
-    split off as a hyperbolic block [[0, t], [t, 0]], which contributes
-    (1, 1, 0). Each Schur complement is multiplied by |d| or |t| to stay
-    integral and then divided by the gcd of its entries; both factors are
-    positive, so the inertia is unchanged.
+    Each step pivots on a nonzero diagonal entry d, counts its sign and
+    replaces the form by d's Schur complement, dropping the pivot's row and
+    column where they stand. An all-zero diagonal with some a_ij != 0 (i < j)
+    first gets 2 * a_ij at (i, i) by the congruence e_i -> e_i + e_j: row j is
+    added to row i, then column j to column i. A complement is scaled by |d|
+    and divided by the gcd of its entries, positive factors that keep the inertia.
     """
     n_plus = n_minus = n_zero = 0
     while a:
         k = len(a)
-        d_idx = next((i for i in range(k) if a[i][i]), None)
-        if d_idx is not None:
-            _sym_swap(a, 0, d_idx)
-            d = a[0][0]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            s = 1 if d > 0 else -1
-            a = [
-                [s * (d * a[i][j] - a[i][0] * a[0][j]) for j in range(1, k)]
-                for i in range(1, k)
-            ]
-        else:
-            off = next(
-                ((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j]),
-                None,
-            )
+        p = next((i for i in range(k) if a[i][i]), None)
+        if p is None:
+            off = next(((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j]), None)
             if off is None:
                 n_zero += k
                 break
-            i, j = off
-            _sym_swap(a, 0, i)
-            _sym_swap(a, 1, j)  # j > i >= 0, so j never collides with slot 0
-            t = a[0][1]
+            p, j = off
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for row in a:
+                row[p] += row[j]
+        top = a.pop(p)
+        d = top.pop(p)
+        col = [row.pop(p) for row in a]
+        if d > 0:
             n_plus += 1
+        else:
             n_minus += 1
-            s = 1 if t > 0 else -1
-            a = [
-                [s * (t * a[p][q] - a[p][0] * a[1][q] - a[p][1] * a[0][q]) for q in range(2, k)]
-                for p in range(2, k)
-            ]
+        s = 1 if d > 0 else -1
+        a = [[s * (d * x - f * y) for x, y in zip(row, top)] for f, row in zip(col, a)]
         g = gcd(*(x for row in a for x in row))
         if g > 1:
             a = [[x // g for x in row] for row in a]
     return n_plus, n_minus, n_zero
-
-
-def _sym_swap(a: list[list[int]], i: int, j: int) -> None:
-    if i == j:
-        return
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
 
 
 # Functional aliases matching the operation names used throughout the docs.
