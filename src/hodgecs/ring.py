@@ -9,7 +9,8 @@ are Gaussian rationals, so complex classes and conjugation are exact.
 The ring data cannot certify that a degree-1 class is Kahler; positivity is a
 user-declared flag. :func:`sanity_check_kahler` enforces the checkable
 necessary conditions (positive volume, injective multiplication maps below
-the middle, Lorentzian degree-1 signature) before a flag is honoured.
+the middle, Lorentzian degree-1 signature, positive pairing with the declared
+Kahler samples) before a flag is honoured.
 """
 
 from __future__ import annotations
@@ -550,17 +551,21 @@ def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckRe
     Checks reality and positive volume; for a real class also injectivity of
     multiplication up to the middle degree and the Lorentzian signature
     (1, h^(1,1)-1, 0) of the degree-1 form, both eliminations over the
-    rationals. :func:`as_kahler` returns the reflagged class once this passes.
+    rationals, and the cone side: integral of w^(n-1) * k > 0 for every
+    declared Kahler sample k, as mixed volumes of Kahler classes are positive.
+    The powers of w are one ladder of products. :func:`as_kahler` returns the
+    reflagged class once this passes.
     """
     if w.degree != 1:
         raise DegreeError("only degree-1 classes can be Kahler")
     checks: list[KahlerCheck] = []
     n = ring.n
+    powers = tuple(accumulate([w] * n, wedge, initial=ring.unit()))
 
     checks.append(KahlerCheck("real", w.is_real, f"coefficients {'' if w.is_real else 'not '}real"))
 
     try:
-        vol = integrate_real(power(w, n))
+        vol = integrate_real(powers[n])
         checks.append(KahlerCheck("volume", vol > 0, f"integral of w^{n} = {vol}"))
     except ArithmeticError:
         checks.append(KahlerCheck("volume", False, "volume is not real"))
@@ -579,7 +584,7 @@ def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckRe
 
     if n >= 2:
         h1 = ring.dim(1)
-        sig = form_matrix(ring, 1, power(w, n - 2)).inertia()
+        sig = form_matrix(ring, 1, powers[n - 2]).inertia()
         ok = sig == (1, h1 - 1, 0)
         checks.append(
             KahlerCheck(
@@ -587,6 +592,17 @@ def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckRe
                 f"inertia {sig}, expected (1, {h1 - 1}, 0)",
             )
         )
+
+    sides = [
+        (s.name, integrate_real(wedge(powers[n - 1], ring.class_vector(1, s.coeffs))))
+        for s in ring.samples if s.flag == FLAG_KAHLER
+    ]
+    values = ", ".join(f"{name} {v}" for name, v in sides)
+    checks.append(KahlerCheck(
+        "cone-side", all(v > 0 for _, v in sides),
+        f"integral of w^{n - 1} * k for kahler samples k: {values}" if sides
+        else "skipped: the ring declares no kahler sample",
+    ))
 
     return KahlerCheckReport(ring.name, checks)
 

@@ -170,6 +170,15 @@ def test_kahler_gate_on_literal_omega(capsys):
     assert "assertion failed" in err
 
 
+def test_kahler_gate_rejects_negative_cone_class(capsys):
+    # -2H + E passes volume, injectivity and signature on blp4; the cone-side
+    # check against the declared samples trips the gate.
+    code, out, err = run(capsys, "signature", "zoo:blp4", "-p", "1",
+                         "--omegas=-2*H+1*E;sample:omega")
+    assert code == 1 and out == ""
+    assert "FAIL cone-side" in err
+
+
 def test_boundary_via_nef_flag(capsys):
     code, out, _ = run(capsys, "check", "zoo:p1xp1", "-p", "1",
                        "--alpha", "1*b", "--omega", "1*a", "--nef",

@@ -27,9 +27,9 @@ CASES = [
     (('info', 'zoo:quadric4', '--output', 'json'), 0, "586b039de34428a77d5330087890708889e3b9ee724391812a9304d1938a5456"),
     (('info', 'zoo:nothere'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('validate', 'zoo:flag3'), 0, "00b241c679e164656e40e148370cea1c3eb6b709c821a0f5dbd12ab069c313d6"),
-    (('validate', 'zoo:blp4', '--output', 'json'), 0, "91e4dbdfb9a8c35fd3fce6439e34e4a64d8d48b8fe18a7bf2c8568aad8755ed8"),
+    (('validate', 'zoo:blp4', '--output', 'json'), 0, "a90115b90fea28287b2e92dcb3238e8ac8e10a3d9e688182c8131c79138e66d2"),
     (('validate', 'blp4.json'), 0, "2b87b26a6c52098c5749bd946a9e07e3781528cf486a04fbcf0532c68090f35d"),
-    (('validate', 'blp4.json', '--output', 'json'), 0, "91e4dbdfb9a8c35fd3fce6439e34e4a64d8d48b8fe18a7bf2c8568aad8755ed8"),
+    (('validate', 'blp4.json', '--output', 'json'), 0, "a90115b90fea28287b2e92dcb3238e8ac8e10a3d9e688182c8131c79138e66d2"),
     (('validate', 'degenerate.json'), 1, "616c3fec9221e9a6db02756c880342081ac2e0f91839ffec0686c21c4ea8ecbc"),
     (('validate', 'degenerate.json', '--output', 'json'), 1, "6c152a603fff07d635dd8a2dcd8cc5a95dd4a328e21dc2408d9d85107e091c77"),
     (('validate', 'unknown-field.json', '--output', 'json'), 1, "f5a73dd4cf07deeae8b87c8944a06cafa58d21c76c181a4bc815a636df518cf7"),

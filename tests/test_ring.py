@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgecs import zoo
 from hodgecs.errors import DegreeError, FlagError, RingMismatchError
@@ -11,6 +12,7 @@ from hodgecs.gaussian import GaussianRational
 from hodgecs.ring import (
     IntersectionRing,
     RingSample,
+    as_kahler,
     integrate,
     integrate_real,
     mixed_setup,
@@ -19,7 +21,7 @@ from hodgecs.ring import (
     validate_ring,
     wedge,
 )
-from hodgecs.sampling import Xoshiro256StarStar
+from hodgecs.sampling import Xoshiro256StarStar, random_cone_class
 
 
 def blowup_integral_oracle(n, linear_classes):
@@ -218,6 +220,38 @@ def test_sanity_requires_degree_one():
     ring = zoo.get("p4").ring
     with pytest.raises(DegreeError):
         sanity_check_kahler(ring, ring.basis_class(2, 0))
+
+
+def test_sanity_rejects_class_on_the_wrong_side_of_the_cone():
+    # -(2H - E) has the volume, injectivity and signature of a Kahler class on
+    # an even-dimensional ring; only its pairing with the samples is negative.
+    ring = zoo.get("blp4").ring
+    with pytest.raises(FlagError) as info:
+        as_kahler(ring, ring.class_vector(1, [-2, 1]))
+    assert "FAIL cone-side" in str(info.value)
+    report = sanity_check_kahler(ring, ring.class_vector(1, [-2, 1]))
+    assert [c.name for c in report.checks if not c.passed] == ["cone-side"]
+
+
+def test_cone_side_skipped_without_kahler_samples():
+    r = zoo.get("blp4").ring
+    bare = IntersectionRing(r.name, r.n, r.hodge, r.basis_labels, r.products, r.integral, [])
+    side = sanity_check_kahler(bare, bare.class_vector(1, [-2, 1])).checks[-1]
+    assert side.name == "cone-side" and side.passed and "skipped" in side.detail
+
+
+EVEN_ZOO = [name for name in zoo.list_entries() if zoo.get(name).ring.n % 2 == 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(EVEN_ZOO), st.integers(0, 2**32), st.integers(0, 100))
+def test_gate_accepts_cone_class_and_rejects_its_negative(name, seed, index):
+    # On an even-dimensional ring w and -w share volume and signature, so only
+    # the cone side tells them apart.
+    ring = zoo.get(name).ring
+    kappa = random_cone_class(ring, 10, seed, index)
+    assert sanity_check_kahler(ring, kappa).passed
+    assert not sanity_check_kahler(ring, -kappa).passed
 
 
 # -- mixed setups -----------------------------------------------------------------------
