@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Optional
 
@@ -454,9 +455,9 @@ def kt_chain(ring: IntersectionRing, d1: ClassVector, d2: ClassVector) -> KtRepo
         if d.flag not in POSITIVE_FLAGS:
             raise FlagError("divisor classes must be flagged kahler or nef")
     n = ring.n
-    numbers = [
-        integrate_real(wedge(power(d1, k), power(d2, n - k))) for k in range(n + 1)
-    ]
+    powers1 = tuple(accumulate([d1] * n, wedge, initial=ring.unit()))
+    powers2 = tuple(accumulate([d2] * n, wedge, initial=ring.unit()))
+    numbers = [integrate_real(wedge(powers1[k], powers2[n - k])) for k in range(n + 1)]
     steps = []
     for k in range(1, n):
         lhs = numbers[k]

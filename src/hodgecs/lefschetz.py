@@ -44,7 +44,6 @@ from .ring import (
     integrate,
     integrate_real,
     multiplication_matrix,
-    power,
     wedge,
     wedge_all,
 )
@@ -246,11 +245,11 @@ class DecompositionResult:
     certificates: tuple[ClassVector, ...]    # a_i * w^(2(p-i)+1) * Omega_p
 
     def reconstruct(self) -> ClassVector:
-        """Reassemble lam * w^p + sum_i a_i * w^(p-i)."""
+        """Reassemble lam * w^p + sum_i a_i * w^(p-i) by Horner's rule."""
         s = self.setup
-        out = power(s.omega, s.p).scaled(self.lam)
-        for i, comp in enumerate(self.components, start=1):
-            out = out + wedge(comp, power(s.omega, s.p - i))
+        out = s.ring.unit().scaled(self.lam)
+        for comp in self.components:
+            out = wedge(out, s.omega) + comp
         return out
 
     def pairing_terms(self) -> tuple[Fraction, ...]:
