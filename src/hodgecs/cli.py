@@ -481,9 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json"), default="text",
                         help="report format (default: text)")
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default: 0)")
-    common.add_argument("--height", type=int, default=10,
-                        help="bound on sampled numerators/denominators (default: 10)")
 
     parser = argparse.ArgumentParser(
         prog="hodgecs",
@@ -535,6 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ring")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default: 0)")
+    p.add_argument("--height", type=int, default=10,
+                   help="bound on sampled numerators/denominators (default: 10)")
 
     p = add("counterexample", _cmd_counterexample, "build a violating class if one exists")
     p.add_argument("ring")

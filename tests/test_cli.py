@@ -316,6 +316,18 @@ def test_verify_rejects_negative_samples(capsys):
     assert "samples" in err
 
 
+def test_seed_and_height_belong_to_verify_only(capsys):
+    code, out, err = run(capsys, "check", "zoo:p1xp1", "-p", "1", "--alpha", "3*a+1*b",
+                         "--omega", "sample:omega", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seed 1" in err
+    code, out, _ = run(capsys, "verify", "zoo:p1xp1", "-p", "1", "--samples", "5",
+                       "--seed", "1", "--height", "5", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["seed"], doc["height"]) == (1, 5)
+
+
 def test_verify_rejects_zero_height(capsys):
     code, out, err = run(capsys, "verify", "zoo:p1xp1", "-p", "1", "--height", "0")
     assert code == 2 and out == ""
