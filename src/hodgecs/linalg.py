@@ -256,12 +256,13 @@ def _bareiss_jordan(a: list[list[int]], cols: int) -> tuple[tuple[int, ...], int
 def _int_inertia(a: list[list[int]]) -> tuple[int, int, int]:
     """Inertia of an integer symmetric form by exact congruence; consumes ``a``.
 
-    Each step pivots on a nonzero diagonal entry d, counts its sign and
-    replaces the form by d's Schur complement, dropping the pivot's row and
-    column where they stand. An all-zero diagonal with some a_ij != 0 (i < j)
-    first gets 2 * a_ij at (i, i) by the congruence e_i -> e_i + e_j: row j is
-    added to row i, then column j to column i. A complement is scaled by |d|
-    and divided by the gcd of its entries, positive factors that keep the inertia.
+    Each step pivots on a nonzero diagonal entry d, counts its sign, drops the
+    pivot's row and column where they stand and takes d's Schur complement from
+    the pivot row alone, as the form stays symmetric. An all-zero diagonal with
+    some a_ij != 0 (i < j) first gets 2 * a_ij at (i, i) by the congruence
+    e_i -> e_i + e_j: row j is added to row i, then column j to column i. Each
+    complement is scaled by |d| and divided by the gcd of its entries, positive
+    factors that keep the inertia.
     """
     n_plus = n_minus = n_zero = 0
     while a:
@@ -278,13 +279,14 @@ def _int_inertia(a: list[list[int]]) -> tuple[int, int, int]:
                 row[p] += row[j]
         top = a.pop(p)
         d = top.pop(p)
-        col = [row.pop(p) for row in a]
+        for row in a:
+            del row[p]
         if d > 0:
             n_plus += 1
         else:
             n_minus += 1
         s = 1 if d > 0 else -1
-        a = [[s * (d * x - f * y) for x, y in zip(row, top)] for f, row in zip(col, a)]
+        a = [[s * (d * x - f * y) for x, y in zip(row, top)] for f, row in zip(top, a)]
         g = gcd(*(x for row in a for x in row))
         if g > 1:
             a = [[x // g for x in row] for row in a]
