@@ -39,13 +39,11 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "_e")
 
-    def __init__(self, entries: Sequence[Sequence]):
+    def __new__(cls, entries: Sequence[Sequence]) -> "Matrix":
         rows = [as_vector(row) for row in entries]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-        object.__setattr__(self, "_e", tuple(rows))
+        return cls._of(rows, len(rows[0]) if rows else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
