@@ -553,8 +553,7 @@ def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckRe
     (1, h^(1,1)-1, 0) of the degree-1 form, both eliminations over the
     rationals, and the cone side: integral of w^(n-1) * k > 0 for every
     declared Kahler sample k, as mixed volumes of Kahler classes are positive.
-    The powers of w are one ladder of products. :func:`as_kahler` returns the
-    reflagged class once this passes.
+    :func:`as_kahler` returns the reflagged class once this passes.
     """
     if w.degree != 1:
         raise DegreeError("only degree-1 classes can be Kahler")
