@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import Optional
 
 from .errors import DegreeError, FlagError
@@ -51,25 +50,19 @@ DIRECTIONS = (DIRECTION_CS, DIRECTION_OPPOSITE)
 def proportional(a: ClassVector, b: ClassVector) -> bool:
     """Exact test that {a, b} spans at most a line.
 
-    On Gaussian-integer multiples of a and b, with a_k the first nonzero
+    On the Gaussian-integer numerators of a and b, with a_k the first nonzero
     coordinate of a, that holds exactly when b_i * a_k == a_i * b_k for all i.
     """
     if a.degree != b.degree:
         raise DegreeError("proportionality needs classes of equal degree")
-    av, bv = _gaussian_ints(a), _gaussian_ints(b)
+    zero = (0,) * len(a.re)
+    av, bv = list(zip(a.re, a.im or zero)), list(zip(b.re, b.im or zero))
     k = next((k for k, x in enumerate(av) if any(x)), None)
     if k is None:
         return True
     (ar, ai), (br, bi) = av[k], bv[k]
     return all(yr * ar - yi * ai == xr * br - xi * bi and yr * ai + yi * ar == xr * bi + xi * br
                for (xr, xi), (yr, yi) in zip(av, bv))
-
-
-def _gaussian_ints(c: ClassVector) -> list[tuple[int, int]]:
-    """The coefficients of ``c`` times the lcm of their denominators, as (re, im) pairs."""
-    s = lcm(*(x.re.denominator for x in c.coeffs), *(x.im.denominator for x in c.coeffs))
-    return [(x.re.numerator * (s // x.re.denominator), x.im.numerator * (s // x.im.denominator))
-            for x in c.coeffs]
 
 
 def compute_g_direct(alpha: ClassVector, setup: MixedSetup) -> Fraction:

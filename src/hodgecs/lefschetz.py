@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DegreeError, FlagError, SingularSplitError
@@ -265,9 +266,10 @@ class LefschetzDecomposer:
     """Reusable decomposition engine for a fixed strict setup.
 
     Per level i = p .. 1 it takes C_i = w^(2(p-i)+1) * Omega_p from the
-    setup's tower and builds the matrix of the mixed hard Lefschetz map
-    r -> r * w * C_i on degree i-1, checking once that it is invertible.
-    Decomposing a class is then one h^(i-1)-sized exact solve per level.
+    setup's tower, builds the matrix of the mixed hard Lefschetz map
+    r -> r * w * C_i on degree i-1 and keeps its inverse, as int rows over one
+    denominator; a singular map raises. Decomposing a class is then one int
+    matrix-vector product per level.
     ``MixedSetup.decomposer`` holds the one instance a setup needs.
     """
 
@@ -279,14 +281,14 @@ class LefschetzDecomposer:
         self._levels = []
         for i in range(p, 0, -1):
             lower = multiplication_matrix(ring, i - 1, tower[2 * (p - i) + 2])
-            rank = lower.rank()
-            if lower.rows != lower.cols or rank != lower.cols:
+            inverse = lower.inverse()
+            if inverse is None:
                 raise SingularSplitError(
                     f"level {i}: the Lefschetz map on degree {i - 1} is "
-                    f"{lower.rows}x{lower.cols} of rank {rank}; "
+                    f"{lower.rows}x{lower.cols} of rank {lower.rank()}; "
                     f"the reference classes are not Kahler"
                 )
-            self._levels.append((i, tower[2 * (p - i) + 1], lower))
+            self._levels.append((i, tower[2 * (p - i) + 1], *inverse))
 
     def decompose(self, alpha: ClassVector) -> DecompositionResult:
         setup = self.setup
@@ -296,11 +298,12 @@ class LefschetzDecomposer:
         components: list[ClassVector] = []      # levels p .. 1
         certificates: list[ClassVector] = []
         current = alpha
-        for i, cert_multiplier, lower in self._levels:
-            # The map is invertible, so the solve always succeeds.
-            rest = ring.class_vector(
-                i - 1, lower.solve(wedge(current, cert_multiplier).coeffs)
-            )
+        for i, cert_multiplier, inverse, d in self._levels:
+            # rest = L^-1 (current * C_i), with L^-1 = inverse / d.
+            v = wedge(current, cert_multiplier)
+            re, im = ([sum(map(mul, row, u)) for row in inverse] if u is not None else None
+                      for u in (v.re, v.im))
+            rest = ClassVector(ring, i - 1, re, im, v.den * d)
             components.append(current - wedge(rest, setup.omega))
             certificates.append(wedge(components[-1], cert_multiplier))
             current = rest

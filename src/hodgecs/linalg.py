@@ -6,12 +6,12 @@ canonical and reproducible byte-for-byte. Inertia is computed by symmetric
 congruence elimination, never by eigenvalues, so no square roots are needed
 and the answer is exact.
 
-Entries are Gaussian rationals at the interface, but elimination is over the
-rationals, on Python ints: a non-real entry raises ``ValueError``, and the
-only complex input accepted is the right-hand side of ``solve``. For echelon
-forms each row is scaled by the lcm of its denominators, a positive factor
-that keeps the row space, and one fraction-free Gauss-Jordan loop (Bareiss
-1968) divides every update exactly by the previous pivot. Inertia scales the
+Entries are Gaussian rationals at the interface, but elimination, inverses
+and products run over the rationals, on Python ints: a non-real entry raises
+``ValueError``, and the only complex input accepted is the right-hand side of
+``solve``. Each row (for products, each column too) is scaled by the lcm of
+its denominators, and one fraction-free Gauss-Jordan loop (Bareiss 1968)
+divides every update exactly by the previous pivot. Inertia scales the
 form by the lcm of its denominators and reduces it by integer congruence with
 1x1 pivots only (P^T A P diagonal). Empty matrices keep their shape.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .gaussian import GQ_ONE, GQ_ZERO, GaussianRational
@@ -101,14 +102,14 @@ class Matrix:
         return Matrix._of([[row[j] for row in self._e] for j in range(self.cols)], self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Product of real matrices: per entry one int dot product over one Fraction."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
+        left = [_int_row(row) for row in self._rational_rows()]
+        right = [_int_row(col) for col in other.transpose()._rational_rows()]
         return Matrix._of([
-            [
-                sum((self._e[i][k] * other._e[k][j] for k in range(self.cols)), GQ_ZERO)
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
+            [GaussianRational(Fraction(sum(map(mul, u, v)), s * t)) for v, t in right]
+            for u, s in left
         ], other.cols)
 
     def apply(self, vec: Sequence) -> Vector:
@@ -147,7 +148,7 @@ class Matrix:
         normalised to 1, so the result is the canonical echelon basis of the
         row space. The matrix must be real.
         """
-        a = [_cleared(row, lcm(*(x.denominator for x in row))) for row in self._rational_rows()]
+        a = [_int_row(row)[0] for row in self._rational_rows()]
         pivots, d = _bareiss_jordan(a, self.cols)
         out = [[GaussianRational(Fraction(x, d)) if x else GQ_ZERO for x in row] for row in a]
         return Matrix._of(out, self.cols), pivots
@@ -199,6 +200,23 @@ class Matrix:
             x[c] = GaussianRational(red._e[r][n].re, red._e[r][n + 1].re)
         return tuple(x)
 
+    def inverse(self) -> Optional[tuple[list[list[int]], int]]:
+        """The inverse of a real matrix as int rows over one positive denominator.
+
+        None when the matrix is not square or singular. One Bareiss-Jordan
+        reduction takes [S * A | S], S the row scales, to [I | A^-1] * pivot.
+        """
+        n = self.rows
+        if self.cols != n:
+            return None
+        a = [ints + [s * (k == i) for k in range(n)]
+             for i, (ints, s) in enumerate(map(_int_row, self._rational_rows()))]
+        pivots, d = _bareiss_jordan(a, n)
+        if len(pivots) < n:
+            return None
+        g = gcd(d, *(x for row in a for x in row[n:])) * (1 if d > 0 else -1)
+        return [[x // g for x in row[n:]] for row in a], d // g
+
     # -- inertia ---------------------------------------------------------
 
     def inertia(self) -> tuple[int, int, int]:
@@ -217,6 +235,12 @@ class Matrix:
 def _cleared(values: list[Fraction], scale: int) -> list[int]:
     """``values`` times ``scale``, a positive common multiple of their denominators."""
     return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _int_row(values: list[Fraction]) -> tuple[list[int], int]:
+    """``values`` as ints over the lcm of their denominators, and that lcm."""
+    scale = lcm(*(x.denominator for x in values))
+    return _cleared(values, scale), scale
 
 
 def _bareiss_jordan(a: list[list[int]], cols: int) -> tuple[tuple[int, ...], int]:

@@ -3,8 +3,11 @@
 An :class:`IntersectionRing` models the even part of the cohomology of a
 compact Kahler n-fold: one graded piece per degree p (the (p,p)-classes),
 structure constants for the cup product, and a linear integration functional
-on the top degree. Classes are :class:`ClassVector` values whose coefficients
-are Gaussian rationals, so complex classes and conjugation are exact.
+on the top degree. A :class:`ClassVector` holds int numerators over one
+denominator, so complex classes and conjugation are exact; Gaussian rationals
+appear only where classes enter (``class_vector``) and leave (``coeffs``,
+``integrate``). Products are int contractions over sparse structure tables
+that each ring builds once per degree pair.
 
 The ring data cannot certify that a degree-1 class is Kahler; positivity is a
 user-declared flag. :func:`sanity_check_kahler` enforces the checkable
@@ -19,11 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegreeError, FlagError, RingMismatchError
-from .gaussian import GQ_ZERO, GaussianRational
-from .linalg import Matrix, real_fraction
+from .gaussian import GaussianRational
+from .linalg import Matrix, _cleared, _int_row, real_fraction
 
 FLAG_NONE = "none"
 FLAG_KAHLER = "kahler"
@@ -61,7 +66,7 @@ class IntersectionRing:
     """
 
     __slots__ = ("name", "n", "hodge", "basis_labels", "products", "integral",
-                 "samples", "_label_index")
+                 "samples", "_label_index", "_den", "_weights", "_tables")
 
     def __init__(
         self,
@@ -147,6 +152,10 @@ class IntersectionRing:
             self, "_label_index",
             tuple({lab: i for i, lab in enumerate(row)} for row in labels),
         )
+        # D, one denominator of every structure constant; the integral as int weights.
+        object.__setattr__(self, "_den", lcm(*(c.denominator for out in table.values() for c in out)))
+        object.__setattr__(self, "_weights", _int_row(integral))
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionRing is immutable")
@@ -167,6 +176,19 @@ class IntersectionRing:
         except KeyError:
             raise KeyError(f"no basis element {label!r} in degree {p}") from None
 
+    def _table(self, da: int, db: int) -> tuple:
+        """Sparse products of degrees da x db: i -> ((j, ((k, D * c_k), ...)), ...).
+
+        Built on first use; the pairs with a zero product are left out.
+        """
+        if (da, db) not in self._tables:
+            self._tables[da, db] = tuple(tuple(
+                (j, tuple((k, c) for k, c in enumerate(_cleared(out, self._den)) if c))
+                for j in range(self.hodge[db])
+                if (out := self.products.get(canonical_product_key(da, i, db, j)))
+            ) for i in range(self.hodge[da]))
+        return self._tables[da, db]
+
     # -- class construction ------------------------------------------------
 
     def class_vector(self, p: int, coeffs: Sequence, flag: str = FLAG_NONE) -> "ClassVector":
@@ -175,22 +197,19 @@ class IntersectionRing:
             raise DegreeError(
                 f"degree {p} needs {self.dim(p)} coefficients, got {len(coeffs)}"
             )
-        if flag not in FLAGS:
-            raise FlagError(f"unknown positivity flag {flag!r}")
-        if flag != FLAG_NONE and (p != 1 or not all(c.is_real for c in coeffs)):
-            raise FlagError("kahler/nef flags only apply to real degree-1 classes")
-        return ClassVector(self, p, coeffs, flag)
+        ints, den = _int_row([c.re for c in coeffs] + [c.im for c in coeffs])
+        return ClassVector(self, p, ints[:len(coeffs)], ints[len(coeffs):], den).with_flag(flag)
 
     def basis_class(self, p: int, i: int) -> "ClassVector":
-        coeffs = [GQ_ZERO] * self.dim(p)
-        coeffs[i] = GaussianRational(1)
-        return ClassVector(self, p, tuple(coeffs), FLAG_NONE)
+        re = [0] * self.dim(p)
+        re[i] = 1
+        return ClassVector(self, p, re)
 
     def unit(self) -> "ClassVector":
         return self.basis_class(0, 0)
 
     def zero_class(self, p: int) -> "ClassVector":
-        return ClassVector(self, p, (GQ_ZERO,) * self.dim(p), FLAG_NONE)
+        return ClassVector(self, p, (0,) * self.dim(p))
 
     def sample(self, name: str) -> "ClassVector":
         for s in self.samples:
@@ -212,10 +231,6 @@ class IntersectionRing:
         """Boundary sample classes; Kahler samples are nef as well."""
         return self.sample_classes(FLAG_NEF) + self.sample_classes(FLAG_KAHLER)
 
-    def pairing_matrix(self, p: int) -> Matrix:
-        """Matrix of (a, b) -> integral of a*b on degree p x degree n-p."""
-        return form_matrix(self, p, self.unit())
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -236,19 +251,43 @@ class IntersectionRing:
 
 
 class ClassVector:
-    """An element of one graded piece of an intersection ring."""
+    """An element of one graded piece of an intersection ring.
 
-    __slots__ = ("ring", "degree", "coeffs", "flag")
+    The class is (re + i * im) / den: ``re`` and ``im`` are int tuples of
+    numerators (``im`` is None for a real class) over one positive ``den``.
+    The constructor brings them to lowest terms, so equal classes have equal
+    fields. ``coeffs``, the Gaussian-rational coefficients, is built on first
+    read. Arithmetic and products stay on ints.
+    """
 
-    def __init__(self, ring: IntersectionRing, degree: int,
-                 coeffs: tuple[GaussianRational, ...], flag: str = FLAG_NONE):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "flag", flag)
+    __slots__ = ("ring", "degree", "re", "im", "den", "flag", "_coeffs")
+
+    def __init__(self, ring: IntersectionRing, degree: int, re: Sequence[int],
+                 im: Optional[Sequence[int]] = None, den: int = 1, flag: str = FLAG_NONE):
+        im = tuple(im) if any(im or ()) else None
+        g = gcd(den, *re, *im) if im else gcd(den, *re)
+        if g != 1:
+            re, den = [x // g for x in re], den // g
+            im = im and tuple(x // g for x in im)
+        set_ = object.__setattr__
+        set_(self, "ring", ring)
+        set_(self, "degree", degree)
+        set_(self, "re", tuple(re))
+        set_(self, "im", im)
+        set_(self, "den", den)
+        set_(self, "flag", flag)
+        set_(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassVector is immutable")
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        if self._coeffs is None:
+            d, im = self.den, self.im or (0,) * len(self.re)
+            object.__setattr__(self, "_coeffs", tuple(
+                GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(self.re, im)))
+        return self._coeffs
 
     # -- linear structure ----------------------------------------------
 
@@ -260,30 +299,38 @@ class ClassVector:
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         if not isinstance(other, ClassVector):
             return NotImplemented
         self._check_peer(other)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        zero = (0,) * len(self.re)
         return ClassVector(
-            self.ring, self.degree,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+            self.ring, self.degree, [s * x + t * y for x, y in zip(self.re, other.re)],
+            [s * x + t * y for x, y in zip(self.im or zero, other.im or zero)], den,
         )
 
     def __sub__(self, other):
-        if not isinstance(other, ClassVector):
-            return NotImplemented
-        self._check_peer(other)
-        return ClassVector(
-            self.ring, self.degree,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return ClassVector(self.ring, self.degree, tuple(-c for c in self.coeffs))
+        return self._times(-1, 0, 1)
+
+    def _times(self, fr: int, fi: int, q: int) -> "ClassVector":
+        """This class times the scalar (fr + i * fi) / q, for ints fr, fi and q > 0."""
+        im = self.im or (0,) * len(self.re)
+        return ClassVector(
+            self.ring, self.degree,
+            [fr * x - fi * y for x, y in zip(self.re, im)],
+            [fr * y + fi * x for x, y in zip(self.re, im)] if fi or self.im else None,
+            self.den * q,
+        )
 
     def scaled(self, factor) -> "ClassVector":
         f = GaussianRational.coerce(factor)
-        return ClassVector(self.ring, self.degree, tuple(c * f for c in self.coeffs))
+        (fr, fi), q = _int_row([f.re, f.im])
+        return self._times(fr, fi, q)
 
     def __mul__(self, other):
         if isinstance(other, ClassVector):
@@ -293,29 +340,28 @@ class ClassVector:
         except TypeError:
             return NotImplemented
 
-    def __rmul__(self, other):
-        try:
-            return self.scaled(other)
-        except TypeError:
-            return NotImplemented
+    __rmul__ = __mul__
 
     def conjugate(self) -> "ClassVector":
-        return ClassVector(
-            self.ring, self.degree, tuple(c.conjugate() for c in self.coeffs), self.flag
-        )
+        im = None if self.im is None else [-y for y in self.im]
+        return ClassVector(self.ring, self.degree, self.re, im, self.den, self.flag)
 
     # -- predicates ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.im is None and not any(self.re)
 
     @property
     def is_real(self) -> bool:
-        return all(c.is_real for c in self.coeffs)
+        return self.im is None
 
     def with_flag(self, flag: str) -> "ClassVector":
-        return self.ring.class_vector(self.degree, self.coeffs, flag)
+        if flag not in FLAGS:
+            raise FlagError(f"unknown positivity flag {flag!r}")
+        if flag != FLAG_NONE and (self.degree != 1 or self.im is not None):
+            raise FlagError("kahler/nef flags only apply to real degree-1 classes")
+        return ClassVector(self.ring, self.degree, self.re, self.im, self.den, flag)
 
     def __eq__(self, other):
         # Positivity flags are advisory metadata and do not affect identity.
@@ -323,10 +369,11 @@ class ClassVector:
             return NotImplemented
         if self.ring is not other.ring and self.ring != other.ring:
             return False
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return (self.degree, self.re, self.im, self.den) == (
+            other.degree, other.re, other.im, other.den)
 
     def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        return hash((self.degree, self.re, self.im, self.den))
 
     def __repr__(self):
         return f"ClassVector(deg={self.degree}, {self})"
@@ -344,7 +391,11 @@ class ClassVector:
 # -- ring operations -------------------------------------------------------
 
 def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
-    """Product of two classes; degree overflow past n is an error."""
+    """Product of two classes; degree overflow past n is an error.
+
+    The lower-degree factor goes first. The numerators are contracted over the
+    ring's table, up to four passes for complex factors, over a.den * b.den * D.
+    """
     if a.ring is not b.ring and a.ring != b.ring:
         raise RingMismatchError("classes live in different rings")
     ring = a.ring
@@ -353,25 +404,31 @@ def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
         raise DegreeError(
             f"wedge of degrees {a.degree} and {b.degree} exceeds top degree {ring.n}"
         )
+    if a.degree > b.degree:
+        a, b = b, a
     if a.degree == 0:
-        return b.scaled(a.coeffs[0])
-    if b.degree == 0:
-        return a.scaled(b.coeffs[0])
-    acc = [GQ_ZERO] * ring.dim(total)
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if not cb:
-                continue
-            out = ring.products.get(canonical_product_key(a.degree, i, b.degree, j))
-            if out is None:
-                continue
-            cab = ca * cb
-            for k, f in enumerate(out):
-                if f:
-                    acc[k] = acc[k] + cab * f
-    return ClassVector(ring, total, tuple(acc))
+        return b._times(a.re[0], a.im[0] if a.im else 0, a.den)
+    table = ring._table(a.degree, b.degree)
+    re, im = [0] * ring.hodge[total], [0] * ring.hodge[total]
+    for acc, x, y, sign in ((re, a.re, b.re, 1), (re, a.im, b.im, -1),
+                            (im, a.re, b.im, 1), (im, a.im, b.re, 1)):
+        if x is not None and y is not None:
+            _contract(acc, table, x, y, sign)
+    return ClassVector(ring, total, re, im, a.den * b.den * ring._den)
+
+
+def _contract(acc: list[int], table: tuple, x: Sequence[int], y: Sequence[int],
+              sign: int = 1) -> None:
+    """acc[k] += sign * x_i * y_j * (D * c_ijk), summed over the table's entries."""
+    for i, xi in enumerate(x):
+        if xi:
+            xi *= sign
+            for j, out in table[i]:
+                yj = y[j]
+                if yj:
+                    f = xi * yj
+                    for k, c in out:
+                        acc[k] += f * c
 
 
 def power(a: ClassVector, k: int) -> ClassVector:
@@ -398,7 +455,12 @@ def integrate(a: ClassVector) -> GaussianRational:
     ring = a.ring
     if a.degree != ring.n:
         raise DegreeError(f"cannot integrate a degree-{a.degree} class on an {ring.n}-fold")
-    return sum((c * w for c, w in zip(a.coeffs, ring.integral) if w), GQ_ZERO)
+    weights, scale = ring._weights
+    den = a.den * scale
+    return GaussianRational(
+        Fraction(sum(map(mul, weights, a.re)), den),
+        Fraction(sum(map(mul, weights, a.im)), den) if a.im else 0,
+    )
 
 
 def integrate_real(a: ClassVector) -> Fraction:
@@ -487,7 +549,7 @@ def validate_ring(ring: IntersectionRing) -> ValidationReport:
                                 )
 
     for p in range(n + 1):
-        rank = ring.pairing_matrix(p).rank()
+        rank = form_matrix(ring, p, ring.unit()).rank()
         if rank != ring.dim(p):
             report.add(
                 "poincare-duality", f"pairing p={p}",

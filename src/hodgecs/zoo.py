@@ -10,6 +10,7 @@ can be inspected, diffed and extended without touching code.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,17 +146,12 @@ def product(e1: ZooEntry, e2: ZooEntry, name: str | None = None) -> ZooEntry:
             a2, i2, j2 = triples[db][kb]
             if a1 + a2 > r1.n or (da - a1) + (db - a2) > r2.n:
                 continue
-            v1 = wedge(r1.basis_class(a1, i1), r1.basis_class(a2, i2)).coeffs
-            v2 = wedge(r2.basis_class(da - a1, j1), r2.basis_class(db - a2, j2)).coeffs
+            v1 = wedge(r1.basis_class(a1, i1), r1.basis_class(a2, i2))
+            v2 = wedge(r2.basis_class(da - a1, j1), r2.basis_class(db - a2, j2))
             out = [Fraction(0)] * hodge[da + db]
-            for i, c1 in enumerate(v1):
-                if not c1:
-                    continue
-                for j, c2 in enumerate(v2):
-                    if not c2:
-                        continue
-                    slot = index[da + db][(a1 + a2, i, j)]
-                    out[slot] += c1.re * c2.re
+            for (i, c1), (j, c2) in itertools.product(enumerate(v1.re), enumerate(v2.re)):
+                if c1 and c2:
+                    out[index[da + db][(a1 + a2, i, j)]] += Fraction(c1 * c2, v1.den * v2.den)
             if any(out):
                 products_table[(da, ka, db, kb)] = tuple(out)
 
