@@ -231,7 +231,11 @@ def parse_class_literal(ring: IntersectionRing, degree: int, text: str) -> Class
 def resolve_class(ring: IntersectionRing, degree: int, text: str) -> ClassVector:
     """Resolve "sample:NAME" to a declared sample, else parse a literal."""
     if text.startswith("sample:"):
-        cls = ring.sample(text[len("sample:"):])
+        name = text[len("sample:"):]
+        try:
+            cls = ring.sample(name)
+        except KeyError:
+            raise ValueError(f"ring {ring.name!r} has no sample {name!r}") from None
         if cls.degree != degree:
             raise ValueError(f"sample {text!r} has degree {cls.degree}, wanted {degree}")
         return cls

@@ -9,6 +9,11 @@ modes; all numbers are exact rational strings.
 Exit codes: 0 = every asserted property held, 1 = a mathematical assertion
 failed (an inequality violated, a validation or positivity gate tripped),
 2 = usage or parse error.
+
+Each command handler returns (exit code, report, text lines). ``main`` is the
+one place that adds ``command`` (the subcommand name) and ``ok`` (exit code
+0) to the report, and the one place that turns a raised error into an exit
+code and a stderr line, through the ordered table ``_EXITS``.
 """
 
 from __future__ import annotations
@@ -85,6 +90,11 @@ def _matrix_json(m: Matrix) -> list:
     return [[_scalar(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
+def _counterexample_json(ce) -> dict:
+    return {"i0": ce.i0, "witness": _class_json(ce.witness), "theta": _class_json(ce.theta),
+            "g": rational_to_str(ce.g_value)}
+
+
 # -- argument plumbing ---------------------------------------------------------
 
 def _load_ring(address: str) -> IntersectionRing:
@@ -143,12 +153,21 @@ def _build_setup(ring: IntersectionRing, args) -> MixedSetup:
     return mixed_setup(args.p, omega(), omegas)
 
 
+def _class_prologue(args) -> tuple[MixedSetup, ClassVector, dict]:
+    """Resolve ring, setup and alpha, in that order, and the shared report fields."""
+    ring = _load_ring(args.ring)
+    setup = _build_setup(ring, args)
+    alpha = resolve_class(ring, args.p, args.alpha)
+    report = {"ring": ring.name, "p": args.p, "alpha": _class_json(alpha),
+              "setup": setup.describe()}
+    return setup, alpha, report
+
+
 # -- command handlers -----------------------------------------------------------
 
 def _cmd_info(args) -> tuple[int, dict, list[str]]:
     ring = _load_ring(args.ring)
     report = {
-        "command": "info",
         "ring": ring.name,
         "n": ring.n,
         "hodge": list(ring.hodge),
@@ -157,7 +176,6 @@ def _cmd_info(args) -> tuple[int, dict, list[str]]:
             {"name": s.name, "flag": s.flag, "coeffs": [rational_to_str(c) for c in s.coeffs]}
             for s in ring.samples
         ],
-        "ok": True,
     }
     lines = [
         f"ring {ring.name!r}: n = {ring.n}, grading {tuple(ring.hodge)}",
@@ -182,8 +200,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
         issues = getattr(exc, "issues", None) or [
             ValidationIssue(exc.constraint, exc.path, Exception.__str__(exc))
         ]
-        report = {"command": "validate", "ring": args.ring, "ok": False,
-                  "issues": _issue_records(issues)}
+        report = {"ring": args.ring, "issues": _issue_records(issues)}
         return 1, report, [f"INVALID: {args.ring}"] + [f"  {i}" for i in issues]
 
     # Parsing a bundle file or a bundled zoo entry already ran validate_ring
@@ -211,9 +228,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
             failures += 1
             lines += [f"  {c}" for c in check.checks]
     report = {
-        "command": "validate",
         "ring": ring.name,
-        "ok": failures == 0,
         "issues": _issue_records(ring_report.issues),
         "kahler_samples": sample_reports,
     }
@@ -225,7 +240,6 @@ def _cmd_zoo(args) -> tuple[int, dict, list[str]]:
         entry = zoo.get(args.name)
         sub = argparse.Namespace(ring=f"zoo:{args.name}")
         code, report, lines = _cmd_info(sub)
-        report["command"] = "zoo"
         report["note"] = entry.note
         lines.append(f"note: {entry.note}")
         return code, report, lines
@@ -240,7 +254,7 @@ def _cmd_zoo(args) -> tuple[int, dict, list[str]]:
             "note": entry.note,
         })
         lines.append(f"{name:10s} n={entry.ring.n} grading {tuple(entry.ring.hodge)}  {entry.note}")
-    return 0, {"command": "zoo", "entries": records, "ok": True}, lines
+    return 0, {"entries": records}, lines
 
 
 def _cmd_signature(args) -> tuple[int, dict, list[str]]:
@@ -248,7 +262,6 @@ def _cmd_signature(args) -> tuple[int, dict, list[str]]:
     _, omegas = _reference(ring, args)
     form = gram_matrix_Q(ring, args.p, omegas)
     report = {
-        "command": "signature",
         "ring": ring.name,
         "p": args.p,
         "reference": [_class_json(w) for w in omegas],
@@ -261,7 +274,6 @@ def _cmd_signature(args) -> tuple[int, dict, list[str]]:
             "gram": _matrix_json(form.unsigned_gram),
             "inertia": list(form.unsigned_inertia),
         },
-        "ok": True,
     }
     lines = [
         f"ring {ring.name!r} p={args.p}",
@@ -272,25 +284,17 @@ def _cmd_signature(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
-    ring = _load_ring(args.ring)
-    setup = _build_setup(ring, args)
-    alpha = resolve_class(ring, args.p, args.alpha)
+    setup, alpha, report = _class_prologue(args)
     dec = setup.decomposer.decompose(alpha)
     recon_ok = dec.reconstruct() == alpha
     certs_ok = all(c.is_zero for c in dec.certificates)
-    report = {
-        "command": "decompose",
-        "ring": ring.name,
-        "p": args.p,
-        "alpha": _class_json(alpha),
-        "setup": setup.describe(),
+    report.update({
         "lambda": _scalar(dec.lam),
         "components": [_class_json(c) for c in dec.components],
         "certificates": [_class_json(c) for c in dec.certificates],
         "certificates_zero": certs_ok,
         "reconstruction_exact": recon_ok,
-        "ok": recon_ok and certs_ok,
-    }
+    })
     lines = [f"lambda = {dec.lam}"]
     for i, comp in enumerate(dec.components, start=1):
         lines.append(f"alpha_{i} = {comp}")
@@ -299,46 +303,26 @@ def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_g(args) -> tuple[int, dict, list[str]]:
-    ring = _load_ring(args.ring)
-    setup = _build_setup(ring, args)
-    alpha = resolve_class(ring, args.p, args.alpha)
+    setup, alpha, report = _class_prologue(args)
     g = compute_g_direct(alpha, setup)
-    report = {
-        "command": "g",
-        "ring": ring.name,
-        "p": args.p,
-        "alpha": _class_json(alpha),
-        "setup": setup.describe(),
-        "g": rational_to_str(g),
-        "mode": setup.mode,
-        "ok": True,
-    }
+    report.update({"g": rational_to_str(g), "mode": setup.mode})
     lines = [f"g = {g} [{setup.mode}]"]
+    agree = True
     if setup.mode == MODE_STRICT:
         decomposed = compute_g_decomposed(alpha, setup)
         agree = decomposed.value == g
         report["g_decomposed"] = rational_to_str(decomposed.value)
         report["component_terms"] = [rational_to_str(t) for t in decomposed.terms]
         report["two_route_agreement"] = agree
-        report["ok"] = agree
         lines.append(f"decomposed route: {decomposed.value} (agreement: {agree})")
-        if not agree:
-            return 1, report, lines
-    return 0, report, lines
+    return (0 if agree else 1), report, lines
 
 
 def _cmd_check(args) -> tuple[int, dict, list[str]]:
-    ring = _load_ring(args.ring)
-    setup = _build_setup(ring, args)
-    alpha = resolve_class(ring, args.p, args.alpha)
+    setup, alpha, report = _class_prologue(args)
     verdict = check_cs(alpha, setup, args.direction)
-    report = {
-        "command": "check",
-        "ring": ring.name,
-        "p": args.p,
+    report.update({
         "direction": args.direction,
-        "alpha": _class_json(alpha),
-        "setup": setup.describe(),
         "mode": verdict.mode,
         "g": rational_to_str(verdict.g_value),
         "relation": verdict.relation,
@@ -347,8 +331,7 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
         "odd_components_vanish": verdict.odd_components_vanish,
         "even_components_vanish": verdict.even_components_vanish,
         "equality_uncharacterized": verdict.equality_uncharacterized,
-        "ok": verdict.satisfied,
-    }
+    })
     return (0 if verdict.satisfied else 1), report, [verdict.summary()]
 
 
@@ -356,7 +339,6 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     ring = _load_ring(args.ring)
     result = verify_theorem(ring, args.p, args.samples, args.seed, args.height)
     report = {
-        "command": "verify",
         "ring": ring.name,
         "p": args.p,
         "seed": args.seed,
@@ -393,15 +375,8 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
             for v in result.violations
         ],
         "counterexamples": {
-            kind: {
-                "i0": ce.i0,
-                "witness": _class_json(ce.witness),
-                "theta": _class_json(ce.theta),
-                "g": rational_to_str(ce.g_value),
-            }
-            for kind, ce in sorted(result.counterexamples.items())
+            kind: _counterexample_json(ce) for kind, ce in sorted(result.counterexamples.items())
         },
-        "ok": result.ok,
     }
     return (0 if result.ok else 1), report, [str(result)]
 
@@ -412,26 +387,20 @@ def _cmd_counterexample(args) -> tuple[int, dict, list[str]]:
     condition = hodge_condition(ring, args.p, args.kind)
     ce = construct_counterexample(ring, args.p, setup, args.kind)
     report = {
-        "command": "counterexample",
         "ring": ring.name,
         "p": args.p,
         "kind": args.kind,
         "condition_holds": condition.holds,
         "setup": setup.describe(),
-        "ok": True,
+        "found": ce is not None,
     }
     if ce is None:
-        report["found"] = False
         lines = [
             f"no counterexample: the {args.kind} dimension condition "
             f"{'holds' if condition.holds else 'fails without a usable jump'}"
         ]
         return 0, report, lines
-    report["found"] = True
-    report["i0"] = ce.i0
-    report["witness"] = _class_json(ce.witness)
-    report["theta"] = _class_json(ce.theta)
-    report["g"] = rational_to_str(ce.g_value)
+    report.update(_counterexample_json(ce))
     lines = [
         f"condition fails at i0 = {ce.i0}",
         f"witness = {ce.witness}",
@@ -447,7 +416,6 @@ def _cmd_kt(args) -> tuple[int, dict, list[str]]:
     d2 = _setup_class(ring, args.d2, args.nef)
     result = kt_chain(ring, d1, d2)
     report = {
-        "command": "kt",
         "ring": ring.name,
         "d1": _class_json(d1),
         "d2": _class_json(d2),
@@ -463,7 +431,6 @@ def _cmd_kt(args) -> tuple[int, dict, list[str]]:
             for s in result.steps
         ],
         "all_hold": result.all_hold,
-        "ok": result.all_hold,
     }
     return (0 if result.all_hold else 1), report, [str(result)]
 
@@ -471,16 +438,19 @@ def _cmd_kt(args) -> tuple[int, dict, list[str]]:
 def _cmd_export(args) -> tuple[int, dict, list[str]]:
     ring = _load_ring(args.ring)
     text = serialize_ring_bundle(ring)
-    report = {"command": "export", "ring": ring.name, "document": text, "ok": True}
-    return 0, report, [text.rstrip("\n")]
+    return 0, {"ring": ring.name, "document": text}, [text.rstrip("\n")]
 
 
 # -- parser ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built on first use and shared for the process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json"), default="text",
                         help="report format (default: text)")
+    ringed = argparse.ArgumentParser(add_help=False, parents=[common])
+    ringed.add_argument("ring")
 
     parser = argparse.ArgumentParser(
         prog="hodgecs",
@@ -488,98 +458,86 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, handler, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def add(name, handler, help_text, parent=ringed):
+        p = sub.add_parser(name, parents=[parent], help=help_text)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("info", _cmd_info, "describe a ring")
-    p.add_argument("ring")
-
-    p = add("validate", _cmd_validate, "run all ring invariants and sample gates")
-    p.add_argument("ring")
-
-    p = add("zoo", _cmd_zoo, "list or describe bundled rings")
-    p.add_argument("name", nargs="?", default=None)
-
-    p = add("signature", _cmd_signature, "gram matrix and inertia of the degree-p form")
-    p.add_argument("ring")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--omega", default=None, help="use one class for every reference slot")
-    p.add_argument("--omegas", action="append", help="reference classes (';'-separated, repeatable)")
-    p.add_argument("--nef", action="store_true", help="flag literal reference classes nef")
-
-    def add_class_command(name, handler, help_text):
+    def add_reference_command(name, handler, help_text, alpha, nef=True):
+        # --omega is required exactly where --alpha is.
         p = add(name, handler, help_text)
-        p.add_argument("ring")
         p.add_argument("-p", type=int, required=True)
-        p.add_argument("--alpha", required=True)
-        p.add_argument("--omega", required=True)
-        p.add_argument("--omegas", action="append")
+        if alpha:
+            p.add_argument("--alpha", required=True)
+        p.add_argument("--omega", required=alpha,
+                       help="reference class w; it fills every slot unless --omegas is given")
+        p.add_argument("--omegas", action="append",
+                       help="reference classes (';'-separated, repeatable)")
+        if nef:
+            p.add_argument("--nef", action="store_true", help="flag literal reference classes nef")
         return p
 
-    p = add_class_command("decompose", _cmd_decompose, "mixed Lefschetz decomposition of a class")
-    p.add_argument("--nef", action="store_true")
+    add("info", _cmd_info, "describe a ring")
+    add("validate", _cmd_validate, "run all ring invariants and sample gates")
+    p = add("zoo", _cmd_zoo, "list or describe bundled rings", parent=common)
+    p.add_argument("name", nargs="?", default=None)
 
-    p = add_class_command("g", _cmd_g, "evaluate g(alpha, omega; Omega_p)")
-    p.add_argument("--nef", action="store_true")
-
-    p = add_class_command("check", _cmd_check, "inequality verdict for one class")
+    add_reference_command("signature", _cmd_signature,
+                          "gram matrix and inertia of the degree-p form", alpha=False)
+    add_reference_command("decompose", _cmd_decompose,
+                          "mixed Lefschetz decomposition of a class", alpha=True)
+    add_reference_command("g", _cmd_g, "evaluate g(alpha, omega; Omega_p)", alpha=True)
+    p = add_reference_command("check", _cmd_check, "inequality verdict for one class", alpha=True)
     p.add_argument("--direction", choices=DIRECTIONS, default=DIRECTION_CS)
-    p.add_argument("--nef", action="store_true")
 
     p = add("verify", _cmd_verify, "seeded verification of both directions")
-    p.add_argument("ring")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="PRNG seed (default: 0)")
     p.add_argument("--height", type=int, default=10,
                    help="bound on sampled numerators/denominators (default: 10)")
 
-    p = add("counterexample", _cmd_counterexample, "build a violating class if one exists")
-    p.add_argument("ring")
-    p.add_argument("-p", type=int, required=True)
+    p = add_reference_command("counterexample", _cmd_counterexample,
+                              "build a violating class if one exists", alpha=False, nef=False)
     p.add_argument("--kind", choices=DIRECTIONS, default=DIRECTION_CS)
-    p.add_argument("--omega", default=None)
-    p.add_argument("--omegas", action="append")
 
     p = add("kt", _cmd_kt, "log-concavity chain for two divisor classes")
-    p.add_argument("ring")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
     p.add_argument("--nef", action="store_true", help="flag literal divisors nef")
 
-    p = add("export", _cmd_export, "print the canonical ring-bundle document")
-    p.add_argument("ring")
-
+    add("export", _cmd_export, "print the canonical ring-bundle document")
     return parser
 
 
+# (exception types, exit code, stderr prefix). The first row that matches
+# wins, so a subclass must come before its base class: the bundle errors,
+# DegreeError and FlagError are ValueErrors.
+_EXITS = (
+    ((BundleSyntaxError,), 2, "syntax error"),
+    ((BundleSemanticError,), 2, "invalid ring bundle"),
+    ((UnknownRingError, DegreeError), 2, "error"),
+    ((FlagError, SingularSplitError, ArithmeticError), 1, "assertion failed"),
+    ((ValueError, OSError), 2, "error"),
+)
+_HANDLED = tuple(t for types, _, _ in _EXITS for t in types)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
     try:
         code, report, lines = args.handler(args)
-    except BundleSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
-    except BundleSemanticError as exc:
-        print(f"invalid ring bundle: {exc}", file=sys.stderr)
-        return 2
-    except (UnknownRingError, DegreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FlagError, SingularSplitError, ArithmeticError) as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _HANDLED as exc:
+        code, prefix = next((c, pre) for types, c, pre in _EXITS if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
+    report["command"] = args.cmd
+    report["ok"] = code == 0
     if args.output == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

@@ -20,11 +20,14 @@ def rational_to_str(q: Fraction) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse "p/q" or "p". Decimal or exponent notation is rejected."""
+    """Parse "p/q" or "p". Decimal or exponent notation and q = 0 are rejected."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal {text!r}") from None
 
 
 class GaussianRational:

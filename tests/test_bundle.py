@@ -99,11 +99,12 @@ def test_degenerate_integral_diagnostic():
 def test_bad_rational_diagnostic():
     ring = zoo.get("p2").ring
     doc = json.loads(serialize_ring_bundle(ring))
-    doc["integral"] = ["1.5"]
-    with pytest.raises(BundleSemanticError) as err:
-        parse_ring_bundle(json.dumps(doc))
-    assert err.value.constraint == "rational"
-    assert "integral[0]" in err.value.path
+    for bad in ("1.5", "1/0"):
+        doc["integral"] = [bad]
+        with pytest.raises(BundleSemanticError) as err:
+            parse_ring_bundle(json.dumps(doc))
+        assert err.value.constraint == "rational", bad
+        assert "integral[0]" in err.value.path, bad
 
 
 def test_boolean_is_not_an_integer():

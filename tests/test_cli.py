@@ -1,10 +1,11 @@
 """Command-line interface behaviour and exit codes."""
 
+import argparse
 import json
 
 import pytest
 
-from hodgecs.cli import main
+from hodgecs.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -332,3 +333,52 @@ def test_verify_rejects_zero_height(capsys):
     code, out, err = run(capsys, "verify", "zoo:p1xp1", "-p", "1", "--height", "0")
     assert code == 2 and out == ""
     assert "height" in err and "range must be positive" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "zoo:p1xp1", "-p", "1", "--alpha", "3*a+1*b", "--omega", "sample:nope"),
+     "ring 'p1xp1' has no sample 'nope'"),
+    (("g", "zoo:blp4", "-p", "2", "--alpha", "sample:nope", "--omega", "sample:omega"),
+     "ring 'blp4' has no sample 'nope'"),
+    (("kt", "zoo:blp2", "--d1", "sample:nope", "--d2", "sample:omega"),
+     "ring 'blp2' has no sample 'nope'"),
+    (("check", "zoo:p1xp1", "-p", "1", "--alpha", "3*a+1*b", "--omega", "1/0*a"),
+     "zero denominator in rational literal '1/0'"),
+], ids=["check-omega-sample", "g-alpha-sample", "kt-d1-sample", "check-omega-zero-denominator"])
+def test_bad_class_argument_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--output", "json")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+# Every settable value of every subcommand: {option: (default, required)}.
+OUTPUT = {"--output": ("text", False)}
+RING = {**OUTPUT, "ring": (None, True)}
+REFERENCE = {**RING, "-p": (None, True), "--omega": (None, False), "--omegas": (None, False)}
+ONE_CLASS = {**REFERENCE, "--alpha": (None, True), "--omega": (None, True), "--nef": (False, False)}
+OPTIONS = {
+    "info": RING,
+    "validate": RING,
+    "zoo": {**OUTPUT, "name": (None, False)},
+    "signature": {**REFERENCE, "--nef": (False, False)},
+    "decompose": ONE_CLASS,
+    "g": ONE_CLASS,
+    "check": {**ONE_CLASS, "--direction": ("cs", False)},
+    "verify": {**RING, "-p": (None, True), "--samples": (100, False), "--seed": (0, False),
+               "--height": (10, False)},
+    "counterexample": {**REFERENCE, "--kind": ("cs", False)},
+    "kt": {**RING, "--d1": (None, True), "--d2": (None, True), "--nef": (False, False)},
+    "export": RING,
+}
+
+
+def test_subcommand_options_are_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: {
+            "/".join(a.option_strings) or a.dest: (a.default, a.required)
+            for a in cmd._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for name, cmd in sub.choices.items()
+    }
+    assert found == OPTIONS

@@ -98,13 +98,14 @@ def sturm(form):
 
 
 def test_chained_zero_diagonals_match_sturm():
-    # The eigenvalues are +-t; distinct |t| keep them simple, as the oracle's
-    # count of distinct roots needs.
+    # The eigenvalues are +-t. Odd trials give every pair the same |t|, so
+    # +-|t| are repeated eigenvalues; even trials draw distinct |t|.
     sizes = sorted({Fraction(p, q) for p in range(1, 10) for q in range(1, 8)})
     rng = random.Random(20061)
     for trial in range(24):
         pairs = 1 + trial % 4
-        ts = [rng.choice([-1, 1]) * t for t in rng.sample(sizes, pairs)]
+        drawn = [rng.choice(sizes)] * pairs if trial % 2 else rng.sample(sizes, pairs)
+        ts = [rng.choice([-1, 1]) * t for t in drawn]
         form = zero_diagonal_form(
             2 * pairs, [(2 * k, 2 * k + 1, t) for k, t in enumerate(ts)], rng
         )

@@ -14,7 +14,7 @@ def test_rational_strings():
     assert rational_from_str("-5") == Fraction(-5)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "2e3", "", "1/0x", "a", "1 / 2x"])
+@pytest.mark.parametrize("bad", ["1.5", "2e3", "", "1/0x", "a", "1 / 2x", "1/0"])
 def test_rational_string_rejects_nonrational(bad):
     with pytest.raises(ValueError):
         rational_from_str(bad)

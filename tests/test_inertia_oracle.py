@@ -2,7 +2,9 @@
 
 The oracle never touches the congruence code path: it counts characteristic
 polynomial roots by sign with Sturm sequences (sympy), which is exact for the
-rational matrices used here. Skipped when sympy is absent.
+rational matrices used here. Sturm sequences count distinct roots, so the
+oracle counts the roots of each square-free factor and weights them by the
+factor's multiplicity. Skipped when sympy is absent.
 """
 
 from fractions import Fraction
@@ -24,8 +26,10 @@ def sturm_inertia(sym_matrix):
     while poly.eval(0) == 0:
         poly = sympy.Poly(sympy.cancel(poly.as_expr() / _LAM), _LAM)
         nz += 1
-    np_ = poly.count_roots(0, sympy.oo)
-    nm = poly.count_roots(-sympy.oo, 0)
+    np_ = nm = 0
+    for factor, mult in poly.sqf_list()[1]:
+        np_ += mult * factor.count_roots(0, sympy.oo)
+        nm += mult * factor.count_roots(-sympy.oo, 0)
     assert np_ + nm + nz == n
     return (np_, nm, nz)
 
