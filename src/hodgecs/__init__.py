@@ -20,6 +20,7 @@ from .errors import (
     SingularSplitError,
     ToolError,
     UnknownRingError,
+    ValidationLimitError,
 )
 from .gaussian import GaussianRational, rational_from_str, rational_to_str
 from .linalg import Matrix, inertia, nullspace, rank, solve
@@ -35,6 +36,7 @@ from .ring import (
     power,
     sanity_check_kahler,
     validate_ring,
+    validation_work,
     wedge,
 )
 from .lefschetz import (

@@ -30,6 +30,7 @@ from .gaussian import rational_from_str, rational_to_str
 from .ring import (
     FLAG_NONE,
     POSITIVE_FLAGS,
+    VALIDATE_LIMIT,
     ClassVector,
     IntersectionRing,
     RingSample,
@@ -54,20 +55,25 @@ def _want(value, typ, path: str):
     return value
 
 
-def _rational(value, path: str) -> Fraction:
+def _rational(value, path: str, memo: dict[str, Fraction]) -> Fraction:
+    """Parse a rational string; ``memo`` caches successful parses per document."""
     _want(value, str, path)
-    try:
-        return rational_from_str(value)
-    except ValueError as exc:
-        raise _semantic(str(exc), path, "rational") from None
+    if value not in memo:
+        try:
+            memo[value] = rational_from_str(value)
+        except ValueError as exc:
+            raise _semantic(str(exc), path, "rational") from None
+    return memo[value]
 
 
-def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
+def parse_ring_bundle(text: str, source: str = "<string>",
+                      limit: int = VALIDATE_LIMIT) -> IntersectionRing:
     """Parse and fully validate a ring bundle document.
 
     Syntax problems raise :class:`BundleSyntaxError` with line/column;
     constraint violations raise :class:`BundleSemanticError` carrying the
-    field path and the name of the first failing constraint.
+    field path and the name of the first failing constraint. Validation
+    beyond the work ``limit`` raises :class:`ValidationLimitError`.
     """
     try:
         doc = json.loads(text)
@@ -89,6 +95,7 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
     for p, row in enumerate(_want(doc["basis"], list, "basis")):
         basis.append([_want(lab, str, f"basis[{p}][{i}]") for i, lab in enumerate(_want(row, list, f"basis[{p}]"))])
 
+    literals: dict[str, Fraction] = {}
     products = {}
     seen: dict[tuple[int, int, int, int], tuple[int, tuple[Fraction, ...]]] = {}
     for r, rec in enumerate(_want(doc["products"], list, "products")):
@@ -102,7 +109,7 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
         db = _want(rec["db"], int, f"{path}.db")
         ib = _want(rec["ib"], int, f"{path}.ib")
         out = tuple(
-            _rational(c, f"{path}.out[{i}]")
+            _rational(c, f"{path}.out[{i}]", literals)
             for i, c in enumerate(_want(rec["out"], list, f"{path}.out"))
         )
         key = canonical_product_key(da, ia, db, ib)
@@ -118,7 +125,7 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
         products[(da, ia, db, ib)] = out
 
     integral = [
-        _rational(c, f"integral[{i}]")
+        _rational(c, f"integral[{i}]", literals)
         for i, c in enumerate(_want(doc["integral"], list, "integral"))
     ]
 
@@ -133,7 +140,7 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
         if flag not in POSITIVE_FLAGS:
             raise _semantic(f"flag must be kahler or nef, got {flag!r}", f"{path}.flag", "flag")
         coeffs = tuple(
-            _rational(c, f"{path}.coeffs[{i}]")
+            _rational(c, f"{path}.coeffs[{i}]", literals)
             for i, c in enumerate(_want(rec["coeffs"], list, f"{path}.coeffs"))
         )
         samples.append(RingSample(_want(rec["name"], str, f"{path}.name"), flag, coeffs))
@@ -143,7 +150,7 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
     except ValueError as exc:
         raise _semantic(str(exc), "$", "structure") from None
 
-    report = validate_ring(ring)
+    report = validate_ring(ring, limit)
     if not report.ok:
         first = report.issues[0]
         err = _semantic(first.message, first.location, first.check)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -35,6 +36,7 @@ from .errors import (
     MissingSamplesError,
     SingularSplitError,
     UnknownRingError,
+    ValidationLimitError,
 )
 from .gaussian import GaussianRational, rational_to_str
 from .inequalities import (
@@ -57,6 +59,8 @@ from .ring import (
     ClassVector,
     IntersectionRing,
     MODE_STRICT,
+    VALIDATE_LIMIT,
+    VALIDATE_LIMIT_ENV,
     MixedSetup,
     ValidationIssue,
     ValidationReport,
@@ -97,11 +101,21 @@ def _counterexample_json(ce) -> dict:
 
 # -- argument plumbing ---------------------------------------------------------
 
+def _validate_limit() -> int:
+    """The validation work limit: $HODGECS_VALIDATE_LIMIT when set, else the default."""
+    text = os.environ.get(VALIDATE_LIMIT_ENV, "")
+    if not text:
+        return VALIDATE_LIMIT
+    if not text.isdecimal():
+        raise ValueError(f"{VALIDATE_LIMIT_ENV} must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _load_ring(address: str) -> IntersectionRing:
     if address.startswith("zoo:"):
-        return zoo.get(address[len("zoo:"):]).ring
+        return zoo.get(address[len("zoo:"):], _validate_limit()).ring
     with open(address, encoding="utf-8") as fh:
-        return parse_ring_bundle(fh.read(), source=address)
+        return parse_ring_bundle(fh.read(), source=address, limit=_validate_limit())
 
 
 def _setup_class(ring: IntersectionRing, text: str, nef: bool) -> ClassVector:
@@ -206,7 +220,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     # Parsing a bundle file or a bundled zoo entry already ran validate_ring
     # and raised on any issue; only rings built by zoo code still need the checks.
     if args.ring.startswith("zoo:") and args.ring[len("zoo:"):] not in zoo._BUNDLED:
-        ring_report = validate_ring(ring)
+        ring_report = validate_ring(ring, _validate_limit())
     else:
         ring_report = ValidationReport(ring.name)
     lines = [str(ring_report)]
@@ -237,7 +251,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_zoo(args) -> tuple[int, dict, list[str]]:
     if args.name:
-        entry = zoo.get(args.name)
+        entry = zoo.get(args.name, _validate_limit())
         sub = argparse.Namespace(ring=f"zoo:{args.name}")
         code, report, lines = _cmd_info(sub)
         report["note"] = entry.note
@@ -245,8 +259,9 @@ def _cmd_zoo(args) -> tuple[int, dict, list[str]]:
         return code, report, lines
     records = []
     lines = []
+    limit = _validate_limit()
     for name in zoo.list_entries():
-        entry = zoo.get(name)
+        entry = zoo.get(name, limit)
         records.append({
             "name": name,
             "n": entry.ring.n,
@@ -516,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXITS = (
     ((BundleSyntaxError,), 2, "syntax error"),
     ((BundleSemanticError,), 2, "invalid ring bundle"),
-    ((UnknownRingError, DegreeError), 2, "error"),
+    ((UnknownRingError, DegreeError, ValidationLimitError), 2, "error"),
     ((FlagError, SingularSplitError, ArithmeticError), 1, "assertion failed"),
     ((ValueError, OSError), 2, "error"),
 )
@@ -538,11 +553,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     report["command"] = args.cmd
     report["ok"] = code == 0
-    if args.output == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.output == "json":
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``| head``); the report's exit code still
+        # stands. Point stdout at devnull so the exit-time flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

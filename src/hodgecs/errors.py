@@ -28,6 +28,13 @@ class SingularSplitError(ToolError, ArithmeticError):
 class UnknownRingError(ToolError, KeyError):
     """A ring name is not in the zoo catalogue."""
 
+    # KeyError's str is the repr of the key; this error carries a message.
+    __str__ = Exception.__str__
+
+
+class ValidationLimitError(ToolError):
+    """Validating a ring would take more work than the stated limit allows."""
+
 
 class MissingSamplesError(ToolError, ValueError):
     """An operation needs declared Kahler cone samples the ring lacks."""

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DegreeError, FlagError, RingMismatchError
+from .errors import DegreeError, FlagError, RingMismatchError, ValidationLimitError
 from .gaussian import GaussianRational
-from .linalg import Matrix, _cleared, _int_row, real_fraction
+from .linalg import Matrix, _bareiss_jordan, _cleared, _int_row, real_fraction
 
 FLAG_NONE = "none"
 FLAG_KAHLER = "kahler"
@@ -37,6 +37,12 @@ FLAGS = (FLAG_NONE, FLAG_KAHLER, FLAG_NEF)
 POSITIVE_FLAGS = (FLAG_KAHLER, FLAG_NEF)
 
 ProductKey = tuple[int, int, int, int]
+
+# Default bound on validation_work(hodge), and the variable the CLI reads to
+# override it. The default admits (P^1)^8 (W = 1,154,784) and refuses (P^1)^9
+# (W = 7,727,913).
+VALIDATE_LIMIT = 2_000_000
+VALIDATE_LIMIT_ENV = "HODGECS_VALIDATE_LIMIT"
 
 
 @dataclass(frozen=True)
@@ -500,8 +506,21 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_ring(ring: IntersectionRing) -> ValidationReport:
-    """Check grading, commutativity, associativity and Poincare duality."""
+def validation_work(hodge: Sequence[int]) -> int:
+    """W = sum of h_da * h_db * h_dc over the degree triples associativity checks."""
+    n = len(hodge) - 1
+    return sum(hodge[da] * hodge[db] * hodge[dc]
+               for da in range(1, n + 1)
+               for db in range(1, n - da + 1)
+               for dc in range(1, n - da - db + 1))
+
+
+def validate_ring(ring: IntersectionRing, limit: int = VALIDATE_LIMIT) -> ValidationReport:
+    """Check grading, commutativity, associativity and Poincare duality.
+
+    Raises :class:`ValidationLimitError` before any product is formed when
+    the associativity work W (:func:`validation_work`) exceeds ``limit``.
+    """
     report = ValidationReport(ring.name)
     n = ring.n
 
@@ -523,25 +542,45 @@ def validate_ring(ring: IntersectionRing) -> ValidationReport:
         # Later checks assume a sane grading.
         return report
 
+    work = validation_work(ring.hodge)
+    if work > limit:
+        raise ValidationLimitError(
+            f"ring {ring.name!r}: validation work W = {work} (sum of h_a*h_b*h_c over "
+            f"degree triples) exceeds the limit {limit}; set {VALIDATE_LIMIT_ENV} "
+            f"to at least {work} to validate it"
+        )
+
     for p, row in enumerate(ring.basis_labels):
         if len(set(row)) != len(row):
             report.add("labels", f"basis[{p}]", "duplicate labels in one degree")
 
     # Commutativity is structural (one canonical slot per pair); associativity
     # has to be checked on every basis triple that stays within the grading.
+    # For each (ia, ib), both sides are formed for every ic at once as int rows
+    # over D^2: left (e_a e_b) e_c, right e_a (e_b e_c).
+    rows = cache(partial(_product_rows, ring))
+    h = ring.hodge
     for da in range(1, n + 1):
         for db in range(1, n - da + 1):
+            ab = rows(da, db)
             for dc in range(1, n - da - db + 1):
-                for ia in range(ring.dim(da)):
-                    ea = ring.basis_class(da, ia)
-                    for ib in range(ring.dim(db)):
-                        eb = ring.basis_class(db, ib)
-                        ab = wedge(ea, eb)
-                        for ic in range(ring.dim(dc)):
-                            ec = ring.basis_class(dc, ic)
-                            left = wedge(ab, ec)
-                            right = wedge(ea, wedge(eb, ec))
-                            if left != right:
+                ab_c, b_c, a_bc = rows(da + db, dc), rows(db, dc), rows(da, db + dc)
+                hc, ht = h[dc], h[da + db + dc]
+                for ia in range(h[da]):
+                    for ib in range(h[db]):
+                        left, right = [0] * (hc * ht), [0] * (hc * ht)
+                        for m, x in ab[ia].get(ib, ()):
+                            for ic, out in ab_c[m].items():
+                                for k, y in out:
+                                    left[ic * ht + k] += x * y
+                        for ic, out in b_c[ib].items():
+                            for m, x in out:
+                                for k, y in a_bc[ia].get(m, ()):
+                                    right[ic * ht + k] += x * y
+                        if left == right:
+                            continue
+                        for ic in range(hc):
+                            if left[ic * ht:(ic + 1) * ht] != right[ic * ht:(ic + 1) * ht]:
                                 report.add(
                                     "associativity",
                                     f"({da},{ia})*({db},{ib})*({dc},{ic})",
@@ -549,7 +588,7 @@ def validate_ring(ring: IntersectionRing) -> ValidationReport:
                                 )
 
     for p in range(n + 1):
-        rank = form_matrix(ring, p, ring.unit()).rank()
+        rank = _pairing_rank(ring, p)
         if rank != ring.dim(p):
             report.add(
                 "poincare-duality", f"pairing p={p}",
@@ -557,6 +596,39 @@ def validate_ring(ring: IntersectionRing) -> ValidationReport:
             )
 
     return report
+
+
+def _product_rows(ring: IntersectionRing, da: int, db: int) -> list[dict]:
+    """Products of degrees da x db (both >= 1): i -> {j: ((k, D * c_k), ...)}.
+
+    Read through the ring's table with the lower degree first, so validation
+    builds no table that ``wedge`` would not.
+    """
+    if da <= db:
+        return [dict(row) for row in ring._table(da, db)]
+    rows = [{} for _ in range(ring.hodge[da])]
+    for j, row in enumerate(ring._table(db, da)):
+        for i, out in row:
+            rows[i][j] = out
+    return rows
+
+
+def _pairing_rank(ring: IntersectionRing, p: int) -> int:
+    """Rank of the pairing (a, b) -> integral of a * b of degrees p and n - p.
+
+    Its int rows are the integral's int weights dotted with the products of
+    degrees p x (n - p); degrees 0 and n read the weights directly.
+    """
+    n = ring.n
+    weights = ring._weights[0]
+    if p == 0:
+        a = [list(weights)]
+    elif p == n:
+        a = [[w] for w in weights]
+    else:
+        a = [[sum(weights[k] * c for k, c in row.get(j, ())) for j in range(ring.hodge[n - p])]
+             for row in _product_rows(ring, p, n - p)]
+    return len(_bareiss_jordan(a, len(a[0]))[0])
 
 
 # -- Kahler sanity gate ------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import UnknownRingError
 from .ring import (
     FLAG_KAHLER,
     FLAG_NEF,
+    VALIDATE_LIMIT,
     IntersectionRing,
     RingSample,
     wedge,
@@ -198,8 +199,11 @@ def _build_p1xp2() -> ZooEntry:
     return ZooEntry("p1xp2", ring, "product threefold; cone = xa + yb with x, y > 0")
 
 
-def load_bundled(name: str) -> ZooEntry:
-    """Load a ring shipped as a data file (or from $HODGECS_DATA_DIR)."""
+def load_bundled(name: str, limit: int = VALIDATE_LIMIT) -> ZooEntry:
+    """Load a ring shipped as a data file (or from $HODGECS_DATA_DIR).
+
+    Parsing validates the ring within the work ``limit``.
+    """
     from .bundle import parse_ring_bundle
 
     filename = f"{name}.json"
@@ -208,13 +212,13 @@ def load_bundled(name: str) -> ZooEntry:
         path = os.path.join(override, filename)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
-                ring = parse_ring_bundle(fh.read(), source=path)
+                ring = parse_ring_bundle(fh.read(), source=path, limit=limit)
             return ZooEntry(name, ring, f"bundled ring data ({path})")
     try:
         text = resources.files("hodgecs").joinpath("data", filename).read_text("utf-8")
     except FileNotFoundError:
         raise UnknownRingError(f"no bundled ring named {name!r}") from None
-    ring = parse_ring_bundle(text, source=f"data/{filename}")
+    ring = parse_ring_bundle(text, source=f"data/{filename}", limit=limit)
     return ZooEntry(name, ring, f"bundled ring data ({filename})")
 
 
@@ -241,11 +245,13 @@ def list_entries() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def get(name: str) -> ZooEntry:
+def get(name: str, limit: int = VALIDATE_LIMIT) -> ZooEntry:
+    """The entry ``name``, built on first use; ``limit`` bounds a bundled entry's validation."""
     if name not in _BUILDERS:
         raise UnknownRingError(
             f"unknown zoo entry {name!r}; available: {', '.join(_BUILDERS)}"
         )
     if name not in _CACHE:
-        _CACHE[name] = _BUILDERS[name]()
+        build = _BUILDERS[name]
+        _CACHE[name] = build(limit=limit) if name in _BUNDLED else build()
     return _CACHE[name]
