@@ -170,4 +170,3 @@ def _coerce_or_none(value):
 
 
 GQ_ZERO = GaussianRational(0)
-GQ_ONE = GaussianRational(1)

@@ -132,7 +132,7 @@ class CsVerdict:
 def _g_verdict(alpha: ClassVector, setup: MixedSetup) -> tuple[Fraction, str, bool]:
     """g, the relation of g to zero, and whether alpha is proportional to w^p."""
     g = compute_g_direct(alpha, setup)
-    prop = proportional(alpha, power(setup.omega, setup.p))
+    prop = proportional(alpha, setup.omega_power)
     relation = RELATION_ZERO if g == 0 else (
         RELATION_POSITIVE if g > 0 else RELATION_NEGATIVE
     )
@@ -263,11 +263,11 @@ def construct_counterexample(
     i0, deg = jump
 
     # Primitive classes of degree deg: the kernel of a -> a * w^(2(p-deg)+1) * Omega_p.
-    kernel = multiplication_matrix(ring, deg, setup.tower[2 * (p - deg) + 1]).nullspace()
-    if not kernel:
+    kernel = multiplication_matrix(ring, deg, setup.tower[2 * (p - deg) + 1]).kernel()
+    if not kernel.rows:
         return None
-    witness = ring.class_vector(deg, kernel[0])
-    theta = power(setup.omega, p) + wedge(witness, power(setup.omega, p - deg))
+    witness = ClassVector(ring, deg, kernel.num[0], None, kernel.den)
+    theta = setup.omega_power + wedge(witness, power(setup.omega, p - deg))
     verdict = check_cs(theta, setup, kind)
     if verdict.satisfied:
         raise ArithmeticError(

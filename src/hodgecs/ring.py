@@ -4,10 +4,11 @@ An :class:`IntersectionRing` models the even part of the cohomology of a
 compact Kahler n-fold: one graded piece per degree p (the (p,p)-classes),
 structure constants for the cup product, and a linear integration functional
 on the top degree. A :class:`ClassVector` holds int numerators over one
-denominator, so complex classes and conjugation are exact; Gaussian rationals
-appear only where classes enter (``class_vector``) and leave (``coeffs``,
-``integrate``). Products are int contractions over sparse structure tables
-that each ring builds once per degree pair.
+denominator, so complex classes and conjugation are exact. Products are int
+contractions over sparse structure tables, and integrals of products are int
+pairing matrices; each ring builds both once. Operator and form matrices take
+int rows from class numerators and the pairing. Gaussian rationals appear only
+where classes enter (``class_vector``) and leave (``coeffs``, ``integrate``).
 
 The ring data cannot certify that a degree-1 class is Kahler; positivity is a
 user-declared flag. :func:`sanity_check_kahler` enforces the checkable
@@ -72,7 +73,7 @@ class IntersectionRing:
     """
 
     __slots__ = ("name", "n", "hodge", "basis_labels", "products", "integral",
-                 "samples", "_label_index", "_den", "_weights", "_tables")
+                 "samples", "_label_index", "_den", "_weights", "_tables", "_pairings")
 
     def __init__(
         self,
@@ -105,7 +106,7 @@ class IntersectionRing:
             for d, i in ((da, ia), (db, ib)):
                 if not (0 <= d <= n) or not (0 <= i < hodge[d]):
                     raise ValueError(f"product key {key}: index out of range")
-            out = tuple(Fraction(c) for c in out)
+            out = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in out)
             if da + db > n:
                 if any(out):
                     raise ValueError(f"product key {key}: degree {da + db} exceeds n")
@@ -113,12 +114,8 @@ class IntersectionRing:
             if da == 0 or db == 0:
                 # Degree 0 acts as the identity; entries are redundant but
                 # tolerated when consistent.
-                tgt_dim = hodge[da + db]
                 other = ib if da == 0 else ia
-                expected = tuple(
-                    Fraction(1) if k == other else Fraction(0) for k in range(tgt_dim)
-                )
-                if out != expected:
+                if out != tuple(int(k == other) for k in range(hodge[da + db])):
                     raise ValueError(f"product key {key}: degree-0 factor must act as identity")
                 continue
             if len(out) != hodge[da + db]:
@@ -162,6 +159,7 @@ class IntersectionRing:
         object.__setattr__(self, "_den", lcm(*(c.denominator for out in table.values() for c in out)))
         object.__setattr__(self, "_weights", _int_row(integral))
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_pairings", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionRing is immutable")
@@ -194,6 +192,21 @@ class IntersectionRing:
                 if (out := self.products.get(canonical_product_key(da, i, db, j)))
             ) for i in range(self.hodge[da]))
         return self._tables[da, db]
+
+    def _pairing(self, p: int) -> Matrix:
+        """The pairing (a, b) -> integral of a * b of degrees p x (n - p), built once:
+        the integral's int weights dotted with the products (degrees 0 and n: the weights).
+        """
+        if p not in self._pairings:
+            n, (w, scale) = self.n, self._weights
+            if 0 < p < n:
+                rows = [[sum(w[k] * c for k, c in row.get(j, ())) for j in range(self.hodge[n - p])]
+                        for row in _product_rows(self, p, n - p)]
+                scale *= self._den
+            else:
+                rows = [w] if p == 0 else [[x] for x in w]
+            self._pairings[p] = Matrix._of(rows, scale, self.hodge[n - p])
+        return self._pairings[p]
 
     # -- class construction ------------------------------------------------
 
@@ -598,6 +611,12 @@ def validate_ring(ring: IntersectionRing, limit: int = VALIDATE_LIMIT) -> Valida
     return report
 
 
+def _pairing_rank(ring: IntersectionRing, p: int) -> int:
+    """Rank of the pairing of degrees p and n - p, by the Bareiss kernel on its int rows."""
+    m = ring._pairing(p)
+    return len(_bareiss_jordan([list(row) for row in m.num], m.cols)[0])
+
+
 def _product_rows(ring: IntersectionRing, da: int, db: int) -> list[dict]:
     """Products of degrees da x db (both >= 1): i -> {j: ((k, D * c_k), ...)}.
 
@@ -611,24 +630,6 @@ def _product_rows(ring: IntersectionRing, da: int, db: int) -> list[dict]:
         for i, out in row:
             rows[i][j] = out
     return rows
-
-
-def _pairing_rank(ring: IntersectionRing, p: int) -> int:
-    """Rank of the pairing (a, b) -> integral of a * b of degrees p and n - p.
-
-    Its int rows are the integral's int weights dotted with the products of
-    degrees p x (n - p); degrees 0 and n read the weights directly.
-    """
-    n = ring.n
-    weights = ring._weights[0]
-    if p == 0:
-        a = [list(weights)]
-    elif p == n:
-        a = [[w] for w in weights]
-    else:
-        a = [[sum(weights[k] * c for k, c in row.get(j, ())) for j in range(ring.hodge[n - p])]
-             for row in _product_rows(ring, p, n - p)]
-    return len(_bareiss_jordan(a, len(a[0]))[0])
 
 
 # -- Kahler sanity gate ------------------------------------------------------
@@ -658,25 +659,32 @@ class KahlerCheckReport:
         return "\n".join(lines)
 
 
+def class_columns(classes: Sequence[ClassVector], rows: int) -> Matrix:
+    """Real classes with ``rows`` coefficients as the int columns of one matrix."""
+    if any(c.im for c in classes):
+        raise ValueError("matrix entries must be real")
+    den = lcm(*(c.den for c in classes))
+    return Matrix._of([[c.re[k] * (den // c.den) for c in classes] for k in range(rows)],
+                      den, len(classes))
+
+
 def multiplication_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Matrix:
-    """Matrix of the map (wedge with ``by``) from degree p, in the ring bases."""
-    target = p + by.degree
-    cols = [wedge(ring.basis_class(p, i), by).coeffs for i in range(ring.dim(p))]
-    return Matrix.from_columns(cols, rows=ring.dim(target))
+    """Matrix of the map (wedge with the real class ``by``) from degree p, in the ring bases."""
+    cols = [wedge(ring.basis_class(p, i), by) for i in range(ring.dim(p))]
+    return class_columns(cols, ring.dim(p + by.degree))
 
 
 def form_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Matrix:
-    """Matrix of (a, b) -> integral of a * b * ``by``, in the ring bases.
+    """Matrix of (a, b) -> integral of a * b * ``by``, in the ring bases; ``by`` is real.
 
-    Rows run over degree p, columns over degree n - p - deg(by); each column
-    class b * by is formed once.
+    Rows run over degree p, columns over degree q = n - p - deg(by): the
+    ring's pairing of degrees p x (n - p) times the columns b * by, each
+    formed once.
     """
     q = ring.n - p - by.degree
-    right = [wedge(ring.basis_class(q, j), by) for j in range(ring.dim(q))]
-    return Matrix([
-        [integrate(wedge(ring.basis_class(p, i), r)) for r in right]
-        for i in range(ring.dim(p))
-    ])
+    right = class_columns([wedge(ring.basis_class(q, j), by) for j in range(ring.dim(q))],
+                          ring.dim(ring.n - p))
+    return ring._pairing(p) @ right
 
 
 def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckReport:
@@ -777,6 +785,11 @@ class MixedSetup:
     def tower(self) -> tuple[ClassVector, ...]:
         """w^k * Omega_p for k = 0 .. 2p, each one product from the last."""
         return tuple(accumulate([self.omega] * (2 * self.p), wedge, initial=self.omega_p))
+
+    @cached_property
+    def omega_power(self) -> ClassVector:
+        """w^p: the tower's middle rung when Omega_p is the unit (n = 2p), else p products."""
+        return power(self.omega, self.p) if self.omegas else self.tower[self.p]
 
     @cached_property
     def decomposer(self):

@@ -382,8 +382,30 @@ def test_counterexample_kernel_comes_from_the_tower(monkeypatch):
     calls = _count_wedges(monkeypatch)
     ce = construct_counterexample(ring, 2, setup, "cs")
     assert (ce.witness, ce.theta) == (witness, theta)
-    # The kernel operator multiplies by tower[3]; g conjugates its mixed integral.
-    assert len(calls) == 20
+    # The kernel operator multiplies by tower[3], w^2 is tower[2] (Omega_p is
+    # the unit) and g conjugates its mixed integral.
+    assert len(calls) == 16
+
+
+def test_verdicts_take_w_to_the_p_from_the_setup(monkeypatch):
+    # On blp8 at p = 4, Omega_p is the unit, so w^4 is the tower's middle rung:
+    # no verdict multiplies out w^4 on its own. That was 4 wedges for each of
+    # the 21 verdicts (20 samples and the counterexample's) and 4 for theta.
+    ring = zoo.blowup_pn(8).ring
+    calls = _count_wedges(monkeypatch)
+    report = verify_theorem(ring, 4, 20, seed=0)
+    assert len(calls) == 337 - 21 * 4 - 4
+    monkeypatch.undo()
+    # Oracle: every verdict recomputed with w^4 formed on its own.
+    for record in report.records:
+        setup = random_strict_setup(ring, 4, 10, 0, record.index)
+        assert record.g_value == compute_g_direct(record.alpha, setup)
+        assert record.proportional == proportional(record.alpha, power(setup.omega, 4))
+    setup = random_strict_setup(ring, 4, 10, 0, 0)
+    ce = report.counterexamples["cs"]
+    w4 = power(setup.omega, 4)
+    assert ce.theta == w4 + wedge(ce.witness, power(setup.omega, 3))
+    assert check_cs(w4.scaled(Fraction(-2, 3)), setup).proportional
 
 
 def test_part2_universality_with_proportional_cases():

@@ -130,14 +130,14 @@ def _random_rational_matrix(rng):
     return Matrix(a)
 
 
-def _random_complex_matrix(rng, max_size=5):
+def _random_complex_rows(rng, max_size=5):
     rows, cols = rng.randint(1, max_size), rng.randint(1, max_size)
     a = [[GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                            rng.randint(-3, 3) if rng.random() < 0.6 else 0)
           for _ in range(cols)] for _ in range(rows)]
     if rows > 1 and rng.random() < 0.4:
         a[-1] = [x * GaussianRational(1, 2) for x in a[0]]
-    return Matrix(a)
+    return a
 
 
 def test_rational_matrices_match_references():
@@ -151,21 +151,20 @@ def test_rational_matrices_match_references():
 
 
 def test_complex_matrices_are_rejected():
-    """Elimination is over the rationals: a non-real entry is an error, never dropped."""
+    """Elimination is over the rationals: a non-real entry is refused when the
+    matrix is built, never dropped; a real Gaussian rational is its real part."""
     rng = random.Random(515)
     rejected = 0
     for _ in range(40):
-        m = _random_complex_matrix(rng)
-        if m.is_real():
+        a = _random_complex_rows(rng)
+        if all(x.is_real for row in a for x in row):
+            assert Matrix(a) == Matrix([[x.re for x in row] for row in a])
             continue
         rejected += 1
-        for op in (Matrix.rref, Matrix.rank, Matrix.nullspace, Matrix.inertia):
-            with pytest.raises(ValueError, match="real entries"):
-                op(m)
-        with pytest.raises(ValueError, match="real entries"):
-            m.solve([GaussianRational(rng.randint(-3, 3), 1) for _ in range(m.rows)])
-        with pytest.raises(ValueError, match="real entries"):
-            m.solve([0] * m.rows)
+        with pytest.raises(ValueError, match="entries must be real"):
+            Matrix(a)
+        with pytest.raises(ValueError, match="entries must be real"):
+            Matrix.from_columns(a)
     assert rejected > 30
 
 
