@@ -1,12 +1,12 @@
 """Exact verification of Cauchy-Schwarz-type intersection inequalities.
 
-The package models even cohomology rings of compact Kahler manifolds with
-exact Gaussian-rational arithmetic and checks, at desk scale: mixed
-hard-Lefschetz isomorphisms, signatures of mixed intersection forms,
-positivity on primitive subspaces, the mixed Lefschetz decomposition and its
-identities, both directions of the Cauchy-Schwarz-type inequality for g, the
-Khovanskii-Teissier log-concavity chain, and the non-strict nef boundary
-versions of all of the above.
+The package models even cohomology rings of compact Kahler manifolds exactly
+(int numerators over one denominator inside, Gaussian rationals for the values
+it returns) and checks, at desk scale: mixed hard-Lefschetz isomorphisms,
+signatures of mixed intersection forms, positivity on primitive subspaces, the
+mixed Lefschetz decomposition and its identities, both directions of the
+Cauchy-Schwarz-type inequality for g, the Khovanskii-Teissier log-concavity
+chain, and the non-strict nef boundary versions of all of the above.
 """
 
 from .errors import (

@@ -26,7 +26,6 @@ from itertools import accumulate
 from typing import Optional
 
 from .errors import DegreeError, FlagError
-from .linalg import real_fraction
 from .ring import (
     FLAG_KAHLER,
     POSITIVE_FLAGS,
@@ -34,7 +33,9 @@ from .ring import (
     IntersectionRing,
     MODE_STRICT,
     MixedSetup,
-    integrate,
+    _check_same_ring,
+    _integral,
+    _real_integral,
     integrate_real,
     multiplication_matrix,
     power,
@@ -52,7 +53,9 @@ def proportional(a: ClassVector, b: ClassVector) -> bool:
 
     On the Gaussian-integer numerators of a and b, with a_k the first nonzero
     coordinate of a, that holds exactly when b_i * a_k == a_i * b_k for all i.
+    Classes of different rings raise RingMismatchError.
     """
+    _check_same_ring(a, b)
     if a.degree != b.degree:
         raise DegreeError("proportionality needs classes of equal degree")
     zero = (0,) * len(a.re)
@@ -66,15 +69,17 @@ def proportional(a: ClassVector, b: ClassVector) -> bool:
 
 
 def compute_g_direct(alpha: ClassVector, setup: MixedSetup) -> Fraction:
-    """Evaluate g from its defining integrals; the result is provably real."""
+    """Evaluate g from its defining integrals, on ints; the result is provably real."""
     setup.check_class(alpha)
-    pair_aa = integrate(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
-    vol = integrate(setup.tower[2 * setup.p])
-    # The tower is real (positivity flags need real classes), so the integral
-    # of conj(alpha) * w^p * Omega_p is the conjugate of this one.
-    mixed = integrate(wedge(alpha, setup.tower[setup.p]))
-    g = pair_aa * vol - mixed.abs2()
-    return real_fraction(g)
+    # aa / aa_den, v / v_den and (m_re + i * m_im) / m_den are the integrals of
+    # alpha * conj(alpha) * Omega_p, w^(2p) * Omega_p and alpha * w^p * Omega_p. The
+    # tower is real (positivity flags need real classes), so the integral of
+    # conj(alpha) * w^p * Omega_p is the conjugate of the last.
+    aa, aa_den = _real_integral(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
+    v, v_den = setup.volume.numerator, setup.volume.denominator
+    m_re, m_im, m_den = _integral(wedge(alpha, setup.tower[setup.p]))
+    return Fraction(aa * v * m_den * m_den - (m_re * m_re + m_im * m_im) * aa_den * v_den,
+                    aa_den * v_den * m_den * m_den)
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,8 @@ def compute_g_decomposed(alpha: ClassVector, setup: MixedSetup) -> DecomposedG:
     :func:`compute_g_direct` cross-checks the decomposition exactly.
     """
     dec = setup.decomposer.decompose(alpha)
-    vol = integrate_real(setup.tower[2 * setup.p])
     terms = dec.pairing_terms()
-    return DecomposedG(vol * sum(terms, Fraction(0)), terms, dec)
+    return DecomposedG(setup.volume * sum(terms, Fraction(0)), terms, dec)
 
 
 RELATION_POSITIVE = "strictly_positive"
@@ -454,7 +458,7 @@ def kt_chain(ring: IntersectionRing, d1: ClassVector, d2: ClassVector) -> KtRepo
     steps = []
     for k in range(1, n):
         lhs = numbers[k]
-        rhs = numbers[k - 1] * numbers[k + 1]
-        steps.append(KtStep(k, lhs, lhs * lhs, rhs, lhs * lhs - rhs))
+        square, rhs = lhs * lhs, numbers[k - 1] * numbers[k + 1]
+        steps.append(KtStep(k, lhs, square, rhs, square - rhs))
     mode = MODE_STRICT if d1.flag == FLAG_KAHLER and d2.flag == FLAG_KAHLER else "boundary"
     return KtReport(ring.name, mode, proportional(d1, d2), tuple(steps))

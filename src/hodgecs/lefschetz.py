@@ -41,9 +41,9 @@ from .ring import (
     IntersectionRing,
     MixedSetup,
     MODE_STRICT,
+    _integral,
     class_columns,
     form_matrix,
-    integrate,
     integrate_real,
     multiplication_matrix,
     wedge,
@@ -309,21 +309,19 @@ class LefschetzDecomposer:
             components.append(current - wedge(rest, setup.omega))
             certificates.append(wedge(components[-1], cert_multiplier))
             current = rest
-        lam = current.coeffs[0]
 
-        # The recursion remainder must match the closed form
-        # lam = (int a * w^p * Omega_p) / (int w^(2p) * Omega_p).
-        denom = integrate(setup.tower[2 * setup.p])
-        numer = integrate(wedge(alpha, setup.tower[setup.p]))
-        if lam * denom != numer:
+        # The recursion remainder lam = current must match the closed form
+        # lam = (int a * w^p * Omega_p) / (int w^(2p) * Omega_p): lam times the
+        # volume and the integral, both in lowest terms, have equal int fields.
+        m_re, m_im, m = _integral(wedge(alpha, setup.tower[setup.p]))
+        if current.scaled(setup.volume) != ClassVector(ring, 0, [m_re], [m_im], m):
             raise SingularSplitError(
                 "recursion remainder disagrees with the closed-form coefficient; "
                 "the reference classes are not Kahler"
             )
 
-        return DecompositionResult(
-            setup, alpha, lam, tuple(reversed(components)), tuple(reversed(certificates))
-        )
+        return DecompositionResult(setup, alpha, current.coeffs[0],
+                                   tuple(reversed(components)), tuple(reversed(certificates)))
 
 
 def mixed_lefschetz_decompose(alpha: ClassVector, setup: MixedSetup) -> DecompositionResult:

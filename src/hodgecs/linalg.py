@@ -5,13 +5,13 @@ kernel bases and particular solutions are canonical and reproducible
 byte-for-byte. Inertia comes from congruence, never from eigenvalues.
 
 A matrix is int rows ``num`` over one positive ``den``, in lowest terms.
-Only the public constructors (``Matrix(entries)``, ``from_columns``,
-``identity``, ``zeros``) take ints, Fractions or real Gaussian rationals; a
-non-real entry raises ``ValueError`` there. Gaussian rationals leave through
-``m[i, j]``, ``row``, ``repr`` and the vectors of ``solve`` and ``nullspace``;
-the one complex input is the right-hand side of ``solve``. Elimination runs
-on the int rows by one fraction-free Gauss-Jordan loop (Bareiss 1968), and
-inertia by integer congruence with 1x1 pivots (P^T A P diagonal). Empty
+Exact scalars enter through one reader, ``_gaussian_ints``, which ``ring``
+shares: ``Matrix(entries)`` and ``from_columns`` take ints, Fractions or real
+Gaussian rationals (a non-real entry raises ``ValueError``), and ``solve`` a
+complex right-hand side. Gaussian rationals leave through ``m[i, j]``,
+``row``, ``repr`` and the vectors of ``solve`` and ``nullspace``. Elimination
+runs on the int rows by one fraction-free Gauss-Jordan loop (Bareiss 1968),
+and inertia by integer congruence with 1x1 pivots (P^T A P diagonal). Empty
 matrices keep their shape.
 """
 
@@ -36,11 +36,11 @@ class Matrix:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __new__(cls, entries: Sequence[Sequence]) -> "Matrix":
-        rows = [list(map(_real, row)) for row in entries]
+        rows = [list(row) for row in entries]
+        ints, _, den = _gaussian_ints([x for row in rows for x in row], real=True)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         cols = len(rows[0]) if rows else 0
-        ints, den = _int_row([x for row in rows for x in row])
         return cls._of([ints[i * cols:(i + 1) * cols] for i in range(len(rows))], den, cols)
 
     def __setattr__(self, name, value):
@@ -167,13 +167,12 @@ class Matrix:
         x = x_re + i*x_im. Free variables are set to zero, so pivot variables
         carry the full right-hand side (the canonical "pivot-first" solution).
         """
-        rhs = [GaussianRational.coerce(v) for v in b]
+        re, im, s = _gaussian_ints(b)
         m, n = self.rows, self.cols
-        if len(rhs) != m:
+        if len(re) != m:
             raise ValueError("right-hand side length does not match row count")
-        ints, s = _int_row([v.re for v in rhs] + [v.im for v in rhs])
         red, pivots = Matrix._of([
-            [s * x for x in row] + [self.den * ints[i], self.den * ints[m + i]]
+            [s * x for x in row] + [self.den * re[i], self.den * im[i]]
             for i, row in enumerate(self.num)
         ], s * self.den, n + 2).rref()
         if pivots and pivots[-1] >= n:
@@ -206,26 +205,28 @@ class Matrix:
         return _int_inertia([list(row) for row in self.num])
 
 
-def _real(x) -> int | Fraction:
-    """A matrix entry as an int or Fraction; a non-real one raises ``ValueError``."""
-    if isinstance(x, GaussianRational):
-        if x.im:
+def _gaussian_ints(values: Sequence, real: bool = False) -> tuple[list[int], list[int], int]:
+    """Ints, Fractions or Gaussian rationals as int real and imaginary numerators over
+    the lcm of their denominators, and that lcm. With ``real`` they are matrix entries."""
+    parts = []
+    for x in values:
+        if isinstance(x, (int, Fraction)):
+            parts += (x, 0)
+        elif isinstance(x, GaussianRational) and not (real and x.im):
+            parts += (x.re, x.im)
+        elif isinstance(x, GaussianRational):
             raise ValueError(f"matrix entries must be real, got {x}")
-        return x.re
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise TypeError(f"cannot interpret {x!r} as a rational matrix entry")
+        else:
+            what = "a rational matrix entry" if real else "a Gaussian rational"
+            raise TypeError(f"cannot interpret {x!r} as {what}")
+    den = lcm(*(x.denominator for x in parts))
+    ints = _cleared(parts, den)
+    return ints[::2], ints[1::2], den
 
 
-def _cleared(values: Sequence[Fraction], scale: int) -> list[int]:
+def _cleared(values: Sequence[int | Fraction], scale: int) -> list[int]:
     """``values`` times ``scale``, a positive common multiple of their denominators."""
     return [x.numerator * (scale // x.denominator) for x in values]
-
-
-def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``values`` as ints over the lcm of their denominators, and that lcm."""
-    scale = lcm(*(x.denominator for x in values))
-    return _cleared(values, scale), scale
 
 
 def _bareiss_jordan(a: list[list[int]], cols: int) -> tuple[tuple[int, ...], int]:
@@ -316,10 +317,3 @@ def inertia(m: Matrix) -> tuple[int, int, int]:
 
 def rank(m: Matrix) -> int:
     return m.rank()
-
-
-def real_fraction(x: GaussianRational) -> Fraction:
-    """Extract the rational value of a provably real scalar."""
-    if x.im != 0:
-        raise ArithmeticError(f"expected a real value, got {x}")
-    return x.re

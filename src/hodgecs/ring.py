@@ -7,8 +7,9 @@ on the top degree. A :class:`ClassVector` holds int numerators over one
 denominator, so complex classes and conjugation are exact. Products are int
 contractions over sparse structure tables, and integrals of products are int
 pairing matrices; each ring builds both once. Operator and form matrices take
-int rows from class numerators and the pairing. Gaussian rationals appear only
-where classes enter (``class_vector``) and leave (``coeffs``, ``integrate``).
+int rows from class numerators and the pairing, and every integral is the int
+``_integral``. Gaussian rationals are built only where values leave
+(``coeffs``, ``integrate``).
 
 The ring data cannot certify that a degree-1 class is Kahler; positivity is a
 user-declared flag. :func:`sanity_check_kahler` enforces the checkable
@@ -29,7 +30,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegreeError, FlagError, RingMismatchError, ValidationLimitError
 from .gaussian import GaussianRational
-from .linalg import Matrix, _bareiss_jordan, _cleared, _int_row, real_fraction
+from .linalg import Matrix, _cleared, _gaussian_ints
 
 FLAG_NONE = "none"
 FLAG_KAHLER = "kahler"
@@ -156,8 +157,9 @@ class IntersectionRing:
             tuple({lab: i for i, lab in enumerate(row)} for row in labels),
         )
         # D, one denominator of every structure constant; the integral as int weights.
+        weights, _, scale = _gaussian_ints(integral)
         object.__setattr__(self, "_den", lcm(*(c.denominator for out in table.values() for c in out)))
-        object.__setattr__(self, "_weights", _int_row(integral))
+        object.__setattr__(self, "_weights", (weights, scale))
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_pairings", {})
 
@@ -211,13 +213,10 @@ class IntersectionRing:
     # -- class construction ------------------------------------------------
 
     def class_vector(self, p: int, coeffs: Sequence, flag: str = FLAG_NONE) -> "ClassVector":
-        coeffs = tuple(GaussianRational.coerce(c) for c in coeffs)
-        if len(coeffs) != self.dim(p):
-            raise DegreeError(
-                f"degree {p} needs {self.dim(p)} coefficients, got {len(coeffs)}"
-            )
-        ints, den = _int_row([c.re for c in coeffs] + [c.im for c in coeffs])
-        return ClassVector(self, p, ints[:len(coeffs)], ints[len(coeffs):], den).with_flag(flag)
+        re, im, den = _gaussian_ints(coeffs)
+        if len(re) != self.dim(p):
+            raise DegreeError(f"degree {p} needs {self.dim(p)} coefficients, got {len(re)}")
+        return ClassVector(self, p, re, im, den).with_flag(flag)
 
     def basis_class(self, p: int, i: int) -> "ClassVector":
         re = [0] * self.dim(p)
@@ -275,11 +274,11 @@ class ClassVector:
     The class is (re + i * im) / den: ``re`` and ``im`` are int tuples of
     numerators (``im`` is None for a real class) over one positive ``den``.
     The constructor brings them to lowest terms, so equal classes have equal
-    fields. ``coeffs``, the Gaussian-rational coefficients, is built on first
-    read. Arithmetic and products stay on ints.
+    fields. ``coeffs``, the Gaussian-rational coefficients for values that
+    leave the package, is built on each read. Arithmetic stays on ints.
     """
 
-    __slots__ = ("ring", "degree", "re", "im", "den", "flag", "_coeffs")
+    __slots__ = ("ring", "degree", "re", "im", "den", "flag")
 
     def __init__(self, ring: IntersectionRing, degree: int, re: Sequence[int],
                  im: Optional[Sequence[int]] = None, den: int = 1, flag: str = FLAG_NONE):
@@ -295,33 +294,23 @@ class ClassVector:
         set_(self, "im", im)
         set_(self, "den", den)
         set_(self, "flag", flag)
-        set_(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassVector is immutable")
 
     @property
     def coeffs(self) -> tuple[GaussianRational, ...]:
-        if self._coeffs is None:
-            d, im = self.den, self.im or (0,) * len(self.re)
-            object.__setattr__(self, "_coeffs", tuple(
-                GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(self.re, im)))
-        return self._coeffs
+        d, im = self.den, self.im or (0,) * len(self.re)
+        return tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(self.re, im))
 
     # -- linear structure ----------------------------------------------
-
-    def _check_peer(self, other: "ClassVector") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise RingMismatchError("classes live in different rings")
-        if self.degree != other.degree:
-            raise DegreeError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
 
     def __add__(self, other, sign: int = 1):
         if not isinstance(other, ClassVector):
             return NotImplemented
-        self._check_peer(other)
+        _check_same_ring(self, other)
+        if self.degree != other.degree:
+            raise DegreeError(f"degree mismatch: {self.degree} vs {other.degree}")
         den = lcm(self.den, other.den)
         s, t = den // self.den, sign * (den // other.den)
         zero = (0,) * len(self.re)
@@ -347,8 +336,7 @@ class ClassVector:
         )
 
     def scaled(self, factor) -> "ClassVector":
-        f = GaussianRational.coerce(factor)
-        (fr, fi), q = _int_row([f.re, f.im])
+        (fr,), (fi,), q = _gaussian_ints([factor])
         return self._times(fr, fi, q)
 
     def __mul__(self, other):
@@ -409,14 +397,20 @@ class ClassVector:
 
 # -- ring operations -------------------------------------------------------
 
+def _check_same_ring(a: ClassVector, b: ClassVector,
+                     message: str = "classes live in different rings") -> None:
+    """Raise RingMismatchError unless ``a`` and ``b`` live in one ring (or equal rings)."""
+    if a.ring is not b.ring and a.ring != b.ring:
+        raise RingMismatchError(message)
+
+
 def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
     """Product of two classes; degree overflow past n is an error.
 
     The lower-degree factor goes first. The numerators are contracted over the
     ring's table, up to four passes for complex factors, over a.den * b.den * D.
     """
-    if a.ring is not b.ring and a.ring != b.ring:
-        raise RingMismatchError("classes live in different rings")
+    _check_same_ring(a, b)
     ring = a.ring
     total = a.degree + b.degree
     if total > ring.n:
@@ -469,22 +463,33 @@ def wedge_all(classes: Sequence[ClassVector], ring: IntersectionRing) -> ClassVe
     return out
 
 
-def integrate(a: ClassVector) -> GaussianRational:
-    """Apply the integration functional; only top-degree classes integrate."""
+def _integral(a: ClassVector) -> tuple[int, int, int]:
+    """The integral as ints (re, im, den): (re + i * im) / den, den > 0, not reduced."""
     ring = a.ring
     if a.degree != ring.n:
         raise DegreeError(f"cannot integrate a degree-{a.degree} class on an {ring.n}-fold")
     weights, scale = ring._weights
-    den = a.den * scale
-    return GaussianRational(
-        Fraction(sum(map(mul, weights, a.re)), den),
-        Fraction(sum(map(mul, weights, a.im)), den) if a.im else 0,
-    )
+    return (sum(map(mul, weights, a.re)), sum(map(mul, weights, a.im)) if a.im else 0,
+            a.den * scale)
+
+
+def _real_integral(a: ClassVector) -> tuple[int, int]:
+    """The integral as (num, den) ints; a non-real one raises ``ArithmeticError``."""
+    re, im, den = _integral(a)
+    if im:
+        raise ArithmeticError(f"expected a real value, got {integrate(a)}")
+    return re, den
+
+
+def integrate(a: ClassVector) -> GaussianRational:
+    """Apply the integration functional; only top-degree classes integrate."""
+    re, im, den = _integral(a)
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def integrate_real(a: ClassVector) -> Fraction:
     """Integrate and certify the result is real."""
-    return real_fraction(integrate(a))
+    return Fraction(*_real_integral(a))
 
 
 # -- validation -------------------------------------------------------------
@@ -601,7 +606,7 @@ def validate_ring(ring: IntersectionRing, limit: int = VALIDATE_LIMIT) -> Valida
                                 )
 
     for p in range(n + 1):
-        rank = _pairing_rank(ring, p)
+        rank = ring._pairing(p).rank()
         if rank != ring.dim(p):
             report.add(
                 "poincare-duality", f"pairing p={p}",
@@ -609,12 +614,6 @@ def validate_ring(ring: IntersectionRing, limit: int = VALIDATE_LIMIT) -> Valida
             )
 
     return report
-
-
-def _pairing_rank(ring: IntersectionRing, p: int) -> int:
-    """Rank of the pairing of degrees p and n - p, by the Bareiss kernel on its int rows."""
-    m = ring._pairing(p)
-    return len(_bareiss_jordan([list(row) for row in m.num], m.cols)[0])
 
 
 def _product_rows(ring: IntersectionRing, da: int, db: int) -> list[dict]:
@@ -787,6 +786,11 @@ class MixedSetup:
         return tuple(accumulate([self.omega] * (2 * self.p), wedge, initial=self.omega_p))
 
     @cached_property
+    def volume(self) -> Fraction:
+        """The integral of w^(2p) * Omega_p, the tower's top rung."""
+        return integrate_real(self.tower[2 * self.p])
+
+    @cached_property
     def omega_power(self) -> ClassVector:
         """w^p: the tower's middle rung when Omega_p is the unit (n = 2p), else p products."""
         return power(self.omega, self.p) if self.omegas else self.tower[self.p]
@@ -798,11 +802,10 @@ class MixedSetup:
         return LefschetzDecomposer(self)
 
     def check_class(self, alpha: ClassVector) -> None:
-        """Raise DegreeError unless ``alpha`` is a degree-p class of the ring."""
+        """Raise unless ``alpha`` is a degree-p class of the setup's ring."""
+        _check_same_ring(self.omega, alpha, "class belongs to a different ring")
         if alpha.degree != self.p:
             raise DegreeError(f"expected a degree-{self.p} class, got degree {alpha.degree}")
-        if alpha.ring is not self.ring and alpha.ring != self.ring:
-            raise DegreeError("class belongs to a different ring")
 
     def describe(self) -> str:
         ws = ", ".join(str(w) for w in self.omegas) or "(empty)"
@@ -818,8 +821,7 @@ def mixed_setup(p: int, omega: ClassVector, omegas: Sequence[ClassVector]) -> Mi
     if len(omegas) != n - 2 * p:
         raise DegreeError(f"expected {n - 2 * p} auxiliary classes, got {len(omegas)}")
     for w in (omega, *omegas):
-        if w.ring is not ring and w.ring != ring:
-            raise RingMismatchError("reference classes live in different rings")
+        _check_same_ring(omega, w, "reference classes live in different rings")
         if w.degree != 1:
             raise DegreeError("reference classes must have degree 1")
         if w.flag not in POSITIVE_FLAGS:

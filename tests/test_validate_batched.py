@@ -19,7 +19,6 @@ from hodgecs.ring import (
     VALIDATE_LIMIT,
     IntersectionRing,
     ValidationReport,
-    _pairing_rank,
     integrate,
     validate_ring,
     validation_work,
@@ -95,7 +94,7 @@ def pairing_matrix(ring: IntersectionRing, p: int) -> Matrix:
 
 def assert_same_ranks(ring: IntersectionRing) -> None:
     for p in range(ring.n + 1):
-        assert _pairing_rank(ring, p) == pairing_matrix(ring, p).rank(), (ring.name, p)
+        assert ring._pairing(p).rank() == pairing_matrix(ring, p).rank(), (ring.name, p)
 
 
 @pytest.mark.parametrize("name", zoo.list_entries())
@@ -122,7 +121,7 @@ def test_partly_degenerate_pairing_ranks():
     broken = replaced(ring, products={k: v for k, v in ring.products.items() if k != x_y})
     report = validate_ring(broken)
     assert report.issues == oracle_validate(broken).issues
-    assert [_pairing_rank(broken, p) for p in range(3)] == [1, 0, 1]
+    assert [broken._pairing(p).rank() for p in range(3)] == [1, 0, 1]
     assert_same_ranks(broken)
 
 
