@@ -36,6 +36,7 @@ from hodgecs.ring import (
 )
 from hodgecs.sampling import random_strict_setup, sample_random_class
 from test_int_matrix import _constructions, _scaled
+from test_ring_ints import _old_integrate as _oracle_integral
 
 I = GaussianRational(0, 1)
 
@@ -45,12 +46,6 @@ def _rings():
         yield zoo.get(name).ring
     yield _scaled(zoo.get("flag3").ring)
     yield _scaled(zoo.get("quadric4").ring)
-
-
-def _oracle_integral(a) -> GaussianRational:
-    """The integral from the Gaussian-rational coefficients and the integral vector."""
-    assert a.degree == a.ring.n
-    return sum((c * w for c, w in zip(a.coeffs, a.ring.integral)), GaussianRational(0))
 
 
 def _oracle_g(alpha, setup) -> Fraction:
@@ -114,19 +109,6 @@ def test_lambda_check_compares_both_parts():
             broken.decompose(alpha)
 
 
-def test_integrals_of_every_degree_pair_match_the_coefficients():
-    for ring in _rings():
-        n = ring.n
-        for p in range(n + 1):
-            a = sample_random_class(ring, p, 7, seed=31, index=p)
-            b = sample_random_class(ring, n - p, 7, seed=32, index=p).scaled(GaussianRational(1, -2))
-            ab = wedge(a, b)
-            assert integrate(ab) == _oracle_integral(ab), (ring.name, p)
-    complex_top = zoo.get("p2").ring.class_vector(2, [I])
-    with pytest.raises(ArithmeticError, match="expected a real value, got 1i"):
-        integrate_real(complex_top)
-
-
 # -- the entry reader ------------------------------------------------------------
 
 VALUES = [0, 3, Fraction(-2, 3), Fraction(5, 7)]
@@ -185,6 +167,8 @@ def test_floats_and_complex_entries_keep_their_errors():
         Matrix([[1, 2], [3]])
     with pytest.raises(DegreeError, match="needs 2 coefficients, got 1"):
         ring.class_vector(1, [I])
+    with pytest.raises(ArithmeticError, match="expected a real value, got 1i"):
+        integrate_real(zoo.get("p2").ring.class_vector(2, [I]))
 
 
 # -- ring identity ------------------------------------------------------------------
