@@ -30,7 +30,6 @@ from .gaussian import rational_from_str, rational_to_str
 from .ring import (
     FLAG_NONE,
     POSITIVE_FLAGS,
-    VALIDATE_LIMIT,
     ClassVector,
     IntersectionRing,
     RingSample,
@@ -66,14 +65,13 @@ def _rational(value, path: str, memo: dict[str, Fraction]) -> Fraction:
     return memo[value]
 
 
-def parse_ring_bundle(text: str, source: str = "<string>",
-                      limit: int = VALIDATE_LIMIT) -> IntersectionRing:
+def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
     """Parse and fully validate a ring bundle document.
 
     Syntax problems raise :class:`BundleSyntaxError` with line/column;
     constraint violations raise :class:`BundleSemanticError` carrying the
-    field path and the name of the first failing constraint. Validation
-    beyond the work ``limit`` raises :class:`ValidationLimitError`.
+    field path and the name of the first failing constraint.
+    :func:`validate_ring` raises :class:`ValidationLimitError` beyond its limit.
     """
     try:
         doc = json.loads(text)
@@ -94,6 +92,9 @@ def parse_ring_bundle(text: str, source: str = "<string>",
     basis = []
     for p, row in enumerate(_want(doc["basis"], list, "basis")):
         basis.append([_want(lab, str, f"basis[{p}][{i}]") for i, lab in enumerate(_want(row, list, f"basis[{p}]"))])
+        for i, lab in enumerate(basis[-1]):
+            if any(ch in "+-*" or ch.isspace() for ch in lab):
+                raise _semantic(f"label {lab!r} contains +, -, * or whitespace", f"basis[{p}][{i}]", "label")
 
     literals: dict[str, Fraction] = {}
     products = {}
@@ -143,14 +144,17 @@ def parse_ring_bundle(text: str, source: str = "<string>",
             _rational(c, f"{path}.coeffs[{i}]", literals)
             for i, c in enumerate(_want(rec["coeffs"], list, f"{path}.coeffs"))
         )
-        samples.append(RingSample(_want(rec["name"], str, f"{path}.name"), flag, coeffs))
+        sample = _want(rec["name"], str, f"{path}.name")
+        if any(x.name == sample for x in samples):
+            raise _semantic(f"sample name {sample!r} is already declared", f"{path}.name", "duplicate-sample")
+        samples.append(RingSample(sample, flag, coeffs))
 
     try:
         ring = IntersectionRing(name, n, hodge, basis, products, integral, samples)
     except ValueError as exc:
         raise _semantic(str(exc), "$", "structure") from None
 
-    report = validate_ring(ring, limit)
+    report = validate_ring(ring)
     if not report.ok:
         first = report.issues[0]
         err = _semantic(first.message, first.location, first.check)

@@ -50,7 +50,7 @@ from .inequalities import (
     kt_chain,
     verify_theorem,
 )
-from .lefschetz import gram_matrix_Q
+from .lefschetz import gram_matrix_Q, mixed_lefschetz_decompose
 from .linalg import Matrix
 from .ring import (
     FLAG_KAHLER,
@@ -59,8 +59,6 @@ from .ring import (
     ClassVector,
     IntersectionRing,
     MODE_STRICT,
-    VALIDATE_LIMIT,
-    VALIDATE_LIMIT_ENV,
     MixedSetup,
     ValidationIssue,
     ValidationReport,
@@ -101,21 +99,11 @@ def _counterexample_json(ce) -> dict:
 
 # -- argument plumbing ---------------------------------------------------------
 
-def _validate_limit() -> int:
-    """The validation work limit: $HODGECS_VALIDATE_LIMIT when set, else the default."""
-    text = os.environ.get(VALIDATE_LIMIT_ENV, "")
-    if not text:
-        return VALIDATE_LIMIT
-    if not text.isdecimal():
-        raise ValueError(f"{VALIDATE_LIMIT_ENV} must be a nonnegative integer, got {text!r}")
-    return int(text)
-
-
 def _load_ring(address: str) -> IntersectionRing:
     if address.startswith("zoo:"):
-        return zoo.get(address[len("zoo:"):], _validate_limit()).ring
+        return zoo.get(address[len("zoo:"):]).ring
     with open(address, encoding="utf-8") as fh:
-        return parse_ring_bundle(fh.read(), source=address, limit=_validate_limit())
+        return parse_ring_bundle(fh.read(), source=address)
 
 
 def _setup_class(ring: IntersectionRing, text: str, nef: bool) -> ClassVector:
@@ -220,7 +208,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     # Parsing a bundle file or a bundled zoo entry already ran validate_ring
     # and raised on any issue; only rings built by zoo code still need the checks.
     if args.ring.startswith("zoo:") and args.ring[len("zoo:"):] not in zoo._BUNDLED:
-        ring_report = validate_ring(ring, _validate_limit())
+        ring_report = validate_ring(ring)
     else:
         ring_report = ValidationReport(ring.name)
     lines = [str(ring_report)]
@@ -251,7 +239,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_zoo(args) -> tuple[int, dict, list[str]]:
     if args.name:
-        entry = zoo.get(args.name, _validate_limit())
+        entry = zoo.get(args.name)
         sub = argparse.Namespace(ring=f"zoo:{args.name}")
         code, report, lines = _cmd_info(sub)
         report["note"] = entry.note
@@ -259,9 +247,8 @@ def _cmd_zoo(args) -> tuple[int, dict, list[str]]:
         return code, report, lines
     records = []
     lines = []
-    limit = _validate_limit()
     for name in zoo.list_entries():
-        entry = zoo.get(name, limit)
+        entry = zoo.get(name)
         records.append({
             "name": name,
             "n": entry.ring.n,
@@ -300,7 +287,7 @@ def _cmd_signature(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
     setup, alpha, report = _class_prologue(args)
-    dec = setup.decomposer.decompose(alpha)
+    dec = mixed_lefschetz_decompose(alpha, setup)
     recon_ok = dec.reconstruct() == alpha
     certs_ok = all(c.is_zero for c in dec.certificates)
     report.update({

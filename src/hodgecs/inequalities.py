@@ -41,7 +41,7 @@ from .ring import (
     power,
     wedge,
 )
-from .lefschetz import DecompositionResult
+from .lefschetz import DecompositionResult, mixed_lefschetz_decompose
 
 DIRECTION_CS = "cs"
 DIRECTION_OPPOSITE = "opposite"
@@ -97,7 +97,7 @@ def compute_g_decomposed(alpha: ClassVector, setup: MixedSetup) -> DecomposedG:
     This route never forms the defining integrals of g, so comparing it with
     :func:`compute_g_direct` cross-checks the decomposition exactly.
     """
-    dec = setup.decomposer.decompose(alpha)
+    dec = mixed_lefschetz_decompose(alpha, setup)
     terms = dec.pairing_terms()
     return DecomposedG(setup.volume * sum(terms, Fraction(0)), terms, dec)
 
@@ -158,7 +158,7 @@ def check_cs(alpha: ClassVector, setup: MixedSetup, direction: str = DIRECTION_C
     odd_vanish = even_vanish = None
     uncharacterized = False
     if setup.mode == MODE_STRICT:
-        dec = setup.decomposer.decompose(alpha)
+        dec = mixed_lefschetz_decompose(alpha, setup)
         odd_vanish = all(c.is_zero for i, c in enumerate(dec.components, 1) if i % 2 == 1)
         even_vanish = all(c.is_zero for i, c in enumerate(dec.components, 1) if i % 2 == 0)
     elif g == 0:

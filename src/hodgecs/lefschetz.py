@@ -22,7 +22,8 @@ C_i = w^(2(p-i)+1) * Omega_p kills a_i, so r solves the mixed hard Lefschetz
 system r * w * C_i = c * C_i in degree i-1. For genuine Kahler references that
 map is an isomorphism, so r and a_i = c - w * r are unique; a singular map is
 reported as evidence of wrong flags. The products w^k * Omega_p come from
-``MixedSetup.tower``, and ``MixedSetup.decomposer`` is built once per setup.
+``MixedSetup.tower`` and each level's C_i and map inverse from
+``MixedSetup.levels``: one build per setup, read by all its decomposers.
 """
 
 from __future__ import annotations
@@ -265,32 +266,19 @@ class DecompositionResult:
 
 
 class LefschetzDecomposer:
-    """Reusable decomposition engine for a fixed strict setup.
+    """Decomposition engine for a fixed strict setup.
 
-    Per level i = p .. 1 it takes C_i = w^(2(p-i)+1) * Omega_p from the
-    setup's tower, builds the matrix of the mixed hard Lefschetz map
-    r -> r * w * C_i on degree i-1 and keeps its inverse, as int rows over one
-    denominator; a singular map raises. Decomposing a class is then one int
-    matrix-vector product per level.
-    ``MixedSetup.decomposer`` holds the one instance a setup needs.
+    Per level i = p .. 1 it reads C_i = w^(2(p-i)+1) * Omega_p and the int
+    inverse of the mixed hard Lefschetz map r -> r * w * C_i on degree i-1
+    from ``setup.levels``, which raises on a singular map. Decomposing a
+    class is then one int matrix-vector product per level.
     """
 
     def __init__(self, setup: MixedSetup):
         if setup.mode != MODE_STRICT:
             raise FlagError("decomposition requires a strictly Kahler setup")
         self.setup = setup
-        ring, p, tower = setup.ring, setup.p, setup.tower
-        self._levels = []
-        for i in range(p, 0, -1):
-            lower = multiplication_matrix(ring, i - 1, tower[2 * (p - i) + 2])
-            inverse = lower.inverse()
-            if inverse is None:
-                raise SingularSplitError(
-                    f"level {i}: the Lefschetz map on degree {i - 1} is "
-                    f"{lower.rows}x{lower.cols} of rank {lower.rank()}; "
-                    f"the reference classes are not Kahler"
-                )
-            self._levels.append((i, tower[2 * (p - i) + 1], inverse.num, inverse.den))
+        self._levels = setup.levels
 
     def decompose(self, alpha: ClassVector) -> DecompositionResult:
         setup = self.setup
@@ -325,5 +313,5 @@ class LefschetzDecomposer:
 
 
 def mixed_lefschetz_decompose(alpha: ClassVector, setup: MixedSetup) -> DecompositionResult:
-    """Decompose ``alpha`` with the setup's own decomposer, built on first use."""
-    return setup.decomposer.decompose(alpha)
+    """Decompose ``alpha`` in a strict ``setup``, whose levels are built on first use."""
+    return LefschetzDecomposer(setup).decompose(alpha)

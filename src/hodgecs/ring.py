@@ -20,6 +20,7 @@ Kahler samples) before a flag is honoured.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -28,7 +29,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DegreeError, FlagError, RingMismatchError, ValidationLimitError
+from .errors import (DegreeError, FlagError, RingMismatchError, SingularSplitError,
+                     ValidationLimitError)
 from .gaussian import GaussianRational
 from .linalg import Matrix, _cleared, _gaussian_ints
 
@@ -40,9 +42,9 @@ POSITIVE_FLAGS = (FLAG_KAHLER, FLAG_NEF)
 
 ProductKey = tuple[int, int, int, int]
 
-# Default bound on validation_work(hodge), and the variable the CLI reads to
-# override it. The default admits (P^1)^8 (W = 1,154,784) and refuses (P^1)^9
-# (W = 7,727,913).
+# Default bound on validation_work(hodge), and the variable validate_ring reads
+# to override it. The default admits (P^1)^8 (W = 1,893,946) and refuses
+# (P^1)^9 (W = 13,008,845).
 VALIDATE_LIMIT = 2_000_000
 VALIDATE_LIMIT_ENV = "HODGECS_VALIDATE_LIMIT"
 
@@ -525,20 +527,26 @@ class ValidationReport:
 
 
 def validation_work(hodge: Sequence[int]) -> int:
-    """W = sum of h_da * h_db * h_dc over the degree triples associativity checks."""
+    """W = sum of h_da * h_db * h_dc over the degree triples associativity checks,
+    plus sum of h_p^3 over the n + 1 Poincare pairings it ranks."""
     n = len(hodge) - 1
     return sum(hodge[da] * hodge[db] * hodge[dc]
                for da in range(1, n + 1)
                for db in range(1, n - da + 1)
-               for dc in range(1, n - da - db + 1))
+               for dc in range(1, n - da - db + 1)) + sum(h ** 3 for h in hodge)
 
 
-def validate_ring(ring: IntersectionRing, limit: int = VALIDATE_LIMIT) -> ValidationReport:
+def validate_ring(ring: IntersectionRing) -> ValidationReport:
     """Check grading, commutativity, associativity and Poincare duality.
 
-    Raises :class:`ValidationLimitError` before any product is formed when
-    the associativity work W (:func:`validation_work`) exceeds ``limit``.
+    The one reader of the work limit: $HODGECS_VALIDATE_LIMIT on each call,
+    ``VALIDATE_LIMIT`` when unset. Raises :class:`ValidationLimitError` before
+    any product or pairing rank when W (:func:`validation_work`) exceeds it.
     """
+    text = os.environ.get(VALIDATE_LIMIT_ENV, "")
+    if text and not text.isdecimal():
+        raise ValueError(f"{VALIDATE_LIMIT_ENV} must be a nonnegative integer, got {text!r}")
+    limit = int(text) if text else VALIDATE_LIMIT
     report = ValidationReport(ring.name)
     n = ring.n
 
@@ -564,8 +572,8 @@ def validate_ring(ring: IntersectionRing, limit: int = VALIDATE_LIMIT) -> Valida
     if work > limit:
         raise ValidationLimitError(
             f"ring {ring.name!r}: validation work W = {work} (sum of h_a*h_b*h_c over "
-            f"degree triples) exceeds the limit {limit}; set {VALIDATE_LIMIT_ENV} "
-            f"to at least {work} to validate it"
+            f"degree triples plus sum of h_p^3 over pairings) exceeds the limit {limit}; "
+            f"set {VALIDATE_LIMIT_ENV} to at least {work} to validate it"
         )
 
     for p, row in enumerate(ring.basis_labels):
@@ -796,10 +804,23 @@ class MixedSetup:
         return power(self.omega, self.p) if self.omegas else self.tower[self.p]
 
     @cached_property
-    def decomposer(self):
-        """The setup's LefschetzDecomposer, built on first use; raises as it does."""
-        from .lefschetz import LefschetzDecomposer
-        return LefschetzDecomposer(self)
+    def levels(self) -> tuple[tuple[int, ClassVector, tuple, int], ...]:
+        """Levels i = p .. 1 of the Lefschetz decomposition: (i, C_i, rows, den) with
+        C_i = w^(2(p-i)+1) * Omega_p and rows / den the inverse of r -> r * w * C_i
+        on degree i-1; built on first use, a singular map raises."""
+        p, tower = self.p, self.tower
+        levels = []
+        for i in range(p, 0, -1):
+            lower = multiplication_matrix(self.ring, i - 1, tower[2 * (p - i) + 2])
+            inverse = lower.inverse()
+            if inverse is None:
+                raise SingularSplitError(
+                    f"level {i}: the Lefschetz map on degree {i - 1} is "
+                    f"{lower.rows}x{lower.cols} of rank {lower.rank()}; "
+                    f"the reference classes are not Kahler"
+                )
+            levels.append((i, tower[2 * (p - i) + 1], inverse.num, inverse.den))
+        return tuple(levels)
 
     def check_class(self, alpha: ClassVector) -> None:
         """Raise unless ``alpha`` is a degree-p class of the setup's ring."""

@@ -21,7 +21,6 @@ from .errors import UnknownRingError
 from .ring import (
     FLAG_KAHLER,
     FLAG_NEF,
-    VALIDATE_LIMIT,
     IntersectionRing,
     RingSample,
     wedge,
@@ -199,10 +198,10 @@ def _build_p1xp2() -> ZooEntry:
     return ZooEntry("p1xp2", ring, "product threefold; cone = xa + yb with x, y > 0")
 
 
-def load_bundled(name: str, limit: int = VALIDATE_LIMIT) -> ZooEntry:
+def load_bundled(name: str) -> ZooEntry:
     """Load a ring shipped as a data file (or from $HODGECS_DATA_DIR).
 
-    Parsing validates the ring within the work ``limit``.
+    Parsing validates the ring, within the limit ``validate_ring`` reads.
     """
     from .bundle import parse_ring_bundle
 
@@ -212,13 +211,13 @@ def load_bundled(name: str, limit: int = VALIDATE_LIMIT) -> ZooEntry:
         path = os.path.join(override, filename)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
-                ring = parse_ring_bundle(fh.read(), source=path, limit=limit)
+                ring = parse_ring_bundle(fh.read(), source=path)
             return ZooEntry(name, ring, f"bundled ring data ({path})")
     try:
         text = resources.files("hodgecs").joinpath("data", filename).read_text("utf-8")
     except FileNotFoundError:
         raise UnknownRingError(f"no bundled ring named {name!r}") from None
-    ring = parse_ring_bundle(text, source=f"data/{filename}", limit=limit)
+    ring = parse_ring_bundle(text, source=f"data/{filename}")
     return ZooEntry(name, ring, f"bundled ring data ({filename})")
 
 
@@ -245,13 +244,12 @@ def list_entries() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def get(name: str, limit: int = VALIDATE_LIMIT) -> ZooEntry:
-    """The entry ``name``, built on first use; ``limit`` bounds a bundled entry's validation."""
+def get(name: str) -> ZooEntry:
+    """The entry ``name``, built and cached on first use (a bundled one is validated then)."""
     if name not in _BUILDERS:
         raise UnknownRingError(
             f"unknown zoo entry {name!r}; available: {', '.join(_BUILDERS)}"
         )
     if name not in _CACHE:
-        build = _BUILDERS[name]
-        _CACHE[name] = build(limit=limit) if name in _BUNDLED else build()
+        _CACHE[name] = _BUILDERS[name]()
     return _CACHE[name]

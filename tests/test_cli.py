@@ -291,9 +291,9 @@ def test_validate_file_validates_once(tmp_path, monkeypatch, capsys):
     calls = []
     real = hodgecs.bundle.validate_ring
 
-    def counting(ring, *limit):
+    def counting(ring):
         calls.append(ring.name)
-        return real(ring, *limit)
+        return real(ring)
 
     monkeypatch.setattr(hodgecs.bundle, "validate_ring", counting)
     monkeypatch.setattr(hodgecs.cli, "validate_ring", counting)

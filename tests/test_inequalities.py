@@ -378,7 +378,7 @@ def test_counterexample_kernel_comes_from_the_tower(monkeypatch):
     # Oracle: the primitive basis for (w, w^2), multiplied out on its own.
     witness = primitive_basis(ring, 1, w, [w, w]).basis[0]
     theta = power(w, 2) + wedge(witness, w)
-    setup.decomposer  # builds the tower and the decomposer before counting
+    setup.levels  # builds the tower and the decomposer levels before counting
     calls = _count_wedges(monkeypatch)
     ce = construct_counterexample(ring, 2, setup, "cs")
     assert (ce.witness, ce.theta) == (witness, theta)

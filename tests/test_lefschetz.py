@@ -1,6 +1,9 @@
 """Lefschetz operators, primitive subspaces, signed forms, decompositions."""
 
+import gc
+import weakref
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -19,6 +22,7 @@ from hodgecs.lefschetz import (
 from hodgecs.linalg import Matrix
 from hodgecs.ring import (
     FLAG_KAHLER,
+    MixedSetup,
     as_kahler,
     integrate_real,
     mixed_setup,
@@ -357,14 +361,17 @@ def test_tower_matches_powers_times_omega_p():
 
 
 def test_each_setup_builds_one_decomposer(monkeypatch):
+    # Decomposers are cheap; the level build they read is once per setup.
     builds = []
-    original = LefschetzDecomposer.__init__
+    build = MixedSetup.levels.func
 
-    def counting_init(self, setup):
+    def counting(setup):
         builds.append(setup)
-        original(self, setup)
+        return build(setup)
 
-    monkeypatch.setattr(LefschetzDecomposer, "__init__", counting_init)
+    levels = cached_property(counting)
+    levels.__set_name__(MixedSetup, "levels")
+    monkeypatch.setattr(MixedSetup, "levels", levels)
     ring = _p1_fourth()
     setup = random_strict_setup(ring, 2, 5, seed=46, index=0)
     alpha = sample_random_class(ring, 2, 5, seed=46, index=0)
@@ -373,7 +380,7 @@ def test_each_setup_builds_one_decomposer(monkeypatch):
     compute_g_decomposed(alpha, setup)
     mixed_lefschetz_decompose(alpha, setup)
     assert len(builds) == 1 and builds[0] is setup
-    assert setup.decomposer is setup.decomposer
+    assert LefschetzDecomposer(setup)._levels is setup.levels
 
     # Both dimension conditions fail on (P1)^4 at p = 2, so verify_theorem
     # builds two counterexamples on the setup of sample 0.
@@ -381,3 +388,20 @@ def test_each_setup_builds_one_decomposer(monkeypatch):
     report = verify_theorem(ring, 2, samples=2, seed=47)
     assert sorted(report.counterexamples) == ["cs", "opposite"]
     assert len(builds) == 1
+
+
+def test_used_setup_is_freed_without_the_cycle_collector():
+    # Nothing the setup caches (tower, levels) points back at it, so dropping
+    # the last reference frees it at once, with its tower and level inverses.
+    ring = zoo.blowup_pn(8).ring
+    setup = random_strict_setup(ring, 3, 5, seed=48, index=0)
+    alpha = sample_random_class(ring, 3, 5, seed=48, index=0)
+    gc.disable()
+    try:
+        verdict = check_cs(alpha, setup)
+        assert verdict.odd_components_vanish is not None   # it decomposed
+        ref = weakref.ref(setup)
+        del setup
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -89,7 +89,7 @@ def test_g_and_lambda_match_the_gaussian_formulas():
                     mixed = wedge(alpha, setup.tower[p])
                     assert integrate(mixed) == _oracle_integral(mixed), where
                     if setup.mode == "strict":
-                        dec = setup.decomposer.decompose(alpha)
+                        dec = LefschetzDecomposer(setup).decompose(alpha)
                         assert isinstance(dec.lam, GaussianRational)
                         assert dec.lam * vol == _oracle_integral(mixed), where
                         assert compute_g_decomposed(alpha, setup).value == g, where
@@ -104,7 +104,7 @@ def test_lambda_check_compares_both_parts():
     broken = LefschetzDecomposer(setup)
     broken._levels = [(i, c, inverse, 2 * d) for i, c, inverse, d in broken._levels]
     for alpha in (setup.omega_power, setup.omega_power.scaled(I)):
-        assert setup.decomposer.decompose(alpha).lam in (1, I)
+        assert LefschetzDecomposer(setup).decompose(alpha).lam in (1, I)
         with pytest.raises(SingularSplitError, match="closed-form"):
             broken.decompose(alpha)
 
@@ -224,7 +224,7 @@ def test_int_paths_build_no_gaussian_rational():
     assert seen["__new__"] + seen["_from_coprime_ints"] == 1
 
     # The decomposition builds one Gaussian rational: the lambda it returns.
-    decomposer = setup.decomposer
+    decomposer = LefschetzDecomposer(setup)
     dec, seen = _constructions(lambda: decomposer.decompose(alpha))
     assert seen["__init__"] == 1
     assert dec.lam * setup.volume == integrate(wedge(alpha, power(setup.omega, 2)))

@@ -169,19 +169,23 @@ def power_of_p1(k: int) -> str:
 
 def test_validation_work_figures():
     from math import comb
-    assert validation_work([comb(7, i) for i in range(8)]) == 169_099
-    assert validation_work([comb(9, i) for i in range(10)]) == 7_727_913
+    assert validation_work([comb(7, i) for i in range(8)]) == 274_059
+    assert validation_work([comb(8, i) for i in range(9)]) == 1_893_946
+    assert validation_work([comb(9, i) for i in range(10)]) == 13_008_845
+    assert validation_work([1, 400, 1]) == 64_000_002
     assert validation_work([comb(9, i) for i in range(10)]) > VALIDATE_LIMIT
     assert all(validation_work(zoo.get(name).ring.hodge) <= VALIDATE_LIMIT
                for name in zoo.list_entries())
 
 
-def test_work_limit_is_checked_before_any_product():
+def test_work_limit_is_checked_before_any_product(monkeypatch):
     ring = replaced(zoo.get("blp4").ring)   # a fresh ring has built no structure table
-    with pytest.raises(ValidationLimitError, match=r"W = 32 .* exceeds the limit 31"):
-        validate_ring(ring, limit=31)
-    assert ring._tables == {}
-    assert validate_ring(ring, limit=32).ok
+    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "57")
+    with pytest.raises(ValidationLimitError, match=r"W = 58 .* exceeds the limit 57"):
+        validate_ring(ring)
+    assert ring._tables == {} and ring._pairings == {}
+    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "58")
+    assert validate_ring(ring).ok
 
 
 def test_work_limit_exit_2_names_work_limit_and_override(tmp_path, capsys, monkeypatch):
@@ -193,18 +197,18 @@ def test_work_limit_exit_2_names_work_limit_and_override(tmp_path, capsys, monke
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: ring 'p1x9': validation work W = 7727913 (sum of h_a*h_b*h_c over "
-            f"degree triples) exceeds the limit {VALIDATE_LIMIT}; set HODGECS_VALIDATE_LIMIT "
-            "to at least 7727913 to validate it\n")
+            "error: ring 'p1x9': validation work W = 13008845 (sum of h_a*h_b*h_c over "
+            "degree triples plus sum of h_p^3 over pairings) exceeds the limit "
+            f"{VALIDATE_LIMIT}; set HODGECS_VALIDATE_LIMIT to at least 13008845 to validate it\n")
 
 
 def test_work_limit_override(tmp_path, capsys, monkeypatch):
     path = tmp_path / "p1x4.json"
     path.write_text(power_of_p1(4))
-    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "351")
+    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "697")
     assert main(["info", str(path)]) == 2
-    assert "W = 352 (" in capsys.readouterr().err
-    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "352")
+    assert "W = 698 (" in capsys.readouterr().err
+    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "698")
     # Past the limit, the empty product table fails validation as usual.
     assert main(["validate", str(path)]) == 1
     assert "[associativity]" not in capsys.readouterr().out
@@ -212,9 +216,36 @@ def test_work_limit_override(tmp_path, capsys, monkeypatch):
     assert main(["validate", "zoo:p3"]) == 2
     assert capsys.readouterr().err == (
         "error: HODGECS_VALIDATE_LIMIT must be a nonnegative integer, got 'lots'\n")
+    # validate_ring is the one reader: a command that validates nothing ignores it.
+    assert main(["info", "zoo:p3"]) == 0
+    capsys.readouterr()
     monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "0")
     assert main(["validate", "zoo:p3"]) == 2
-    assert "W = 1 (" in capsys.readouterr().err
+    assert "W = 5 (" in capsys.readouterr().err
+
+
+def test_work_limit_counts_the_pairing_ranks(tmp_path, capsys, monkeypatch):
+    # A 2-fold has no degree triple; its W is the cost of ranking its pairings.
+    # With h^1 = 400 and a tridiagonal (nondegenerate) pairing it is refused
+    # before any pairing is ranked.
+    h1 = 400
+    doc = {
+        "name": "wide", "n": 2, "hodge": [1, h1, 1],
+        "basis": [["1"], [f"e{i}" for i in range(h1)], ["pt"]],
+        "products": [{"da": 1, "ia": i, "db": 1, "ib": j, "out": ["2" if i == j else "1"]}
+                     for i in range(h1) for j in (i, i + 1) if j < h1],
+        "integral": ["1"],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+
+    def no_rank(self):
+        raise AssertionError("a pairing was ranked")
+
+    monkeypatch.setattr(Matrix, "rank", no_rank)
+    monkeypatch.delenv("HODGECS_VALIDATE_LIMIT", raising=False)
+    assert main(["info", str(path)]) == 2
+    assert "validation work W = 64000002 (" in capsys.readouterr().err
 
 
 def test_work_limit_override_reaches_bundled_zoo_entries(tmp_path, capsys, monkeypatch):
@@ -223,10 +254,10 @@ def test_work_limit_override_reaches_bundled_zoo_entries(tmp_path, capsys, monke
     (tmp_path / "flag3.json").write_text(json.dumps(doc))
     monkeypatch.setenv("HODGECS_DATA_DIR", str(tmp_path))
     monkeypatch.setattr(zoo, "_CACHE", {})
-    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "3124")
+    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "5376")
     assert main(["zoo", "flag3"]) == 2
-    assert "W = 3125 (" in capsys.readouterr().err
-    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "3125")
+    assert "W = 5377 (" in capsys.readouterr().err
+    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "5377")
     assert main(["info", "zoo:flag3"]) == 2
     assert capsys.readouterr().err.startswith("invalid ring bundle: pairing p=1: ")
 
