@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from . import zoo
@@ -72,7 +73,7 @@ from .ring import (
 # -- serialization helpers ---------------------------------------------------
 
 def _scalar(x) -> object:
-    """Exact JSON form of a scalar: "p/q" when real, {"re","im"} otherwise."""
+    """Exact JSON form of a matrix entry or scalar: "p/q" when real, {"re","im"} otherwise."""
     if isinstance(x, GaussianRational):
         if x.is_real:
             return rational_to_str(x.re)
@@ -80,10 +81,24 @@ def _scalar(x) -> object:
     return rational_to_str(Fraction(x))
 
 
+def _coeffs_json(c: ClassVector) -> list:
+    """The coefficients of a class as ``_scalar`` writes them, read off the int
+    numerators: "p/q" in lowest terms ("p" when q is 1), {"re","im"} when complex."""
+    d = c.den
+
+    def ratio(x: int) -> str:
+        g = gcd(x, d)
+        return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+    if c.im is None:
+        return [ratio(x) for x in c.re]
+    return [{"re": ratio(x), "im": ratio(y)} if y else ratio(x) for x, y in zip(c.re, c.im)]
+
+
 def _class_json(c: ClassVector) -> dict:
     return {
         "degree": c.degree,
-        "coeffs": [_scalar(x) for x in c.coeffs],
+        "coeffs": _coeffs_json(c),
         "expr": str(c),
     }
 
@@ -359,8 +374,8 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
         "records": [
             {
                 "index": r.index,
-                "alpha": [_scalar(c) for c in r.alpha.coeffs],
-                "omega": [_scalar(c) for c in r.omega.coeffs],
+                "alpha": _coeffs_json(r.alpha),
+                "omega": _coeffs_json(r.omega),
                 "g": rational_to_str(r.g_value),
                 "relation": r.relation,
                 "proportional": r.proportional,

@@ -76,7 +76,8 @@ class IntersectionRing:
     """
 
     __slots__ = ("name", "n", "hodge", "basis_labels", "products", "integral",
-                 "samples", "_label_index", "_den", "_weights", "_tables", "_pairings")
+                 "samples", "_label_index", "_den", "_weights", "_tables", "_pairings",
+                 "_sample_rows")
 
     def __init__(
         self,
@@ -164,6 +165,7 @@ class IntersectionRing:
         object.__setattr__(self, "_weights", (weights, scale))
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_pairings", {})
+        object.__setattr__(self, "_sample_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionRing is immutable")
@@ -231,18 +233,35 @@ class IntersectionRing:
     def zero_class(self, p: int) -> "ClassVector":
         return ClassVector(self, p, (0,) * self.dim(p))
 
+    def _sample_ints(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each declared sample as (int numerators, denominator), cleared on first use.
+
+        The ring keeps ints, not classes: a class points back at its ring, and
+        the cycle would leave every ring that read its samples to the cycle
+        collector instead of freeing it when its last reference goes.
+        """
+        if self._sample_rows is None:
+            classes = [self.class_vector(1, s.coeffs, s.flag) for s in self.samples]
+            object.__setattr__(self, "_sample_rows", tuple((c.re, c.den) for c in classes))
+        return self._sample_rows
+
     def sample(self, name: str) -> "ClassVector":
-        for s in self.samples:
+        for s, (re, den) in zip(self.samples, self._sample_ints()):
             if s.name == name:
-                return self.class_vector(1, s.coeffs, s.flag)
+                return ClassVector(self, 1, re, None, den, s.flag)
         raise KeyError(f"ring {self.name!r} has no sample {name!r}")
 
     def sample_classes(self, flag: Optional[str] = None) -> tuple["ClassVector", ...]:
-        return tuple(
-            self.class_vector(1, s.coeffs, s.flag)
-            for s in self.samples
-            if flag is None or s.flag == flag
-        )
+        """The declared samples as flagged degree-1 classes, in declaration order;
+        with ``flag``, only the samples of that flag.
+
+        The coefficients are cleared to ints once per ring, on first use (parsing
+        a ring never reads them), so each call builds its classes from ints
+        without reading a ``Fraction``.
+        """
+        return tuple(ClassVector(self, 1, re, None, den, s.flag)
+                     for s, (re, den) in zip(self.samples, self._sample_ints())
+                     if flag is None or s.flag == flag)
 
     def kahler_samples(self) -> tuple["ClassVector", ...]:
         return self.sample_classes(FLAG_KAHLER)

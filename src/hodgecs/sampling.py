@@ -7,13 +7,20 @@ splitmix64. The same (seed, index) always yields the same draw; distinct
 stream tags keep independent sampling loops from sharing a stream.
 
 Stream tags: 0 = random classes, 1 = cone classes, 2 = strict setups.
+
+Draws stay on ints. Each coefficient is a numerator and a denominator drawn
+by ``int_between`` (numerator first); a class is built once, as int
+numerators over the lcm of its denominators, and ``ClassVector`` brings it to
+lowest terms. A cone draw sums int multiples of the ring's Kahler sample
+numerators, which the ring clears once per ring on first use, over one
+denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
-from .errors import MissingSamplesError
+from .errors import DegreeError, MissingSamplesError
 from .ring import (
     FLAG_KAHLER,
     ClassVector,
@@ -76,16 +83,6 @@ class Xoshiro256StarStar:
     def int_between(self, lo: int, hi: int) -> int:
         return lo + self.below(hi - lo + 1)
 
-    def rational(self, height: int, positive: bool = False) -> Fraction:
-        """Numerator in [-height, height] (or [1, height] when positive),
-        denominator in [1, height]."""
-        if positive:
-            num = self.int_between(1, height)
-        else:
-            num = self.int_between(-height, height)
-        den = self.int_between(1, height)
-        return Fraction(num, den)
-
 
 STREAM_CLASS = 0
 STREAM_CONE = 1
@@ -100,16 +97,21 @@ def sample_random_class(
     Coefficients are rationals with numerator in [-height, height] and
     denominator in [1, height]; all-zero draws are rejected and redrawn from
     the same stream, so the zero class never occurs. Identical (seed, index)
-    give identical output on every platform.
+    give identical output on every platform. Raises ``DegreeError`` when the
+    degree is out of range or its graded piece is zero, as it has no nonzero
+    class to draw.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
-    rng = Xoshiro256StarStar(seed, STREAM_CLASS, index)
     dim = ring.dim(degree)
+    if dim == 0:
+        raise DegreeError(f"degree {degree} of ring {ring.name!r} has dimension 0: no nonzero class")
+    rng = Xoshiro256StarStar(seed, STREAM_CLASS, index)
     while True:
-        coeffs = [rng.rational(height) for _ in range(dim)]
-        if any(coeffs):
-            return ring.class_vector(degree, coeffs)
+        draws = [(rng.int_between(-height, height), rng.int_between(1, height)) for _ in range(dim)]
+        if any(num for num, _ in draws):
+            den = lcm(*(d for _, d in draws))
+            return ClassVector(ring, degree, [num * (den // d) for num, d in draws], None, den)
 
 
 def _cone_draws(ring: IntersectionRing, rng: Xoshiro256StarStar, height: int):
@@ -118,12 +120,18 @@ def _cone_draws(ring: IntersectionRing, rng: Xoshiro256StarStar, height: int):
     generators = ring.kahler_samples()
     if not generators:
         raise MissingSamplesError(f"ring {ring.name!r} declares no Kahler cone samples")
+    zero = [0] * ring.dim(1)
 
     def draw() -> ClassVector:
-        out = ring.zero_class(1)
-        for gen in generators:
-            out = out + gen.scaled(rng.rational(height, positive=True))
-        return out.with_flag(FLAG_KAHLER)
+        # n_j / d_j times gen_j = re_j / den_j, summed over L = lcm of the d_j * den_j.
+        draws = [(rng.int_between(1, height), rng.int_between(1, height) * gen.den)
+                 for gen in generators]
+        den = lcm(*(d for _, d in draws))
+        out = zero
+        for (num, d), gen in zip(draws, generators):
+            f = num * (den // d)
+            out = [x + f * y for x, y in zip(out, gen.re)]
+        return ClassVector(ring, 1, out, None, den).with_flag(FLAG_KAHLER)
 
     return draw
 

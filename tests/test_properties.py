@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodgecs import zoo
+from hodgecs.cli import _coeffs_json, _scalar
 from hodgecs.gaussian import GaussianRational
 from hodgecs.inequalities import compute_g_direct
 from hodgecs.linalg import Matrix
@@ -113,3 +114,27 @@ def test_g_scale_equivariance(coeffs, scale):
     g = compute_g_direct(alpha, setup)
     assert compute_g_direct(alpha.scaled(t), setup) == t.abs2() * g
     assert g <= 0  # opposite direction holds unconditionally in degree 1
+
+
+# Real entries (zero, negative, fractional) and complex ones, in classes of 1 to 3
+# coefficients: degree 1 of p4, of blp4 and of P^1 x P^1 x P^1.
+_formatter_rings = {1: zoo.get("p4").ring, 2: zoo.get("blp4").ring,
+                    3: zoo.product(zoo.get("p1xp1"), zoo.get("p1")).ring}
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-60, max_value=60, max_denominator=24),
+    st.builds(GaussianRational, st.fractions(min_value=-9, max_value=9, max_denominator=12),
+              st.fractions(min_value=-9, max_value=9, max_denominator=12)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_entries, min_size=1, max_size=3))
+@example([Fraction(0), Fraction(0)])
+@example([Fraction(1, 2), Fraction(1, 4)])
+@example([Fraction(-3, 6), Fraction(5)])
+@example([GaussianRational(Fraction(1, 2), Fraction(1, 4)), Fraction(2, 4)])
+@example([GaussianRational(0, Fraction(-2, 3)), Fraction(0), Fraction(-7, 9)])
+def test_int_coefficient_formatter_matches_scalar(coeffs):
+    cls = _formatter_rings[len(coeffs)].class_vector(1, coeffs)
+    assert _coeffs_json(cls) == [_scalar(c) for c in cls.coeffs]
