@@ -232,7 +232,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     for s in ring.samples:
         if s.flag != FLAG_KAHLER:
             continue
-        check = sanity_check_kahler(ring, ring.sample(s.name))
+        check = sanity_check_kahler(ring, ring.class_vector(1, s.coeffs, s.flag))
         sample_reports.append({
             "sample": s.name,
             "passed": check.passed,

@@ -225,7 +225,7 @@ class IntersectionRing:
     def basis_class(self, p: int, i: int) -> "ClassVector":
         re = [0] * self.dim(p)
         re[i] = 1
-        return ClassVector(self, p, re)
+        return ClassVector._reduced(self, p, tuple(re), None, 1)
 
     def unit(self) -> "ClassVector":
         return self.basis_class(0, 0)
@@ -248,7 +248,7 @@ class IntersectionRing:
     def sample(self, name: str) -> "ClassVector":
         for s, (re, den) in zip(self.samples, self._sample_ints()):
             if s.name == name:
-                return ClassVector(self, 1, re, None, den, s.flag)
+                return ClassVector._reduced(self, 1, re, None, den, s.flag)
         raise KeyError(f"ring {self.name!r} has no sample {name!r}")
 
     def sample_classes(self, flag: Optional[str] = None) -> tuple["ClassVector", ...]:
@@ -259,7 +259,7 @@ class IntersectionRing:
         a ring never reads them), so each call builds its classes from ints
         without reading a ``Fraction``.
         """
-        return tuple(ClassVector(self, 1, re, None, den, s.flag)
+        return tuple(ClassVector._reduced(self, 1, re, None, den, s.flag)
                      for s, (re, den) in zip(self.samples, self._sample_ints())
                      if flag is None or s.flag == flag)
 
@@ -301,20 +301,33 @@ class ClassVector:
 
     __slots__ = ("ring", "degree", "re", "im", "den", "flag")
 
-    def __init__(self, ring: IntersectionRing, degree: int, re: Sequence[int],
-                 im: Optional[Sequence[int]] = None, den: int = 1, flag: str = FLAG_NONE):
+    def __new__(cls, ring: IntersectionRing, degree: int, re: Sequence[int],
+                im: Optional[Sequence[int]] = None, den: int = 1, flag: str = FLAG_NONE):
         im = tuple(im) if any(im or ()) else None
         g = gcd(den, *re, *im) if im else gcd(den, *re)
         if g != 1:
             re, den = [x // g for x in re], den // g
             im = im and tuple(x // g for x in im)
-        set_ = object.__setattr__
-        set_(self, "ring", ring)
-        set_(self, "degree", degree)
-        set_(self, "re", tuple(re))
-        set_(self, "im", im)
-        set_(self, "den", den)
-        set_(self, "flag", flag)
+        return cls._reduced(ring, degree, tuple(re), im, den, flag)
+
+    @classmethod
+    def _reduced(cls, ring: IntersectionRing, degree: int, re: tuple[int, ...],
+                 im: Optional[tuple[int, ...]], den: int, flag: str = FLAG_NONE) -> "ClassVector":
+        """A class from fields already in lowest terms, taken as they are.
+
+        The caller vouches for what the constructor would establish: ``re`` and
+        ``im`` are int tuples, ``im`` is None or not all zero, ``den > 0`` and
+        gcd(den, *re, *im) == 1. No gcd is taken and nothing is copied. The
+        slots are written through their descriptors, as ``__setattr__`` refuses.
+        """
+        c = object.__new__(cls)
+        _set_ring(c, ring)
+        _set_degree(c, degree)
+        _set_re(c, re)
+        _set_im(c, im)
+        _set_den(c, den)
+        _set_flag(c, flag)
+        return c
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassVector is immutable")
@@ -371,8 +384,8 @@ class ClassVector:
     __rmul__ = __mul__
 
     def conjugate(self) -> "ClassVector":
-        im = None if self.im is None else [-y for y in self.im]
-        return ClassVector(self.ring, self.degree, self.re, im, self.den, self.flag)
+        return self if self.im is None else ClassVector._reduced(
+            self.ring, self.degree, self.re, tuple(-y for y in self.im), self.den, self.flag)
 
     # -- predicates ------------------------------------------------------
 
@@ -389,7 +402,7 @@ class ClassVector:
             raise FlagError(f"unknown positivity flag {flag!r}")
         if flag != FLAG_NONE and (self.degree != 1 or self.im is not None):
             raise FlagError("kahler/nef flags only apply to real degree-1 classes")
-        return ClassVector(self.ring, self.degree, self.re, self.im, self.den, flag)
+        return ClassVector._reduced(self.ring, self.degree, self.re, self.im, self.den, flag)
 
     def __eq__(self, other):
         # Positivity flags are advisory metadata and do not affect identity.
@@ -416,6 +429,10 @@ class ClassVector:
         return " + ".join(terms) if terms else "0"
 
 
+_set_ring, _set_degree, _set_re, _set_im, _set_den, _set_flag = (
+    ClassVector.__dict__[name].__set__ for name in ClassVector.__slots__)
+
+
 # -- ring operations -------------------------------------------------------
 
 def _check_same_ring(a: ClassVector, b: ClassVector,
@@ -428,8 +445,8 @@ def _check_same_ring(a: ClassVector, b: ClassVector,
 def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
     """Product of two classes; degree overflow past n is an error.
 
-    The lower-degree factor goes first. The numerators are contracted over the
-    ring's table, up to four passes for complex factors, over a.den * b.den * D.
+    The lower-degree factor goes first; the unit returns the other factor, unflagged.
+    Numerators contract over the ring's table, up to four passes, over a.den * b.den * D.
     """
     _check_same_ring(a, b)
     ring = a.ring
@@ -441,9 +458,12 @@ def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
     if a.degree > b.degree:
         a, b = b, a
     if a.degree == 0:
+        if a.re == (1,) and a.den == 1 and a.im is None:
+            return ClassVector._reduced(b.ring, b.degree, b.re, b.im, b.den)
         return b._times(a.re[0], a.im[0] if a.im else 0, a.den)
     table = ring._table(a.degree, b.degree)
-    re, im = [0] * ring.hodge[total], [0] * ring.hodge[total]
+    re = [0] * ring.hodge[total]
+    im = None if a.im is None and b.im is None else [0] * ring.hodge[total]
     for acc, x, y, sign in ((re, a.re, b.re, 1), (re, a.im, b.im, -1),
                             (im, a.re, b.im, 1), (im, a.im, b.re, 1)):
         if x is not None and y is not None:

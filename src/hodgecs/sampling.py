@@ -33,55 +33,44 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> tuple[int, int]:
-    x = (x + _GOLDEN) & _MASK
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x, z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
-
-
 class Xoshiro256StarStar:
     """xoshiro256** with splitmix64 state expansion from (seed, *salts)."""
 
     def __init__(self, seed: int, *salts: int):
         x = seed & _MASK
         for salt in salts:
-            x ^= ((salt & _MASK) * _GOLDEN) & _MASK
-            x, _ = _splitmix64(x)
+            # One splitmix64 step whose output is discarded: only the increment stays.
+            x = ((x ^ (((salt & _MASK) * _GOLDEN) & _MASK)) + _GOLDEN) & _MASK
         state = []
         for _ in range(4):
-            x, out = _splitmix64(x)
-            state.append(out)
+            x = (x + _GOLDEN) & _MASK
+            z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            state.append(z ^ (z >> 31))
         if not any(state):
             state[0] = _GOLDEN
         self._s = state
 
     def next_u64(self) -> int:
         s = self._s
-        result = (_rotl((s[1] * 5) & _MASK, 7) * 9) & _MASK
+        r = (s[1] * 5) & _MASK
+        result = ((((r << 7) | (r >> 57)) & _MASK) * 9) & _MASK
         t = (s[1] << 17) & _MASK
         s[2] ^= s[0]
         s[3] ^= s[1]
         s[1] ^= s[2]
         s[0] ^= s[3]
         s[2] ^= t
-        s[3] = _rotl(s[3], 45)
+        s[3] = ((s[3] << 45) | (s[3] >> 19)) & _MASK
         return result
 
-    def below(self, n: int) -> int:
-        """Uniform-ish draw in [0, n) by reduction; bias is negligible for
+    def int_between(self, lo: int, hi: int) -> int:
+        """Uniform-ish draw in [lo, hi] by reduction; bias is negligible for
         the tiny ranges used here and keeps the stream platform-independent."""
+        n = hi - lo + 1
         if n <= 0:
             raise ValueError("range must be positive")
-        return self.next_u64() % n
-
-    def int_between(self, lo: int, hi: int) -> int:
-        return lo + self.below(hi - lo + 1)
+        return lo + self.next_u64() % n
 
 
 STREAM_CLASS = 0
@@ -117,21 +106,22 @@ def sample_random_class(
 def _cone_draws(ring: IntersectionRing, rng: Xoshiro256StarStar, height: int):
     """A function drawing strictly positive rational combinations of the
     declared Kahler samples from ``rng``, one call per class."""
-    generators = ring.kahler_samples()
+    generators = [rows for s, rows in zip(ring.samples, ring._sample_ints())
+                  if s.flag == FLAG_KAHLER]
     if not generators:
         raise MissingSamplesError(f"ring {ring.name!r} declares no Kahler cone samples")
     zero = [0] * ring.dim(1)
 
     def draw() -> ClassVector:
         # n_j / d_j times gen_j = re_j / den_j, summed over L = lcm of the d_j * den_j.
-        draws = [(rng.int_between(1, height), rng.int_between(1, height) * gen.den)
-                 for gen in generators]
+        draws = [(rng.int_between(1, height), rng.int_between(1, height) * gen_den)
+                 for _, gen_den in generators]
         den = lcm(*(d for _, d in draws))
         out = zero
-        for (num, d), gen in zip(draws, generators):
+        for (num, d), (gen_re, _) in zip(draws, generators):
             f = num * (den // d)
-            out = [x + f * y for x, y in zip(out, gen.re)]
-        return ClassVector(ring, 1, out, None, den).with_flag(FLAG_KAHLER)
+            out = [x + f * y for x, y in zip(out, gen_re)]
+        return ClassVector(ring, 1, out, None, den, FLAG_KAHLER)
 
     return draw
 

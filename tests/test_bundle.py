@@ -1,7 +1,11 @@
 """Ring-bundle parsing, canonical serialization, and class literals."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,32 @@ def test_bad_rational_diagnostic():
             parse_ring_bundle(json.dumps(doc))
         assert err.value.constraint == "rational", bad
         assert "integral[0]" in err.value.path, bad
+
+
+def _hodgecs(argv, digit_limit):
+    """Run the CLI in a fresh interpreter with PYTHONINTMAXSTRDIGITS set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=str(digit_limit), PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "hodgecs", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("digits", [641, 5001])
+def test_literal_size_limit_does_not_depend_on_the_interpreter(digits, tmp_path):
+    message = (f"rational literal with {digits} digits exceeds the limit "
+               f"of 640 digits per numerator or denominator")
+    doc = json.loads(serialize_ring_bundle(zoo.get("p1xp1").ring))
+    doc["samples"][0]["coeffs"][1] = "1/" + "3" * digits
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    literal = ["check", "zoo:p1xp1", "-p", "1", "--alpha", "7" * digits + "*a - b",
+               "--omega", "a + b"]
+    for limit in (640, 4300, 0):
+        assert _hodgecs(literal, limit) == (2, "", f"error: {message}\n"), limit
+        assert _hodgecs(["validate", str(path)], limit) == (
+            1, f"INVALID: {path}\n  [rational] samples[0].coeffs[1]: {message}\n", ""), limit
 
 
 def test_boolean_is_not_an_integer():

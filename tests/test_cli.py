@@ -311,6 +311,28 @@ def test_validate_file_validates_once(tmp_path, monkeypatch, capsys):
     assert out == flag3_out
 
 
+def test_validate_gates_only_the_kahler_samples(tmp_path, monkeypatch, capsys):
+    from hodgecs.ring import IntersectionRing
+
+    _, text, _ = run(capsys, "export", "zoo:p1xp2")
+    doc = json.loads(text)
+    doc["samples"] = [{"name": "a", "flag": "nef", "coeffs": ["1", "0"]},
+                      {"name": "w", "flag": "kahler", "coeffs": ["1/2", "3"]},
+                      {"name": "b", "flag": "nef", "coeffs": ["0", "1"]},
+                      {"name": "bad", "flag": "kahler", "coeffs": ["1", "-1"]}]
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(doc))
+    cleared = []
+    real = IntersectionRing._sample_ints
+    monkeypatch.setattr(IntersectionRing, "_sample_ints",
+                        lambda self: cleared.append(self.name) or real(self))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert cleared == []  # no sample is cleared to ints, the nef ones included
+    assert out.splitlines()[:3] == ["ring 'p1xp2': all checks passed",
+                                    "kahler sample 'w': ok", "kahler sample 'bad': FAIL"]
+
+
 def test_verify_rejects_negative_samples(capsys):
     code, out, err = run(capsys, "verify", "zoo:p1xp1", "-p", "1", "--samples", "-5")
     assert code == 2 and out == ""

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hodgecs.gaussian import GaussianRational, rational_from_str, rational_to_str
+import hodgecs.gaussian
+from hodgecs.gaussian import MAX_LITERAL_DIGITS, GaussianRational, rational_from_str, rational_to_str
 
 
 def test_rational_strings():
@@ -18,6 +19,21 @@ def test_rational_strings():
 def test_rational_string_rejects_nonrational(bad):
     with pytest.raises(ValueError):
         rational_from_str(bad)
+
+
+def test_rational_literal_digit_limit(monkeypatch):
+    top = "9" * MAX_LITERAL_DIGITS
+    assert MAX_LITERAL_DIGITS == 640
+    assert rational_from_str(f"-{top}/{top[:-1]}8") == Fraction(-int(top), int(top) - 1)
+    assert rational_from_str(f"+{top}") == int(top)
+    converted = []
+    monkeypatch.setattr(hodgecs.gaussian, "Fraction", lambda s: converted.append(s))
+    for text, digits in ((f"{top}1", 641), (f"1/{top}1", 641), (f"-{'7' * 5001}/3", 5001)):
+        with pytest.raises(ValueError) as err:
+            rational_from_str(text)
+        assert str(err.value) == (f"rational literal with {digits} digits exceeds the limit "
+                                  f"of 640 digits per numerator or denominator")
+    assert converted == []  # refused before any int conversion
 
 
 def test_arithmetic():

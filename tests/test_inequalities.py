@@ -1,6 +1,7 @@
 """g evaluation, inequality verdicts, counterexamples, and the KT chain."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from hodgecs.lefschetz import primitive_basis
 from hodgecs.ring import (
     FLAG_KAHLER,
     FLAG_NEF,
+    ClassVector,
+    IntersectionRing,
     as_kahler,
     integrate,
     integrate_real,
@@ -30,7 +33,7 @@ from hodgecs.ring import (
     power,
     wedge,
 )
-from hodgecs.sampling import random_strict_setup, sample_random_class
+from hodgecs.sampling import random_cone_class, random_strict_setup, sample_random_class
 
 
 def _setup(ring, p, omega_name="omega", aux=None):
@@ -406,6 +409,54 @@ def test_verdicts_take_w_to_the_p_from_the_setup(monkeypatch):
     w4 = power(setup.omega, 4)
     assert ce.theta == w4 + wedge(ce.witness, power(setup.omega, 3))
     assert check_cs(w4.scaled(Fraction(-2, 3)), setup).proportional
+
+
+def _class_constructions(fn):
+    """Run ``fn()``; count ClassVector constructions, normalising and trusted.
+
+    Each normalising construction ends in ``_reduced``; only the other calls of
+    ``_reduced`` are trusted ones.
+    """
+    normalising, reduced = ClassVector.__new__.__code__, ClassVector._reduced.__func__.__code__
+    seen = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is normalising:
+            seen["normalising"] += 1
+        elif event == "call" and frame.f_code is reduced and frame.f_back.f_code is not normalising:
+            seen["trusted"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_verify_builds_pinned_class_counts():
+    ring = zoo.get("blp4").ring
+    ring.kahler_samples()  # clears the sample ints, once per ring, before counting
+    seen = _class_constructions(lambda: verify_theorem(ring, 1, 50, seed=1))
+    # Per sample, normalising: three cone draws, one class draw, Omega_p = w_1 * w_2,
+    # two tower rungs and three products in g; trusted: two units, each times a
+    # class (Omega_p and w^p start from the unit). The cs counterexample adds
+    # 14 and 7. Each cone draw once built its class twice and every sample class,
+    # unit product and conjugate was normalised: 1,022 and 0 before.
+    assert seen == {"normalising": 10 * 50 + 14, "trusted": 4 * 50 + 7}
+
+
+def test_setup_draws_do_not_build_the_sample_classes(monkeypatch):
+    ring = zoo.get("blp4").ring
+    calls = []
+    real = IntersectionRing.kahler_samples
+    monkeypatch.setattr(IntersectionRing, "kahler_samples",
+                        lambda self: calls.append(self) or real(self))
+    setup = random_strict_setup(ring, 1, 10, seed=1, index=0)
+    random_cone_class(ring, 10, seed=1, index=0)
+    assert calls == []
+    assert [w.flag for w in (setup.omega, *setup.omegas)] == [FLAG_KAHLER] * 3
 
 
 def test_part2_universality_with_proportional_cases():

@@ -1,15 +1,19 @@
 """Property-based checks of the algebraic invariants."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import example, given, settings, strategies as st
 
 from hodgecs import zoo
 from hodgecs.cli import _coeffs_json, _scalar
+from hodgecs.errors import MissingSamplesError
 from hodgecs.gaussian import GaussianRational
-from hodgecs.inequalities import compute_g_direct
+from hodgecs.inequalities import compute_g_direct, proportional
 from hodgecs.linalg import Matrix
-from hodgecs.ring import integrate, mixed_setup, wedge
+from hodgecs.ring import (FLAG_KAHLER, FLAGS, POSITIVE_FLAGS, ClassVector, IntersectionRing,
+                          RingSample, integrate, mixed_setup, wedge)
+from hodgecs.sampling import STREAM_CONE, Xoshiro256StarStar, random_cone_class
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -138,3 +142,103 @@ _entries = st.one_of(
 def test_int_coefficient_formatter_matches_scalar(coeffs):
     cls = _formatter_rings[len(coeffs)].class_vector(1, coeffs)
     assert _coeffs_json(cls) == [_scalar(c) for c in cls.coeffs]
+
+
+# -- the trusted constructions against the normalising constructor ------------
+
+def _fields(c):
+    return c.ring, c.degree, c.re, c.im, c.den, c.flag
+
+
+def _in_lowest_terms(c):
+    return (type(c.re) is tuple and (c.im is None or (type(c.im) is tuple and any(c.im)))
+            and c.den > 0 and gcd(c.den, *c.re, *(c.im or ())) == 1)
+
+
+def _normalised(ring, degree, coeffs, flag):
+    """The normalising constructor on real rationals: numerators over their lcm."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return ClassVector(ring, degree, [int(c * den) for c in coeffs], None, den, flag)
+
+
+_trusted_rings = [zoo.get(name).ring for name in ("p2", "p1xp1", "blp3", "flag3")]
+_numerators = st.integers(min_value=-40, max_value=40)
+
+
+@st.composite
+def _classes(draw):
+    """Any class of a few zoo rings, from numerators that need not be in lowest terms."""
+    ring = draw(st.sampled_from(_trusted_rings))
+    degree = draw(st.integers(min_value=0, max_value=ring.n))
+    dim = ring.dim(degree)
+    re = draw(st.lists(_numerators, min_size=dim, max_size=dim))
+    im = draw(st.none() | st.lists(_numerators, min_size=dim, max_size=dim))
+    return ClassVector(ring, degree, re, im, draw(st.integers(min_value=1, max_value=36)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_classes(), st.sampled_from(FLAGS))
+@example(ClassVector(_trusted_rings[1], 0, [1]), FLAGS[0])
+@example(ClassVector(_trusted_rings[1], 0, [3], [2], 4), FLAGS[0])
+@example(ClassVector(_trusted_rings[1], 1, [2, 4], None, 6), FLAG_KAHLER)
+def test_trusted_paths_equal_the_normalising_constructor(c, flag):
+    ring = c.ring
+    pairs = []
+    if c.degree == 1 and c.im is None:
+        pairs.append((c.with_flag(flag), ClassVector(ring, 1, c.re, None, c.den, flag)))
+        c = pairs[-1][0]
+    plain = ClassVector(ring, c.degree, c.re, c.im, c.den)
+    pairs += [
+        (c.conjugate(), ClassVector(ring, c.degree, c.re, c.im and [-y for y in c.im], c.den,
+                                    c.flag)),
+        (wedge(ring.unit(), c), plain),
+        (wedge(c, ring.unit()), plain),
+    ]
+    for got, want in pairs:
+        assert _fields(got) == _fields(want)
+        assert _in_lowest_terms(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(POSITIVE_FLAGS), small_fractions, small_fractions),
+                min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2**65), st.integers(min_value=0, max_value=99),
+       st.sampled_from([1, 10, 1000]))
+def test_sample_and_cone_classes_equal_the_normalising_constructor(samples, seed, index, height):
+    base = zoo.get("p1xp1").ring
+    ring = IntersectionRing("p1xp1/drawn", base.n, base.hodge, base.basis_labels, base.products,
+                            base.integral, [RingSample(f"s{i}", flag, (a, b))
+                                            for i, (flag, a, b) in enumerate(samples)])
+    for s, got in zip(ring.samples, ring.sample_classes()):
+        assert _fields(got) == _fields(_normalised(ring, 1, s.coeffs, s.flag))
+        assert _fields(ring.sample(s.name)) == _fields(got)
+        assert _in_lowest_terms(got)
+
+    kahler = [s.coeffs for s in ring.samples if s.flag == FLAG_KAHLER]
+    if not kahler:
+        try:
+            random_cone_class(ring, height, seed, index)
+        except MissingSamplesError:
+            return
+        raise AssertionError("a cone draw without Kahler samples must raise")
+    # The same draw in Fractions: n_j / d_j times each Kahler sample, in stream order.
+    rng = Xoshiro256StarStar(seed, STREAM_CONE, index)
+    total = [Fraction(0)] * ring.dim(1)
+    for coeffs in kahler:
+        t = Fraction(rng.int_between(1, height), rng.int_between(1, height))
+        total = [x + t * y for x, y in zip(total, coeffs)]
+    got = random_cone_class(ring, height, seed, index)
+    assert _fields(got) == _fields(_normalised(ring, 1, total, FLAG_KAHLER))
+    assert _in_lowest_terms(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_classes(), st.integers(min_value=-3, max_value=3), st.booleans())
+def test_proportional_of_real_classes_is_a_rank_test(a, k, related):
+    a = ClassVector(a.ring, a.degree, a.re, None, a.den)
+    b = ClassVector(a.ring, a.degree, [x * k + (i if not related else 0)
+                                        for i, x in enumerate(a.re)], None, a.den + 1)
+    # Oracle: every 2x2 minor of the rows a, b vanishes.
+    x, y = [Fraction(v, a.den) for v in a.re], [Fraction(v, b.den) for v in b.re]
+    oracle = all(x[i] * y[j] == x[j] * y[i] for i in range(len(x)) for j in range(len(x)))
+    assert proportional(a, b) == oracle

@@ -1,6 +1,7 @@
 """Pinned deterministic PRNG behaviour, and the int draws against the Fraction route."""
 
 import gc
+import random
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,111 @@ def test_ring_that_drew_is_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the generator against its reference formulation ----------------------------
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(x):
+    x = (x + _GOLDEN) & _MASK
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x, z ^ (z >> 31)
+
+
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & _MASK
+
+
+class _ReferenceXoshiro:
+    """xoshiro256** written with splitmix64 and rotl as separate steps, and
+    ``int_between`` through a reduction ``below``."""
+
+    def __init__(self, seed, *salts):
+        x = seed & _MASK
+        for salt in salts:
+            x ^= ((salt & _MASK) * _GOLDEN) & _MASK
+            x, _ = _splitmix64(x)
+        state = []
+        for _ in range(4):
+            x, out = _splitmix64(x)
+            state.append(out)
+        if not any(state):
+            state[0] = _GOLDEN
+        self._s = state
+
+    def next_u64(self):
+        s = self._s
+        result = (_rotl((s[1] * 5) & _MASK, 7) * 9) & _MASK
+        t = (s[1] << 17) & _MASK
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = _rotl(s[3], 45)
+        return result
+
+    def below(self, n):
+        if n <= 0:
+            raise ValueError("range must be positive")
+        return self.next_u64() % n
+
+    def int_between(self, lo, hi):
+        return lo + self.below(hi - lo + 1)
+
+
+def _stream_cases():
+    """200 (seed, salts) tuples: seed 0, seeds of 2^64 and above, negative seeds and
+    salts, the three sampling streams, and the seeds whose expansion has a zero word."""
+    rng = random.Random("xoshiro-reference")
+    fixed = [(0, ()), (0, (0, 0)), (2**64, ()), (2**64 + 3, (1, 7)), (2**200 + 5, (2, 0)),
+             (-1, ()), (7, (-1, -2)), (1, (STREAM_CLASS, -3)), (1, (STREAM_CONE, 2**70)),
+             (1, (STREAM_SETUP, 49))]
+    # Word k of the state is 0 when seed + k * golden = 0 mod 2^64 (no salts).
+    fixed += [((-k * _GOLDEN) & _MASK, ()) for k in range(1, 5)]
+    cases = list(fixed)
+    while len(cases) < 200:
+        seed = rng.choice([rng.getrandbits(64), rng.getrandbits(80), -rng.getrandbits(64),
+                           rng.randrange(100)])
+        salts = tuple(rng.choice([rng.randrange(-5, 50), -rng.getrandbits(66), rng.getrandbits(66)])
+                      for _ in range(rng.randrange(4)))
+        cases.append((seed, salts))
+    return cases
+
+
+_RANGES = [(0, 0), (1, 1), (-10, 10), (1, 1000), (-1000, 1000), (5, 2**64 - 1), (0, 2**64),
+           (-(2**70), 2**70)]
+
+
+def test_generator_matches_its_reference_formulation():
+    for seed, salts in _stream_cases():
+        fast, ref = Xoshiro256StarStar(seed, *salts), _ReferenceXoshiro(seed, *salts)
+        assert fast._s == ref._s, (seed, salts)
+        for lo, hi in _RANGES * 3:
+            assert fast.next_u64() == ref.next_u64(), (seed, salts)
+            assert fast.int_between(lo, hi) == ref.int_between(lo, hi), (seed, salts, lo, hi)
+
+
+def test_generator_state_fallback_and_empty_range():
+    # splitmix64's output is a bijection of its input and the four expansion
+    # inputs differ, so at most one state word is zero: the all-zero fallback
+    # state [golden, 0, 0, 0] is never reached by seeding. Both formulations
+    # must still agree from it.
+    for k in range(1, 5):
+        state = Xoshiro256StarStar((-k * _GOLDEN) & _MASK)._s
+        assert state.count(0) == 1 and state[k - 1] == 0
+    fast, ref = Xoshiro256StarStar(0), _ReferenceXoshiro(0)
+    fast._s, ref._s = [_GOLDEN, 0, 0, 0], [_GOLDEN, 0, 0, 0]
+    assert [fast.next_u64() for _ in range(50)] == [ref.next_u64() for _ in range(50)]
+    for lo, hi in ((1, 0), (0, -1), (5, -5)):
+        with pytest.raises(ValueError, match="range must be positive"):
+            Xoshiro256StarStar(3).int_between(lo, hi)
+    assert not hasattr(Xoshiro256StarStar, "below")
 
 
 # Frozen draw for (seed=7, index=0) at height 10 on the quadric surface;
