@@ -12,10 +12,7 @@ import re as _re
 from fractions import Fraction
 
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
-
-# Longest numerator or denominator a rational literal may have: the interpreter's
-# str_digits_check_threshold, the least limit PYTHONINTMAXSTRDIGITS can set (0 sets
-# none), so every accepted literal converts under any setting.
+# The interpreter's str_digits_check_threshold: a literal within it converts under any limit.
 MAX_LITERAL_DIGITS = 640
 
 
@@ -25,13 +22,11 @@ def rational_to_str(q: Fraction) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse "p/q" or "p". Decimal or exponent notation, q = 0 and a p or q of
-    more than ``MAX_LITERAL_DIGITS`` digits are rejected."""
+    """Parse "p/q" or "p". Decimal or exponent notation, q = 0 and overlong p or q are rejected."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    digits = max(len(part.lstrip("+-")) for part in s.split("/"))
-    if digits > MAX_LITERAL_DIGITS:
+    if (digits := max(len(part.lstrip("+-")) for part in s.split("/"))) > MAX_LITERAL_DIGITS:
         raise ValueError(f"rational literal with {digits} digits exceeds the limit "
                          f"of {MAX_LITERAL_DIGITS} digits per numerator or denominator")
     try:

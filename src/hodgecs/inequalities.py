@@ -58,9 +58,6 @@ def proportional(a: ClassVector, b: ClassVector) -> bool:
     _check_same_ring(a, b)
     if a.degree != b.degree:
         raise DegreeError("proportionality needs classes of equal degree")
-    if a.im is None and b.im is None:
-        k = next((k for k, x in enumerate(a.re) if x), None)
-        return k is None or all(y * a.re[k] == x * b.re[k] for x, y in zip(a.re, b.re))
     zero = (0,) * len(a.re)
     av, bv = list(zip(a.re, a.im or zero)), list(zip(b.re, b.im or zero))
     k = next((k for k, x in enumerate(av) if any(x)), None)

@@ -233,8 +233,8 @@ class IntersectionRing:
     def zero_class(self, p: int) -> "ClassVector":
         return ClassVector(self, p, (0,) * self.dim(p))
 
-    def _sample_ints(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each declared sample as (int numerators, denominator), cleared on first use.
+    def _sample_ints(self, flag: Optional[str] = None) -> tuple[tuple, ...]:
+        """Each declared sample of ``flag`` (any flag for None) as (re, den, flag), cleared once.
 
         The ring keeps ints, not classes: a class points back at its ring, and
         the cycle would leave every ring that read its samples to the cycle
@@ -242,26 +242,23 @@ class IntersectionRing:
         """
         if self._sample_rows is None:
             classes = [self.class_vector(1, s.coeffs, s.flag) for s in self.samples]
-            object.__setattr__(self, "_sample_rows", tuple((c.re, c.den) for c in classes))
-        return self._sample_rows
+            object.__setattr__(self, "_sample_rows", tuple((c.re, c.den, c.flag) for c in classes))
+        return tuple(row for row in self._sample_rows if flag is None or row[2] == flag)
 
     def sample(self, name: str) -> "ClassVector":
-        for s, (re, den) in zip(self.samples, self._sample_ints()):
+        for s, (re, den, flag) in zip(self.samples, self._sample_ints()):
             if s.name == name:
-                return ClassVector._reduced(self, 1, re, None, den, s.flag)
+                return ClassVector._reduced(self, 1, re, None, den, flag)
         raise KeyError(f"ring {self.name!r} has no sample {name!r}")
 
     def sample_classes(self, flag: Optional[str] = None) -> tuple["ClassVector", ...]:
         """The declared samples as flagged degree-1 classes, in declaration order;
         with ``flag``, only the samples of that flag.
 
-        The coefficients are cleared to ints once per ring, on first use (parsing
-        a ring never reads them), so each call builds its classes from ints
-        without reading a ``Fraction``.
+        Each call builds its classes from the ring's cleared ints, without a gcd.
         """
-        return tuple(ClassVector._reduced(self, 1, re, None, den, s.flag)
-                     for s, (re, den) in zip(self.samples, self._sample_ints())
-                     if flag is None or s.flag == flag)
+        return tuple(ClassVector._reduced(self, 1, re, None, den, f)
+                     for re, den, f in self._sample_ints(flag))
 
     def kahler_samples(self) -> tuple["ClassVector", ...]:
         return self.sample_classes(FLAG_KAHLER)
@@ -462,8 +459,7 @@ def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
             return ClassVector._reduced(b.ring, b.degree, b.re, b.im, b.den)
         return b._times(a.re[0], a.im[0] if a.im else 0, a.den)
     table = ring._table(a.degree, b.degree)
-    re = [0] * ring.hodge[total]
-    im = None if a.im is None and b.im is None else [0] * ring.hodge[total]
+    re, im = [0] * ring.hodge[total], ([0] * ring.hodge[total] if a.im or b.im else None)
     for acc, x, y, sign in ((re, a.re, b.re, 1), (re, a.im, b.im, -1),
                             (im, a.re, b.im, 1), (im, a.im, b.re, 1)):
         if x is not None and y is not None:

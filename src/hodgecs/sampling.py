@@ -106,8 +106,7 @@ def sample_random_class(
 def _cone_draws(ring: IntersectionRing, rng: Xoshiro256StarStar, height: int):
     """A function drawing strictly positive rational combinations of the
     declared Kahler samples from ``rng``, one call per class."""
-    generators = [rows for s, rows in zip(ring.samples, ring._sample_ints())
-                  if s.flag == FLAG_KAHLER]
+    generators = ring._sample_ints(FLAG_KAHLER)
     if not generators:
         raise MissingSamplesError(f"ring {ring.name!r} declares no Kahler cone samples")
     zero = [0] * ring.dim(1)
@@ -115,10 +114,10 @@ def _cone_draws(ring: IntersectionRing, rng: Xoshiro256StarStar, height: int):
     def draw() -> ClassVector:
         # n_j / d_j times gen_j = re_j / den_j, summed over L = lcm of the d_j * den_j.
         draws = [(rng.int_between(1, height), rng.int_between(1, height) * gen_den)
-                 for _, gen_den in generators]
+                 for _, gen_den, _ in generators]
         den = lcm(*(d for _, d in draws))
         out = zero
-        for (num, d), (gen_re, _) in zip(draws, generators):
+        for (num, d), (gen_re, _, _) in zip(draws, generators):
             f = num * (den // d)
             out = [x + f * y for x, y in zip(out, gen_re)]
         return ClassVector(ring, 1, out, None, den, FLAG_KAHLER)

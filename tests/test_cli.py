@@ -325,7 +325,7 @@ def test_validate_gates_only_the_kahler_samples(tmp_path, monkeypatch, capsys):
     cleared = []
     real = IntersectionRing._sample_ints
     monkeypatch.setattr(IntersectionRing, "_sample_ints",
-                        lambda self: cleared.append(self.name) or real(self))
+                        lambda self, *flag: cleared.append(self.name) or real(self, *flag))
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 1
     assert cleared == []  # no sample is cleared to ints, the nef ones included

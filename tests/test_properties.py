@@ -9,7 +9,7 @@ from hodgecs import zoo
 from hodgecs.cli import _coeffs_json, _scalar
 from hodgecs.errors import MissingSamplesError
 from hodgecs.gaussian import GaussianRational
-from hodgecs.inequalities import compute_g_direct, proportional
+from hodgecs.inequalities import compute_g_direct
 from hodgecs.linalg import Matrix
 from hodgecs.ring import (FLAG_KAHLER, FLAGS, POSITIVE_FLAGS, ClassVector, IntersectionRing,
                           RingSample, integrate, mixed_setup, wedge)
@@ -230,15 +230,3 @@ def test_sample_and_cone_classes_equal_the_normalising_constructor(samples, seed
     got = random_cone_class(ring, height, seed, index)
     assert _fields(got) == _fields(_normalised(ring, 1, total, FLAG_KAHLER))
     assert _in_lowest_terms(got)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_classes(), st.integers(min_value=-3, max_value=3), st.booleans())
-def test_proportional_of_real_classes_is_a_rank_test(a, k, related):
-    a = ClassVector(a.ring, a.degree, a.re, None, a.den)
-    b = ClassVector(a.ring, a.degree, [x * k + (i if not related else 0)
-                                        for i, x in enumerate(a.re)], None, a.den + 1)
-    # Oracle: every 2x2 minor of the rows a, b vanishes.
-    x, y = [Fraction(v, a.den) for v in a.re], [Fraction(v, b.den) for v in b.re]
-    oracle = all(x[i] * y[j] == x[j] * y[i] for i in range(len(x)) for j in range(len(x)))
-    assert proportional(a, b) == oracle
