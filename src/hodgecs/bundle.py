@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import BundleSemanticError, BundleSyntaxError
 from .gaussian import rational_from_str, rational_to_str
@@ -188,7 +189,57 @@ def serialize_ring_bundle(ring: IntersectionRing) -> str:
             for s in ring.samples
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text(doc) + "\n"
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, the standard library writes through its pure-Python
+    encoder; this walk appends to one list and escapes strings with the C
+    ``encode_basestring_ascii``.
+    """
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append the JSON of ``value`` at the indentation that ``newline`` carries.
+
+    Dicts with str keys, lists, tuples, str, int, bool and None are written
+    here; anything else is ``json.dumps``'s, re-indented.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 # -- class literals ------------------------------------------------------------

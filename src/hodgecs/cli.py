@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -28,7 +27,7 @@ from math import gcd
 from typing import Callable, Optional, Sequence
 
 from . import zoo
-from .bundle import parse_ring_bundle, resolve_class, serialize_ring_bundle
+from .bundle import _json_text, parse_ring_bundle, resolve_class, serialize_ring_bundle
 from .errors import (
     BundleSemanticError,
     BundleSyntaxError,
@@ -557,7 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report["ok"] = code == 0
     try:
         if args.output == "json":
-            print(json.dumps(report, sort_keys=True, indent=2))
+            print(_json_text(report))
         else:
             for line in lines:
                 print(line)

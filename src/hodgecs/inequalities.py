@@ -4,7 +4,15 @@ For a degree-p class a and a setup (w, w_1..w_(n-2p)) with product Omega_p,
 the central quantity is the real number
 
     g(a, w; Omega_p) = (int a*conj(a)*Omega_p) * (int w^(2p)*Omega_p)
-                     - (int a*w^p*Omega_p) * (int conj(a)*w^p*Omega_p).
+                     - (int a*w^p*Omega_p) * (int conj(a)*w^p*Omega_p),
+
+the Cauchy-Schwarz defect of the form b(x, y) = int x*y*Omega_p at the pair
+(a, w^p): g = b(a, conj(a)) * b(w^p, w^p) - |b(a, w^p)|^2, as w is real. It is
+evaluated on ints: a setup gives w^p, Omega_p, w^p * Omega_p and
+int w^(2p)*Omega_p as int numerators once, and a class adds one contraction
+per product and one dot product per integral, with one ``Fraction`` for the
+result. :func:`compute_g_decomposed` is the independent route, through the
+Lefschetz decomposition.
 
 Whether g >= 0 for every a ("Cauchy-Schwarz") or g <= 0 ("opposite
 Cauchy-Schwarz") is governed purely by equalities among the graded
@@ -34,9 +42,11 @@ from .ring import (
     MODE_STRICT,
     MixedSetup,
     _check_same_ring,
-    _integral,
-    _real_integral,
+    _pair_ints,
+    _product_ints,
+    _setup_ints,
     integrate_real,
+    mixed_setup,
     multiplication_matrix,
     power,
     wedge,
@@ -48,18 +58,12 @@ DIRECTION_OPPOSITE = "opposite"
 DIRECTIONS = (DIRECTION_CS, DIRECTION_OPPOSITE)
 
 
-def proportional(a: ClassVector, b: ClassVector) -> bool:
-    """Exact test that {a, b} spans at most a line.
-
-    On the Gaussian-integer numerators of a and b, with a_k the first nonzero
-    coordinate of a, that holds exactly when b_i * a_k == a_i * b_k for all i.
-    Classes of different rings raise RingMismatchError.
-    """
-    _check_same_ring(a, b)
-    if a.degree != b.degree:
-        raise DegreeError("proportionality needs classes of equal degree")
-    zero = (0,) * len(a.re)
-    av, bv = list(zip(a.re, a.im or zero)), list(zip(b.re, b.im or zero))
+def _proportional_ints(are, aim, bre, bim) -> bool:
+    """Exact test that {a, b} spans at most a line, on Gaussian-integer numerators
+    (an ``im`` of None is zero): with a_k the first nonzero coordinate of a, that
+    holds exactly when b_i * a_k == a_i * b_k for all i. Scale plays no part."""
+    zero = (0,) * len(are)
+    av, bv = list(zip(are, aim or zero)), list(zip(bre, bim or zero))
     k = next((k for k, x in enumerate(av) if any(x)), None)
     if k is None:
         return True
@@ -68,18 +72,42 @@ def proportional(a: ClassVector, b: ClassVector) -> bool:
                for (xr, xi), (yr, yi) in zip(av, bv))
 
 
+def proportional(a: ClassVector, b: ClassVector) -> bool:
+    """Exact test that {a, b} spans at most a line; see :func:`_proportional_ints`.
+
+    Classes of different rings raise RingMismatchError.
+    """
+    _check_same_ring(a, b)
+    if a.degree != b.degree:
+        raise DegreeError("proportionality needs classes of equal degree")
+    return _proportional_ints(a.re, a.im, b.re, b.im)
+
+
+def _g(alpha: ClassVector, data: tuple) -> Fraction:
+    """g of the degree-p class alpha = (re + i * im) / d from its setup's int data.
+
+    With B = alpha * Omega, aa = int alpha * conj(alpha) * Omega is the integral of
+    re * B_re plus that of im * B_im, and m = int alpha * T; the setup data is real
+    (positivity flags need real classes), so int conj(alpha) * T is conj(m) and
+    g = aa * V - |m|^2.
+    """
+    ring, p = alpha.ring, alpha.degree
+    _, (o, o_den), (t, t_den), (v, v_den) = data
+    aa = mm = 0
+    for x in (alpha.re, alpha.im) if alpha.im else (alpha.re,):
+        b = x if o is None else _product_ints(ring, p, x, ring.n - 2 * p, o)
+        m = _pair_ints(ring, p, x, t)
+        aa, mm = aa + _pair_ints(ring, p, x, b), mm + m * m
+    # aa and m are numerators over d^2 * a and d * c; a pairing adds k = D * scale.
+    k = ring._den * ring._weights[1]
+    a, c = (k if o is None else k * o_den * ring._den), k * t_den
+    return Fraction(aa * v * c * c - mm * a * v_den, alpha.den ** 2 * a * v_den * c * c)
+
+
 def compute_g_direct(alpha: ClassVector, setup: MixedSetup) -> Fraction:
-    """Evaluate g from its defining integrals, on ints; the result is provably real."""
+    """Evaluate g on ints from the setup's cached int data; the result is real."""
     setup.check_class(alpha)
-    # aa / aa_den, v / v_den and (m_re + i * m_im) / m_den are the integrals of
-    # alpha * conj(alpha) * Omega_p, w^(2p) * Omega_p and alpha * w^p * Omega_p. The
-    # tower is real (positivity flags need real classes), so the integral of
-    # conj(alpha) * w^p * Omega_p is the conjugate of the last.
-    aa, aa_den = _real_integral(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
-    v, v_den = setup.volume.numerator, setup.volume.denominator
-    m_re, m_im, m_den = _integral(wedge(alpha, setup.tower[setup.p]))
-    return Fraction(aa * v * m_den * m_den - (m_re * m_re + m_im * m_im) * aa_den * v_den,
-                    aa_den * v_den * m_den * m_den)
+    return _g(alpha, setup._ints)
 
 
 @dataclass(frozen=True)
@@ -133,14 +161,21 @@ class CsVerdict:
         return f"g = {self.g_value} ({self.relation}); {self.direction} {status}{extra}"
 
 
-def _g_verdict(alpha: ClassVector, setup: MixedSetup) -> tuple[Fraction, str, bool]:
-    """g, the relation of g to zero, and whether alpha is proportional to w^p."""
-    g = compute_g_direct(alpha, setup)
-    prop = proportional(alpha, setup.omega_power)
+def _verdict(alpha: ClassVector, data: tuple) -> tuple[Fraction, str, bool]:
+    """g, the relation of g to zero, and whether alpha is proportional to W = w^p,
+    from the setup's int data."""
+    g = _g(alpha, data)
+    prop = _proportional_ints(alpha.re, alpha.im, data[0][0], None)
     relation = RELATION_ZERO if g == 0 else (
         RELATION_POSITIVE if g > 0 else RELATION_NEGATIVE
     )
     return g, relation, prop
+
+
+def _g_verdict(alpha: ClassVector, setup: MixedSetup) -> tuple[Fraction, str, bool]:
+    """:func:`_verdict` for a class of the setup."""
+    setup.check_class(alpha)
+    return _verdict(alpha, setup._ints)
 
 
 def check_cs(alpha: ClassVector, setup: MixedSetup, direction: str = DIRECTION_CS) -> CsVerdict:
@@ -353,7 +388,7 @@ def verify_theorem(
     explicit counterexample instead. Deterministic for fixed (seed, height).
     Raises ValueError for ``samples`` below 0 or ``height`` below 1.
     """
-    from .sampling import random_strict_setup, sample_random_class
+    from .sampling import _setup_draws, sample_random_class
 
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -363,36 +398,39 @@ def verify_theorem(
     cond_opp = hodge_condition(ring, p, DIRECTION_OPPOSITE)
     report = TheoremReport(ring.name, p, seed, height, cond_cs, cond_opp)
 
-    first_setup = None
+    # Each sample's verdict reads its draws' int setup data alone; a MixedSetup
+    # is built only for a violation and for the counterexamples.
+    first_draws = None
     for k in range(samples):
-        setup = random_strict_setup(ring, p, height, seed, k)
+        draws = _setup_draws(ring, p, height, seed, k)
         if k == 0:
-            first_setup = setup
+            first_draws = draws
         alpha = sample_random_class(ring, p, height, seed, k)
-        g, relation, prop = _g_verdict(alpha, setup)
-        report.records.append(SampleRecord(k, alpha, setup.omega, g, relation, prop))
+        g, relation, prop = _verdict(alpha, _setup_ints(ring, p, *draws))
+        report.records.append(SampleRecord(k, alpha, draws[0], g, relation, prop))
         if g == 0:
             report.equality_count += 1
+        problems = []
         if cond_cs.holds and g < 0:
-            report.violations.append(TheoremViolation(
-                k, "g < 0 although the cs condition holds", g, prop, alpha, setup))
+            problems.append("g < 0 although the cs condition holds")
         if cond_opp.holds and g > 0:
-            report.violations.append(TheoremViolation(
-                k, "g > 0 although the opposite condition holds", g, prop, alpha, setup))
-        if cond_cs.holds or cond_opp.holds:
-            if (g == 0) != prop:
-                report.violations.append(TheoremViolation(
-                    k, "equality and proportionality disagree", g, prop, alpha, setup))
+            problems.append("g > 0 although the opposite condition holds")
+        if (cond_cs.holds or cond_opp.holds) and (g == 0) != prop:
+            problems.append("equality and proportionality disagree")
+        if problems:
+            setup = mixed_setup(p, *draws)
+            report.violations += [TheoremViolation(k, problem, g, prop, alpha, setup)
+                                  for problem in problems]
         report.samples_tested += 1
 
-    for kind, cond in ((DIRECTION_CS, cond_cs), (DIRECTION_OPPOSITE, cond_opp)):
-        if not cond.holds:
-            # Counterexamples use the setup of sample 0, drawn at most once.
-            if first_setup is None:
-                first_setup = random_strict_setup(ring, p, height, seed, 0)
-            ce = construct_counterexample(ring, p, first_setup, kind)
-            if ce is not None:
-                report.counterexamples[kind] = ce
+    if not (cond_cs.holds and cond_opp.holds):
+        # Counterexamples use the setup of sample 0, drawn at most once.
+        first_setup = mixed_setup(p, *(first_draws or _setup_draws(ring, p, height, seed, 0)))
+        for kind, cond in ((DIRECTION_CS, cond_cs), (DIRECTION_OPPOSITE, cond_opp)):
+            if not cond.holds:
+                ce = construct_counterexample(ring, p, first_setup, kind)
+                if ce is not None:
+                    report.counterexamples[kind] = ce
     return report
 
 

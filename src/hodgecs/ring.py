@@ -7,9 +7,10 @@ on the top degree. A :class:`ClassVector` holds int numerators over one
 denominator, so complex classes and conjugation are exact. Products are int
 contractions over sparse structure tables, and integrals of products are int
 pairing matrices; each ring builds both once. Operator and form matrices take
-int rows from class numerators and the pairing, and every integral is the int
-``_integral``. Gaussian rationals are built only where values leave
-(``coeffs``, ``integrate``).
+int rows from class numerators and the pairing, and every integral of a class
+is the int ``_integral``; g's setup data and per-class integrals contract bare
+numerators (``_setup_ints``, ``_pair_ints``). Gaussian rationals are built
+only where values leave (``coeffs``, ``integrate``).
 
 The ring data cannot certify that a degree-1 class is Kahler; positivity is a
 user-declared flag. :func:`sanity_check_kahler` enforces the checkable
@@ -481,6 +482,47 @@ def _contract(acc: list[int], table: tuple, x: Sequence[int], y: Sequence[int],
                         acc[k] += f * c
 
 
+def _product_ints(ring: IntersectionRing, da: int, x: Sequence[int], db: int,
+                  y: Sequence[int]) -> list[int]:
+    """x * y for int numerators x of degree da and y of degree db, both at least 1:
+    the numerators over den_x * den_y * D, one contraction over the ring's table."""
+    if da > db:
+        da, x, db, y = db, y, da, x
+    acc = [0] * ring.hodge[da + db]
+    _contract(acc, ring._table(da, db), x, y)
+    return acc
+
+
+def _pair_ints(ring: IntersectionRing, da: int, x: Sequence[int], y: Sequence[int]) -> int:
+    """The integral of x * y for int numerators x of degree da and y of degree n - da,
+    both at least 1: the numerator over den_x * den_y * D * scale (``ring._weights``)."""
+    return sum(map(mul, ring._weights[0], _product_ints(ring, da, x, ring.n - da, y)))
+
+
+def _setup_ints(ring: IntersectionRing, p: int, omega: ClassVector,
+                omegas: Sequence[ClassVector]) -> tuple:
+    """The setup data of g on ints, each (numerators, den) and not reduced:
+    W = w^p, Omega = the product of ``omegas`` (None for the unit, n = 2p),
+    T = W * Omega (W itself for the unit) and V = integral of W * T.
+
+    Every product is one contraction and every integral one dot product with the
+    ring's weights; no class is built and no gcd is taken.
+    """
+    d = ring._den
+    w, w_den = omega.re, omega.den
+    for k in range(1, p):
+        w, w_den = _product_ints(ring, 1, omega.re, k, w), w_den * omega.den * d
+    if omegas:
+        o, o_den = omegas[0].re, omegas[0].den
+        for k, c in enumerate(omegas[1:], 1):
+            o, o_den = _product_ints(ring, 1, c.re, k, o), o_den * c.den * d
+        t, t_den = _product_ints(ring, p, w, len(omegas), o), w_den * o_den * d
+    else:
+        o, o_den, t, t_den = None, 1, w, w_den
+    v_den = w_den * t_den * d * ring._weights[1]
+    return (w, w_den), (o, o_den), (t, t_den), (_pair_ints(ring, p, w, t), v_den)
+
+
 def power(a: ClassVector, k: int) -> ClassVector:
     """k-fold product; power(a, 0) is the identity class."""
     if k < 0:
@@ -834,9 +876,15 @@ class MixedSetup:
         return integrate_real(self.tower[2 * self.p])
 
     @cached_property
+    def _ints(self) -> tuple:
+        """W = w^p, Omega_p, T = W * Omega_p and V on ints (:func:`_setup_ints`), built once."""
+        return _setup_ints(self.ring, self.p, self.omega, self.omegas)
+
+    @cached_property
     def omega_power(self) -> ClassVector:
-        """w^p: the tower's middle rung when Omega_p is the unit (n = 2p), else p products."""
-        return power(self.omega, self.p) if self.omegas else self.tower[self.p]
+        """w^p, from the int setup data."""
+        w, w_den = self._ints[0]
+        return ClassVector(self.ring, self.p, w, None, w_den)
 
     @cached_property
     def levels(self) -> tuple[tuple[int, ClassVector, tuple, int], ...]:

@@ -136,11 +136,17 @@ def random_cone_class(
     return _cone_draws(ring, Xoshiro256StarStar(seed, STREAM_CONE, index), height)()
 
 
+def _setup_draws(
+    ring: IntersectionRing, p: int, height: int, seed: int, index: int
+) -> tuple[ClassVector, list[ClassVector]]:
+    """The classes (w, [w_1..w_(n-2p)]) of a strict setup, drawn from the declared cone."""
+    draw = _cone_draws(ring, Xoshiro256StarStar(seed, STREAM_SETUP, index), height)
+    omega = draw()
+    return omega, [draw() for _ in range(ring.n - 2 * p)]
+
+
 def random_strict_setup(
     ring: IntersectionRing, p: int, height: int, seed: int, index: int
 ) -> MixedSetup:
     """A strict Kahler setup (w, w_1..w_(n-2p)) drawn from the declared cone."""
-    draw = _cone_draws(ring, Xoshiro256StarStar(seed, STREAM_SETUP, index), height)
-    omega = draw()
-    omegas = [draw() for _ in range(ring.n - 2 * p)]
-    return mixed_setup(p, omega, omegas)
+    return mixed_setup(p, *_setup_draws(ring, p, height, seed, index))

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import hodgecs.inequalities
 import hodgecs.ring
 from hodgecs import zoo
+from hodgecs.bundle import serialize_ring_bundle
+from hodgecs.cli import main
 from hodgecs.errors import DegreeError, FlagError
 from hodgecs.gaussian import GaussianRational
 from hodgecs.inequalities import (
@@ -26,11 +29,14 @@ from hodgecs.ring import (
     FLAG_NEF,
     ClassVector,
     IntersectionRing,
+    RingSample,
     as_kahler,
     integrate,
     integrate_real,
     mixed_setup,
     power,
+    sanity_check_kahler,
+    validate_ring,
     wedge,
 )
 from hodgecs.sampling import random_cone_class, random_strict_setup, sample_random_class
@@ -41,6 +47,13 @@ def _setup(ring, p, omega_name="omega", aux=None):
     count = ring.n - 2 * p
     omegas = aux if aux is not None else [w] * count
     return mixed_setup(p, w, omegas)
+
+
+def _g_three_wedges(alpha, setup):
+    """Oracle: g from three product classes and the setup's tower, as
+    (int alpha * conj(alpha) * Omega_p) * V - |int alpha * w^p * Omega_p|^2."""
+    aa = integrate_real(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
+    return aa * setup.volume - integrate(wedge(alpha, setup.tower[setup.p])).abs2()
 
 
 # -- g -------------------------------------------------------------------------
@@ -318,24 +331,69 @@ def test_verify_deterministic():
 def test_verify_draws_each_setup_once(monkeypatch):
     import hodgecs.sampling
 
-    real = hodgecs.sampling.random_strict_setup
+    real = hodgecs.sampling._setup_draws
     indices = []
 
     def counting(ring, p, height, seed, index):
         indices.append(index)
         return real(ring, p, height, seed, index)
 
-    monkeypatch.setattr(hodgecs.sampling, "random_strict_setup", counting)
+    monkeypatch.setattr(hodgecs.sampling, "_setup_draws", counting)
     ring = zoo.get("blp4").ring
     report = verify_theorem(ring, 2, 3, seed=4)
     assert indices == [0, 1, 2]
-    expected = construct_counterexample(ring, 2, real(ring, 2, 10, 4, 0), "cs")
+    expected = construct_counterexample(ring, 2, random_strict_setup(ring, 2, 10, 4, 0), "cs")
     assert report.counterexamples["cs"].theta == expected.theta
 
     indices.clear()
     report = verify_theorem(ring, 2, 0, seed=4)
     assert indices == [0]
     assert report.counterexamples["cs"].theta == expected.theta
+
+
+def _mixed_sign_ring():
+    """n = 2, h^1 = 3, a^2 = 1, b^2 = -1, c^2 = 1, integral 1 and sample a flagged
+    kahler: a valid ring whose degree-1 form has two positive directions."""
+    one = (Fraction(1), Fraction(0), Fraction(0))
+    return IntersectionRing(
+        "mixed-sign", 2, (1, 3, 1), [["1"], ["a", "b", "c"], ["pt"]],
+        {(1, 0, 1, 0): [1], (1, 1, 1, 1): [-1], (1, 2, 1, 2): [1]}, [1],
+        [RingSample("a", FLAG_KAHLER, one)],
+    )
+
+
+def test_verify_reports_violations_when_a_sample_fails_the_kahler_gate(
+        monkeypatch, tmp_path, capsys):
+    ring = _mixed_sign_ring()
+    assert validate_ring(ring).ok
+    assert not sanity_check_kahler(ring, ring.sample("a")).passed
+    built = []
+    real = hodgecs.inequalities.mixed_setup
+    monkeypatch.setattr(hodgecs.inequalities, "mixed_setup",
+                        lambda *args: built.append(args) or real(*args))
+    report = verify_theorem(ring, 1, 20, seed=3)
+    assert [str(v) for v in report.violations] == [
+        "sample 7: equality and proportionality disagree (g = 0, proportional=False)",
+        "sample 8: g > 0 although the opposite condition holds (g = 1247/144, proportional=False)",
+        "sample 13: g > 0 although the opposite condition holds (g = 125/144, proportional=False)",
+        "sample 14: g > 0 although the opposite condition holds (g = 8084/225, proportional=False)",
+        "sample 15: g > 0 although the opposite condition holds (g = 224/81, proportional=False)",
+        "sample 18: g > 0 although the opposite condition holds "
+        "(g = 1809/40000, proportional=False)",
+    ]
+    assert str(report.counterexamples["cs"].theta) == "3/2*a + 1*b"
+    # One setup for each violating sample and one, from sample 0, for the counterexample.
+    assert len(built) == 7
+    for v in report.violations:
+        setup = random_strict_setup(ring, 1, 10, 3, v.index)
+        assert v.setup == setup
+        assert v.g_value == _g_three_wedges(v.alpha, setup)
+        assert v.proportional == proportional(v.alpha, setup.omega)
+
+    path = tmp_path / "mixed-sign.json"
+    path.write_text(serialize_ring_bundle(ring), encoding="utf-8")
+    assert main(["verify", str(path), "-p", "1", "--samples", "20", "--seed", "3"]) == 1
+    assert capsys.readouterr().out == str(report) + "\n"
 
 
 def _count_wedges(monkeypatch):
@@ -370,7 +428,7 @@ def test_g_direct_conjugates_its_mixed_integral(monkeypatch):
     setup.tower  # built once per setup, not per call
     calls = _count_wedges(monkeypatch)
     assert compute_g_direct(alpha, setup) == expected
-    assert len(calls) == 3  # alpha*conj(alpha), its product with Omega_p, alpha*w^p*Omega_p
+    assert len(calls) == 0  # g contracts int numerators; it forms no product class
 
 
 def test_counterexample_kernel_comes_from_the_tower(monkeypatch):
@@ -385,19 +443,20 @@ def test_counterexample_kernel_comes_from_the_tower(monkeypatch):
     calls = _count_wedges(monkeypatch)
     ce = construct_counterexample(ring, 2, setup, "cs")
     assert (ce.witness, ce.theta) == (witness, theta)
-    # The kernel operator multiplies by tower[3], w^2 is tower[2] (Omega_p is
-    # the unit) and g conjugates its mixed integral.
-    assert len(calls) == 16
+    # The kernel operator multiplies by tower[3] (4 wedges), theta takes 2 and
+    # the decomposition in check_cs 7; w^2 and g come from the int setup data.
+    assert len(calls) == 13
 
 
 def test_verdicts_take_w_to_the_p_from_the_setup(monkeypatch):
-    # On blp8 at p = 4, Omega_p is the unit, so w^4 is the tower's middle rung:
-    # no verdict multiplies out w^4 on its own. That was 4 wedges for each of
-    # the 21 verdicts (20 samples and the counterexample's) and 4 for theta.
+    # On blp8 at p = 4, no sample verdict forms a class: g and proportionality
+    # read w^4 and the integrals from the int setup data. All 34 wedges are the
+    # counterexample's: the tower (8), the kernel operator (2), theta (4) and
+    # the decomposition (20).
     ring = zoo.blowup_pn(8).ring
     calls = _count_wedges(monkeypatch)
     report = verify_theorem(ring, 4, 20, seed=0)
-    assert len(calls) == 337 - 21 * 4 - 4
+    assert len(calls) == 34
     monkeypatch.undo()
     # Oracle: every verdict recomputed with w^4 formed on its own.
     for record in report.records:
@@ -439,12 +498,10 @@ def test_verify_builds_pinned_class_counts():
     ring = zoo.get("blp4").ring
     ring.kahler_samples()  # clears the sample ints, once per ring, before counting
     seen = _class_constructions(lambda: verify_theorem(ring, 1, 50, seed=1))
-    # Per sample, normalising: three cone draws, one class draw, Omega_p = w_1 * w_2,
-    # two tower rungs and three products in g; trusted: two units, each times a
-    # class (Omega_p and w^p start from the unit). The cs counterexample adds
-    # 14 and 7. Each cone draw once built its class twice and every sample class,
-    # unit product and conjugate was normalised: 1,022 and 0 before.
-    assert seen == {"normalising": 10 * 50 + 14, "trusted": 4 * 50 + 7}
+    # Per sample, normalising: three cone draws and one class draw; nothing
+    # else, as g and proportionality run on ints. The cs counterexample adds
+    # 15 and 9, with its setup (Omega_p = w_1 * w_2 and its unit) and tower.
+    assert seen == {"normalising": 4 * 50 + 15, "trusted": 9}
 
 
 def test_setup_draws_do_not_build_the_sample_classes(monkeypatch):

@@ -1,19 +1,25 @@
 """Property-based checks of the algebraic invariants."""
 
+import json
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from hypothesis import example, given, settings, strategies as st
 
 from hodgecs import zoo
+from hodgecs.bundle import _json_text
 from hodgecs.cli import _coeffs_json, _scalar
 from hodgecs.errors import MissingSamplesError
 from hodgecs.gaussian import GaussianRational
-from hodgecs.inequalities import compute_g_direct
+from hodgecs.inequalities import (_g_verdict, _proportional_ints, compute_g_decomposed,
+                                  compute_g_direct, proportional, verify_theorem)
 from hodgecs.linalg import Matrix
 from hodgecs.ring import (FLAG_KAHLER, FLAGS, POSITIVE_FLAGS, ClassVector, IntersectionRing,
-                          RingSample, integrate, mixed_setup, wedge)
-from hodgecs.sampling import STREAM_CONE, Xoshiro256StarStar, random_cone_class
+                          RingSample, integrate, mixed_setup, power, wedge)
+from hodgecs.sampling import (STREAM_CONE, Xoshiro256StarStar, random_cone_class,
+                              random_strict_setup)
+from test_inequalities import _g_three_wedges
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -230,3 +236,126 @@ def test_sample_and_cone_classes_equal_the_normalising_constructor(samples, seed
     got = random_cone_class(ring, height, seed, index)
     assert _fields(got) == _fields(_normalised(ring, 1, total, FLAG_KAHLER))
     assert _in_lowest_terms(got)
+
+
+# -- g and proportionality on ints against their oracles -----------------------
+
+@cache
+def _p1_power(k):
+    """(P^1)^k with one Kahler sample per factor: (1, .., 2, .., 1), the 2 on factor j."""
+    entry = zoo.projective_space(1, "x0")
+    for i in range(1, k):
+        entry = zoo.product(entry, zoo.projective_space(1, f"x{i}"))
+    r = entry.ring
+    samples = [RingSample(f"k{j}", FLAG_KAHLER, tuple(Fraction(2 if f == j else 1)
+                                                      for f in range(k)))
+               for j in range(k)]
+    return IntersectionRing(r.name, r.n, r.hodge, r.basis_labels, r.products, r.integral,
+                            samples)
+
+
+# Every zoo (ring, p) pair, then (P^1)^k for k = 4..6 at every p.
+_g_cases = ([(name, p) for name in zoo.list_entries()
+             for p in range(1, zoo.get(name).ring.n // 2 + 1)]
+            + [(k, p) for k in (4, 5, 6) for p in range(1, k // 2 + 1)])
+
+
+def _case_ring(name):
+    return _p1_power(name) if isinstance(name, int) else zoo.get(name).ring
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_g_cases), st.integers(min_value=0, max_value=2**64),
+       st.sampled_from(["real", "complex", "w^p", "w^p + i*real"]), st.data())
+def test_g_direct_equals_the_three_wedge_oracle_and_the_decomposition(case, seed, kind, data):
+    ring = _case_ring(case[0])
+    p = case[1]
+    setup = random_strict_setup(ring, p, 10, seed, 0)
+    dim = ring.dim(p)
+    coeffs = data.draw(st.lists(gaussians if kind == "complex" else small_fractions,
+                                min_size=dim, max_size=dim))
+    alpha = ring.class_vector(p, coeffs)
+    w_p = power(setup.omega, p)
+    if kind == "w^p":
+        alpha = w_p.scaled(data.draw(gaussians))
+    elif kind == "w^p + i*real":
+        alpha = w_p + alpha.scaled(GaussianRational(0, 1))
+    g = compute_g_direct(alpha, setup)
+    assert g == _g_three_wedges(alpha, setup) == compute_g_decomposed(alpha, setup).value
+    g_verdict, _, prop = _g_verdict(alpha, setup)
+    assert (g_verdict, prop) == (g, proportional(alpha, w_p))
+
+
+_gaussian_ints = st.tuples(st.integers(min_value=-6, max_value=6),
+                           st.integers(min_value=-6, max_value=6))
+
+
+@st.composite
+def _numerator_pairs(draw):
+    """Gaussian-integer numerator rows a and b (an im of None when real); b is
+    often a Gaussian-integer multiple of a, or zero."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    a = draw(st.lists(_gaussian_ints, min_size=dim, max_size=dim))
+    kind = draw(st.sampled_from(["free", "multiple", "zero"]))
+    if kind == "free":
+        b = draw(st.lists(_gaussian_ints, min_size=dim, max_size=dim))
+    else:
+        lr, li = (0, 0) if kind == "zero" else draw(_gaussian_ints)
+        b = [(lr * x - li * y, lr * y + li * x) for x, y in a]
+
+    def split(v):
+        re, im = tuple(x for x, _ in v), tuple(y for _, y in v)
+        return re, (im if any(im) else None)
+
+    return (*split(a), *split(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numerator_pairs(), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=12))
+@example(((0, 0), None, (1, 2), None), 1, 1)
+@example(((1, 2), None, (0, 0), None), 1, 1)
+@example(((0, 3), (0, 1), (0, -1), (0, 3)), 2, 5)
+def test_proportional_ints_equals_a_fraction_ratio_oracle(rows, da, db):
+    are, aim, bre, bim = rows
+    # Oracle: a = 0, or b = lam * a with lam = b_k / a_k at the first nonzero a_k.
+    zero = [0] * len(are)
+    a = [GaussianRational(Fraction(x, da), Fraction(y, da)) for x, y in zip(are, aim or zero)]
+    b = [GaussianRational(Fraction(x, db), Fraction(y, db)) for x, y in zip(bre, bim or zero)]
+    k = next((i for i, x in enumerate(a) if x), None)
+    expected = k is None or all(y == (b[k] / a[k]) * x for x, y in zip(a, b))
+    assert _proportional_ints(are, aim, bre, bim) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_g_cases), st.integers(min_value=0, max_value=2**64),
+       st.sampled_from([1, 10, 1000]))
+def test_verify_records_equal_the_verdict_on_the_drawn_setup(case, seed, height):
+    ring = _case_ring(case[0])
+    p = case[1]
+    report = verify_theorem(ring, p, 3, seed, height)
+    for r in report.records:
+        setup = random_strict_setup(ring, p, height, seed, r.index)
+        assert r.omega == setup.omega
+        assert (r.g_value, r.relation, r.proportional) == _g_verdict(r.alpha, setup)
+        assert r.g_value == _g_three_wedges(r.alpha, setup)
+        assert r.proportional == proportional(r.alpha, power(setup.omega, p))
+
+
+# -- the indented JSON writer against json.dumps ------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)
+                      | st.dictionaries(st.integers(), children, max_size=3)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({"a": [], "b": {}, "c": (1, "\u00e9\n\"\\"), "d": {2: [1.5, None]}, "e": 10**30})
+@example([True, False, -0, float("inf"), {"x": {1: {"y": 2}}}])
+def test_json_text_equals_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
