@@ -42,6 +42,7 @@ from .ring import (
     MODE_STRICT,
     MixedSetup,
     _check_same_ring,
+    _omega_ints,
     _pair_ints,
     _product_ints,
     _setup_ints,
@@ -406,8 +407,9 @@ def verify_theorem(
         if k == 0:
             first_draws = draws
         alpha = sample_random_class(ring, p, height, seed, k)
-        g, relation, prop = _verdict(alpha, _setup_ints(ring, p, *draws))
-        report.records.append(SampleRecord(k, alpha, draws[0], g, relation, prop))
+        w, omegas = draws
+        g, relation, prop = _verdict(alpha, _setup_ints(ring, p, w, _omega_ints(ring, omegas)))
+        report.records.append(SampleRecord(k, alpha, w, g, relation, prop))
         if g == 0:
             report.equality_count += 1
         problems = []

@@ -23,13 +23,15 @@ system r * w * C_i = c * C_i in degree i-1. For genuine Kahler references that
 map is an isomorphism, so r and a_i = c - w * r are unique; a singular map is
 reported as evidence of wrong flags. The products w^k * Omega_p come from
 ``MixedSetup.tower`` and each level's C_i and map inverse from
-``MixedSetup.levels``: one build per setup, read by all its decomposers.
+``MixedSetup.levels``: one build per setup, read by all its decomposers. The
+levels run on int numerators; classes are built only for what is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -43,6 +45,7 @@ from .ring import (
     MixedSetup,
     MODE_STRICT,
     _integral,
+    _product_ints,
     class_columns,
     form_matrix,
     integrate_real,
@@ -271,7 +274,9 @@ class LefschetzDecomposer:
     Per level i = p .. 1 it reads C_i = w^(2(p-i)+1) * Omega_p and the int
     inverse of the mixed hard Lefschetz map r -> r * w * C_i on degree i-1
     from ``setup.levels``, which raises on a singular map. Decomposing a
-    class is then one int matrix-vector product per level.
+    class then runs on int numerators: per level, contractions over the ring's
+    table, one int matrix-vector product and one gcd. Classes are built only
+    for the components, the certificates and the degree-0 remainder.
     """
 
     def __init__(self, setup: MixedSetup):
@@ -282,33 +287,50 @@ class LefschetzDecomposer:
 
     def decompose(self, alpha: ClassVector) -> DecompositionResult:
         setup = self.setup
-        ring = setup.ring
+        ring, w, big_d = setup.ring, setup.omega, setup.ring._den
         setup.check_class(alpha)
+
+        def parts(c: ClassVector) -> list:
+            return [u for u in (c.re, c.im) if u is not None]
+
+        def build(degree: int, nums: list, den: int) -> ClassVector:
+            return ClassVector(ring, degree, nums[0], nums[1] if len(nums) > 1 else None, den)
 
         components: list[ClassVector] = []      # levels p .. 1
         certificates: list[ClassVector] = []
-        current = alpha
-        for i, cert_multiplier, inverse, d in self._levels:
-            # rest = L^-1 (current * C_i), with L^-1 = inverse / d.
-            v = wedge(current, cert_multiplier)
-            re, im = ([sum(map(mul, row, u)) for row in inverse] if u is not None else None
-                      for u in (v.re, v.im))
-            rest = ClassVector(ring, i - 1, re, im, v.den * d)
-            components.append(current - wedge(rest, setup.omega))
-            certificates.append(wedge(components[-1], cert_multiplier))
-            current = rest
+        # The current class as its real and imaginary int numerators over den.
+        current, den = parts(alpha), alpha.den
+        for i, c, inverse, d in self._levels:
+            k = ring.n - 2 * i + 1                # the degree of C_i
+            # rest = L^-1 (current * C_i), with L^-1 = inverse / d, in lowest terms.
+            rest = [[sum(map(mul, row, v)) for row in inverse]
+                    for v in (_product_ints(ring, i, u, k, c.re) for u in current)]
+            rest_den = den * c.den * big_d * d
+            g = gcd(rest_den, *(x for u in rest for x in u))
+            rest, rest_den = [[x // g for x in u] for u in rest], rest_den // g
+            # a_i = current - rest * w.
+            rw = [_product_ints(ring, i - 1, u, 1, w.re) for u in rest]
+            rw_den = rest_den * w.den * big_d
+            m = lcm(den, rw_den)
+            s, t = m // den, m // rw_den
+            a = build(i, [[s * x - t * y for x, y in zip(u, v)] for u, v in zip(current, rw)], m)
+            components.append(a)
+            certificates.append(build(ring.n - i + 1, [_product_ints(ring, i, u, k, c.re)
+                                                       for u in parts(a)], a.den * c.den * big_d))
+            current, den = rest, rest_den
 
         # The recursion remainder lam = current must match the closed form
         # lam = (int a * w^p * Omega_p) / (int w^(2p) * Omega_p): lam times the
         # volume and the integral, both in lowest terms, have equal int fields.
+        lam = build(0, current, den)
         m_re, m_im, m = _integral(wedge(alpha, setup.tower[setup.p]))
-        if current.scaled(setup.volume) != ClassVector(ring, 0, [m_re], [m_im], m):
+        if lam.scaled(setup.volume) != ClassVector(ring, 0, [m_re], [m_im], m):
             raise SingularSplitError(
                 "recursion remainder disagrees with the closed-form coefficient; "
                 "the reference classes are not Kahler"
             )
 
-        return DecompositionResult(setup, alpha, current.coeffs[0],
+        return DecompositionResult(setup, alpha, lam.coeffs[0],
                                    tuple(reversed(components)), tuple(reversed(certificates)))
 
 

@@ -142,18 +142,22 @@ class Matrix:
 
     def kernel(self) -> "Matrix":
         """Canonical kernel basis, one vector per row: the reduced echelon form of
-        any basis of ker(self), so the output does not depend on how it was found.
+        ker(self), read off one reduction of self with its columns reversed.
+
+        Free column f gives the vector with 1 at f, 0 at the other free columns and
+        minus the reduced entry at each pivot column, all of which lie right of f.
         """
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        raw = []
-        for f in (c for c in range(self.cols) if c not in pivot_set):
-            v = [0] * self.cols
+        c = self.cols
+        red, pivots = Matrix._of([row[::-1] for row in self.num], self.den, c).rref()
+        pivot_set = {c - 1 - p for p in pivots}
+        rows = []
+        for f in (j for j in range(c) if j not in pivot_set):
+            v = [0] * c
             v[f] = red.den
-            for r, c in enumerate(pivots):
-                v[c] = -red.num[r][f]
-            raw.append(v)
-        return Matrix._of(raw, red.den, self.cols).rref()[0]
+            for r, p in enumerate(pivots):
+                v[c - 1 - p] = -red.num[r][c - 1 - f]
+            rows.append(v)
+        return Matrix._of(rows, red.den, c)
 
     def nullspace(self) -> list[Vector]:
         """The rows of :meth:`kernel` as Gaussian-rational vectors."""

@@ -6,9 +6,10 @@ structure constants for the cup product, and a linear integration functional
 on the top degree. A :class:`ClassVector` holds int numerators over one
 denominator, so complex classes and conjugation are exact. Products are int
 contractions over sparse structure tables, and integrals of products are int
-pairing matrices; each ring builds both once. Operator and form matrices take
-int rows from class numerators and the pairing, and every integral of a class
-is the int ``_integral``; g's setup data and per-class integrals contract bare
+pairing matrices; each ring builds both once. An operator matrix scatters a
+class's numerators through the table into int rows, a form matrix is the
+pairing times an operator, and every integral of a class is the int
+``_integral``; g's setup data and per-class integrals contract bare
 numerators (``_setup_ints``, ``_pair_ints``). Gaussian rationals are built
 only where values leave (``coeffs``, ``integrate``).
 
@@ -190,8 +191,13 @@ class IntersectionRing:
     def _table(self, da: int, db: int) -> tuple:
         """Sparse products of degrees da x db: i -> ((j, ((k, D * c_k), ...)), ...).
 
-        Built on first use; the pairs with a zero product are left out.
+        Built on first use; the pairs with a zero product are left out. In
+        degree 0 the unit, basis element 0, acts as the identity, and any other
+        element (in a ring that fails validation) as zero, as in ``wedge``.
         """
+        if da == 0 and (0, db) not in self._tables:
+            unit = tuple((j, ((j, self._den),)) for j in range(self.hodge[db]))
+            self._tables[0, db] = tuple(() if i else unit for i in range(self.hodge[0]))
         if (da, db) not in self._tables:
             self._tables[da, db] = tuple(tuple(
                 (j, tuple((k, c) for k, c in enumerate(_cleared(out, self._den)) if c))
@@ -484,8 +490,8 @@ def _contract(acc: list[int], table: tuple, x: Sequence[int], y: Sequence[int],
 
 def _product_ints(ring: IntersectionRing, da: int, x: Sequence[int], db: int,
                   y: Sequence[int]) -> list[int]:
-    """x * y for int numerators x of degree da and y of degree db, both at least 1:
-    the numerators over den_x * den_y * D, one contraction over the ring's table."""
+    """x * y for int numerators x of degree da and y of degree db: the numerators
+    over den_x * den_y * D, one contraction over the ring's table."""
     if da > db:
         da, x, db, y = db, y, da, x
     acc = [0] * ring.hodge[da + db]
@@ -499,11 +505,22 @@ def _pair_ints(ring: IntersectionRing, da: int, x: Sequence[int], y: Sequence[in
     return sum(map(mul, ring._weights[0], _product_ints(ring, da, x, ring.n - da, y)))
 
 
+def _omega_ints(ring: IntersectionRing, omegas: Sequence[ClassVector]) -> Optional[tuple]:
+    """The product of the degree-1 ``omegas`` as (numerators, den), not reduced;
+    None for the empty product (the unit)."""
+    if not omegas:
+        return None
+    o, o_den = omegas[0].re, omegas[0].den
+    for k, c in enumerate(omegas[1:], 1):
+        o, o_den = _product_ints(ring, 1, c.re, k, o), o_den * c.den * ring._den
+    return o, o_den
+
+
 def _setup_ints(ring: IntersectionRing, p: int, omega: ClassVector,
-                omegas: Sequence[ClassVector]) -> tuple:
+                omega_p: Optional[tuple]) -> tuple:
     """The setup data of g on ints, each (numerators, den) and not reduced:
-    W = w^p, Omega = the product of ``omegas`` (None for the unit, n = 2p),
-    T = W * Omega (W itself for the unit) and V = integral of W * T.
+    W = w^p, Omega = ``omega_p`` ((numerators, den) of degree n - 2p, None for
+    the unit), T = W * Omega (W itself for the unit) and V = integral of W * T.
 
     Every product is one contraction and every integral one dot product with the
     ring's weights; no class is built and no gcd is taken.
@@ -512,13 +529,11 @@ def _setup_ints(ring: IntersectionRing, p: int, omega: ClassVector,
     w, w_den = omega.re, omega.den
     for k in range(1, p):
         w, w_den = _product_ints(ring, 1, omega.re, k, w), w_den * omega.den * d
-    if omegas:
-        o, o_den = omegas[0].re, omegas[0].den
-        for k, c in enumerate(omegas[1:], 1):
-            o, o_den = _product_ints(ring, 1, c.re, k, o), o_den * c.den * d
-        t, t_den = _product_ints(ring, p, w, len(omegas), o), w_den * o_den * d
-    else:
+    if omega_p is None:
         o, o_den, t, t_den = None, 1, w, w_den
+    else:
+        o, o_den = omega_p
+        t, t_den = _product_ints(ring, p, w, ring.n - 2 * p, o), w_den * o_den * d
     v_den = w_den * t_den * d * ring._weights[1]
     return (w, w_den), (o, o_den), (t, t_den), (_pair_ints(ring, p, w, t), v_den)
 
@@ -753,22 +768,43 @@ def class_columns(classes: Sequence[ClassVector], rows: int) -> Matrix:
 
 
 def multiplication_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Matrix:
-    """Matrix of the map (wedge with the real class ``by``) from degree p, in the ring bases."""
-    cols = [wedge(ring.basis_class(p, i), by) for i in range(ring.dim(p))]
-    return class_columns(cols, ring.dim(p + by.degree))
+    """Matrix of the map (wedge with the real class ``by``) from degree p, in the ring bases.
+
+    ``by``'s numerators are scattered through the ring's table, lower degree
+    first, into int rows over by.den * D.
+    """
+    if by.ring is not ring and by.ring != ring:
+        raise RingMismatchError("classes live in different rings")
+    d, cols = by.degree, ring.dim(p)
+    if p + d > ring.n:
+        raise DegreeError(f"wedge of degrees {p} and {d} exceeds top degree {ring.n}")
+    if by.im:
+        raise ValueError("matrix entries must be real")
+    rows = [[0] * cols for _ in range(ring.hodge[p + d])]
+    if p <= d:
+        for i, row in enumerate(ring._table(p, d)):
+            for j, out in row:
+                if yj := by.re[j]:
+                    for k, c in out:
+                        rows[k][i] += yj * c
+    else:
+        for j, row in enumerate(ring._table(d, p)):
+            if yj := by.re[j]:
+                for i, out in row:
+                    for k, c in out:
+                        rows[k][i] += yj * c
+    return Matrix._of(rows, by.den * ring._den, cols)
 
 
 def form_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Matrix:
     """Matrix of (a, b) -> integral of a * b * ``by``, in the ring bases; ``by`` is real.
 
     Rows run over degree p, columns over degree q = n - p - deg(by): the
-    ring's pairing of degrees p x (n - p) times the columns b * by, each
-    formed once.
+    ring's pairing of degrees p x (n - p) times the operator of ``by`` on degree q,
+    which is built first, as it raises for a p outside the grading.
     """
-    q = ring.n - p - by.degree
-    right = class_columns([wedge(ring.basis_class(q, j), by) for j in range(ring.dim(q))],
-                          ring.dim(ring.n - p))
-    return ring._pairing(p) @ right
+    operator = multiplication_matrix(ring, ring.n - p - by.degree, by)
+    return ring._pairing(p) @ operator
 
 
 def sanity_check_kahler(ring: IntersectionRing, w: ClassVector) -> KahlerCheckReport:
@@ -877,8 +913,10 @@ class MixedSetup:
 
     @cached_property
     def _ints(self) -> tuple:
-        """W = w^p, Omega_p, T = W * Omega_p and V on ints (:func:`_setup_ints`), built once."""
-        return _setup_ints(self.ring, self.p, self.omega, self.omegas)
+        """W = w^p, Omega_p, T = W * Omega_p and V on ints (:func:`_setup_ints`), built once
+        from ``omega_p``."""
+        o = self.omega_p
+        return _setup_ints(self.ring, self.p, self.omega, (o.re, o.den) if o.degree else None)
 
     @cached_property
     def omega_power(self) -> ClassVector:

@@ -443,20 +443,22 @@ def test_counterexample_kernel_comes_from_the_tower(monkeypatch):
     calls = _count_wedges(monkeypatch)
     ce = construct_counterexample(ring, 2, setup, "cs")
     assert (ce.witness, ce.theta) == (witness, theta)
-    # The kernel operator multiplies by tower[3] (4 wedges), theta takes 2 and
-    # the decomposition in check_cs 7; w^2 and g come from the int setup data.
-    assert len(calls) == 13
+    # Theta takes 2 wedges and the decomposition in check_cs 1, its closed-form
+    # check; the kernel operator is filled from the ring's table, the
+    # decomposition's levels run on ints, and w^2 and g come from the int setup data.
+    assert len(calls) == 3
 
 
 def test_verdicts_take_w_to_the_p_from_the_setup(monkeypatch):
     # On blp8 at p = 4, no sample verdict forms a class: g and proportionality
-    # read w^4 and the integrals from the int setup data. All 34 wedges are the
-    # counterexample's: the tower (8), the kernel operator (2), theta (4) and
-    # the decomposition (20).
+    # read w^4 and the integrals from the int setup data. All 13 wedges are the
+    # counterexample's: the tower (8), theta (4) and the decomposition's
+    # closed-form check (1); the kernel operator and the decomposition's levels
+    # form no class.
     ring = zoo.blowup_pn(8).ring
     calls = _count_wedges(monkeypatch)
     report = verify_theorem(ring, 4, 20, seed=0)
-    assert len(calls) == 34
+    assert len(calls) == 13
     monkeypatch.undo()
     # Oracle: every verdict recomputed with w^4 formed on its own.
     for record in report.records:
@@ -500,8 +502,10 @@ def test_verify_builds_pinned_class_counts():
     seen = _class_constructions(lambda: verify_theorem(ring, 1, 50, seed=1))
     # Per sample, normalising: three cone draws and one class draw; nothing
     # else, as g and proportionality run on ints. The cs counterexample adds
-    # 15 and 9, with its setup (Omega_p = w_1 * w_2 and its unit) and tower.
-    assert seen == {"normalising": 4 * 50 + 15, "trusted": 9}
+    # 12 and 4: its setup (Omega_p = w_1 * w_2, from the unit) and tower, the
+    # witness, w^p and theta (w^0 is the unit), and per decomposition level a
+    # component and a certificate, then the remainder and its closed-form check.
+    assert seen == {"normalising": 4 * 50 + 12, "trusted": 4}
 
 
 def test_setup_draws_do_not_build_the_sample_classes(monkeypatch):
