@@ -225,14 +225,12 @@ class IntersectionRing:
 
     def class_vector(self, p: int, coeffs: Sequence, flag: str = FLAG_NONE) -> "ClassVector":
         re, im, den = _gaussian_ints(coeffs)
-        if len(re) != self.dim(p):
-            raise DegreeError(f"degree {p} needs {self.dim(p)} coefficients, got {len(re)}")
-        return ClassVector(self, p, re, im, den).with_flag(flag)
+        return ClassVector(self, p, re, im, den, flag)
 
     def basis_class(self, p: int, i: int) -> "ClassVector":
         re = [0] * self.dim(p)
         re[i] = 1
-        return ClassVector._reduced(self, p, tuple(re), None, 1)
+        return ClassVector(self, p, re)
 
     def unit(self) -> "ClassVector":
         return self.basis_class(0, 0)
@@ -255,17 +253,16 @@ class IntersectionRing:
     def sample(self, name: str) -> "ClassVector":
         for s, (re, den, flag) in zip(self.samples, self._sample_ints()):
             if s.name == name:
-                return ClassVector._reduced(self, 1, re, None, den, flag)
+                return ClassVector(self, 1, re, None, den, flag)
         raise KeyError(f"ring {self.name!r} has no sample {name!r}")
 
     def sample_classes(self, flag: Optional[str] = None) -> tuple["ClassVector", ...]:
         """The declared samples as flagged degree-1 classes, in declaration order;
         with ``flag``, only the samples of that flag.
 
-        Each call builds its classes from the ring's cleared ints, without a gcd.
+        Each call builds its classes from the ring's cleared ints.
         """
-        return tuple(ClassVector._reduced(self, 1, re, None, den, f)
-                     for re, den, f in self._sample_ints(flag))
+        return tuple(ClassVector(self, 1, re, None, den, f) for re, den, f in self._sample_ints(flag))
 
     def kahler_samples(self) -> tuple["ClassVector", ...]:
         return self.sample_classes(FLAG_KAHLER)
@@ -298,36 +295,38 @@ class ClassVector:
 
     The class is (re + i * im) / den: ``re`` and ``im`` are int tuples of
     numerators (``im`` is None for a real class) over one positive ``den``.
-    The constructor brings them to lowest terms, so equal classes have equal
-    fields. ``coeffs``, the Gaussian-rational coefficients for values that
-    leave the package, is built on each read. Arithmetic stays on ints.
+    The constructor is the one way to build a class and the one place that
+    checks one: the degree must lie in 0..n with one coefficient per basis
+    element (:class:`DegreeError`), and a kahler or nef flag needs a real
+    degree-1 class (:class:`FlagError`). It brings the fields to lowest terms,
+    so equal classes have equal fields. ``coeffs``, the Gaussian-rational
+    coefficients for values that leave the package, is built on each read.
+    Arithmetic stays on ints.
     """
 
     __slots__ = ("ring", "degree", "re", "im", "den", "flag")
 
     def __new__(cls, ring: IntersectionRing, degree: int, re: Sequence[int],
                 im: Optional[Sequence[int]] = None, den: int = 1, flag: str = FLAG_NONE):
+        h = ring.dim(degree)
+        if len(re) != h or im is not None and len(im) != h:
+            raise DegreeError(f"degree {degree} needs {h} coefficients, got "
+                              f"{len(re) if len(re) != h else len(im)}")
         im = tuple(im) if any(im or ()) else None
+        if flag != FLAG_NONE:
+            if flag not in FLAGS:
+                raise FlagError(f"unknown positivity flag {flag!r}")
+            if degree != 1 or im:
+                raise FlagError("kahler/nef flags only apply to real degree-1 classes")
         g = gcd(den, *re, *im) if im else gcd(den, *re)
         if g != 1:
             re, den = [x // g for x in re], den // g
             im = im and tuple(x // g for x in im)
-        return cls._reduced(ring, degree, tuple(re), im, den, flag)
-
-    @classmethod
-    def _reduced(cls, ring: IntersectionRing, degree: int, re: tuple[int, ...],
-                 im: Optional[tuple[int, ...]], den: int, flag: str = FLAG_NONE) -> "ClassVector":
-        """A class from fields already in lowest terms, taken as they are.
-
-        The caller vouches for what the constructor would establish: ``re`` and
-        ``im`` are int tuples, ``im`` is None or not all zero, ``den > 0`` and
-        gcd(den, *re, *im) == 1. No gcd is taken and nothing is copied. The
-        slots are written through their descriptors, as ``__setattr__`` refuses.
-        """
+        # The slots are written through their descriptors, as __setattr__ refuses.
         c = object.__new__(cls)
         _set_ring(c, ring)
         _set_degree(c, degree)
-        _set_re(c, re)
+        _set_re(c, tuple(re))
         _set_im(c, im)
         _set_den(c, den)
         _set_flag(c, flag)
@@ -388,8 +387,8 @@ class ClassVector:
     __rmul__ = __mul__
 
     def conjugate(self) -> "ClassVector":
-        return self if self.im is None else ClassVector._reduced(
-            self.ring, self.degree, self.re, tuple(-y for y in self.im), self.den, self.flag)
+        return self if self.im is None else ClassVector(
+            self.ring, self.degree, self.re, [-y for y in self.im], self.den)
 
     # -- predicates ------------------------------------------------------
 
@@ -402,11 +401,7 @@ class ClassVector:
         return self.im is None
 
     def with_flag(self, flag: str) -> "ClassVector":
-        if flag not in FLAGS:
-            raise FlagError(f"unknown positivity flag {flag!r}")
-        if flag != FLAG_NONE and (self.degree != 1 or self.im is not None):
-            raise FlagError("kahler/nef flags only apply to real degree-1 classes")
-        return ClassVector._reduced(self.ring, self.degree, self.re, self.im, self.den, flag)
+        return ClassVector(self.ring, self.degree, self.re, self.im, self.den, flag)
 
     def __eq__(self, other):
         # Positivity flags are advisory metadata and do not affect identity.
@@ -449,7 +444,7 @@ def _check_same_ring(a: ClassVector, b: ClassVector,
 def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
     """Product of two classes; degree overflow past n is an error.
 
-    The lower-degree factor goes first; the unit returns the other factor, unflagged.
+    The lower-degree factor goes first; a degree-0 factor scales the other, unflagged.
     Numerators contract over the ring's table, up to four passes, over a.den * b.den * D.
     """
     _check_same_ring(a, b)
@@ -462,8 +457,6 @@ def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
     if a.degree > b.degree:
         a, b = b, a
     if a.degree == 0:
-        if a.re == (1,) and a.den == 1 and a.im is None:
-            return ClassVector._reduced(b.ring, b.degree, b.re, b.im, b.den)
         return b._times(a.re[0], a.im[0] if a.im else 0, a.den)
     table = ring._table(a.degree, b.degree)
     re, im = [0] * ring.hodge[total], ([0] * ring.hodge[total] if a.im or b.im else None)

@@ -473,19 +473,13 @@ def test_verdicts_take_w_to_the_p_from_the_setup(monkeypatch):
 
 
 def _class_constructions(fn):
-    """Run ``fn()``; count ClassVector constructions, normalising and trusted.
-
-    Each normalising construction ends in ``_reduced``; only the other calls of
-    ``_reduced`` are trusted ones.
-    """
-    normalising, reduced = ClassVector.__new__.__code__, ClassVector._reduced.__func__.__code__
+    """Run ``fn()``; count ClassVector constructions, each one call of ``ClassVector.__new__``."""
+    constructor = ClassVector.__new__.__code__
     seen = Counter()
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code is normalising:
-            seen["normalising"] += 1
-        elif event == "call" and frame.f_code is reduced and frame.f_back.f_code is not normalising:
-            seen["trusted"] += 1
+        if event == "call" and frame.f_code is constructor:
+            seen["constructions"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -500,12 +494,12 @@ def test_verify_builds_pinned_class_counts():
     ring = zoo.get("blp4").ring
     ring.kahler_samples()  # clears the sample ints, once per ring, before counting
     seen = _class_constructions(lambda: verify_theorem(ring, 1, 50, seed=1))
-    # Per sample, normalising: three cone draws and one class draw; nothing
-    # else, as g and proportionality run on ints. The cs counterexample adds
-    # 12 and 4: its setup (Omega_p = w_1 * w_2, from the unit) and tower, the
-    # witness, w^p and theta (w^0 is the unit), and per decomposition level a
-    # component and a certificate, then the remainder and its closed-form check.
-    assert seen == {"normalising": 4 * 50 + 12, "trusted": 4}
+    # Per sample: three cone draws and one class draw; nothing else, as g and
+    # proportionality run on ints. The cs counterexample adds 16: its setup
+    # (Omega_p = w_1 * w_2, from the unit) and tower, the witness, w^p and
+    # theta (w^0 is the unit), and per decomposition level a component and a
+    # certificate, then the remainder and its closed-form check.
+    assert seen == {"constructions": 4 * 50 + 16}
 
 
 def test_setup_draws_do_not_build_the_sample_classes(monkeypatch):

@@ -10,6 +10,7 @@ from hodgecs import zoo
 from hodgecs.errors import DegreeError, FlagError, RingMismatchError
 from hodgecs.gaussian import GaussianRational
 from hodgecs.ring import (
+    ClassVector,
     IntersectionRing,
     RingSample,
     as_kahler,
@@ -293,3 +294,20 @@ def test_positivity_flags_reject_complex_classes():
     # Unflagged complex classes and real flagged classes are still accepted.
     assert not bl.class_vector(1, coeffs).is_real
     assert bl.class_vector(1, [2, -1], "kahler").flag == "kahler"
+    # The constructor itself enforces the same rules, so no path builds a
+    # flagged complex class or a class of the wrong shape.
+    for flag in ("kahler", "nef"):
+        with pytest.raises(FlagError, match="real degree-1"):
+            ClassVector(bl, 1, [2, -1], [1, 0], 1, flag)
+        with pytest.raises(FlagError, match="real degree-1"):
+            ClassVector(bl, 2, [1, 0], None, 1, flag)
+    with pytest.raises(FlagError, match="unknown positivity flag 'ample'"):
+        ClassVector(bl, 1, [2, -1], None, 1, "ample")
+    with pytest.raises(DegreeError, match="degree 1 needs 2 coefficients, got 1"):
+        ClassVector(bl, 1, [1])
+    with pytest.raises(DegreeError, match="degree 1 needs 2 coefficients, got 1"):
+        ClassVector(bl, 1, [1, 0], [1])
+    for degree in (-1, bl.n + 1):
+        with pytest.raises(DegreeError, match=f"degree {degree} outside 0..{bl.n}"):
+            ClassVector(bl, degree, [1])
+    assert ClassVector(bl, 1, [4, -2], [0, 0], 2, "kahler") == bl.class_vector(1, [2, -1])
