@@ -27,7 +27,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import BundleSemanticError, BundleSyntaxError
-from .gaussian import rational_from_str, rational_to_str
+from .gaussian import MAX_LITERAL_DIGITS, int_from_str, rational_from_str, rational_to_str
 from .ring import (
     FLAG_NONE,
     POSITIVE_FLAGS,
@@ -40,6 +40,8 @@ from .ring import (
 
 _REQUIRED_FIELDS = ("name", "n", "hodge", "basis", "products", "integral")
 _ALLOWED_FIELDS = _REQUIRED_FIELDS + ("samples",)
+# Every digit to "0": a run of digits becomes a run of zeros of its length.
+_DIGITS_TO_ZERO = str.maketrans("123456789", "0" * 9)
 
 
 def _semantic(message: str, path: str, constraint: str) -> BundleSemanticError:
@@ -73,11 +75,16 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
     constraint violations raise :class:`BundleSemanticError` carrying the
     field path and the name of the first failing constraint.
     :func:`validate_ring` raises :class:`ValidationLimitError` beyond its limit.
+    JSON integers go through :func:`int_from_str` when the text holds a run of
+    more digits than a literal may have, so none is converted past the bound.
     """
     try:
-        doc = json.loads(text)
+        long_run = "0" * (MAX_LITERAL_DIGITS + 1) in text.translate(_DIGITS_TO_ZERO)
+        doc = json.loads(text, parse_int=int_from_str if long_run else None)
     except json.JSONDecodeError as exc:
         raise BundleSyntaxError(f"{source}: {exc.msg}", line=exc.lineno, col=exc.colno) from None
+    except ValueError as exc:
+        raise _semantic(str(exc), "$", "integer") from None
 
     _want(doc, dict, "$")
     for key in _REQUIRED_FIELDS:

@@ -38,7 +38,7 @@ from .errors import (
     UnknownRingError,
     ValidationLimitError,
 )
-from .gaussian import GaussianRational, rational_to_str
+from .gaussian import GaussianRational, int_from_str, rational_to_str
 from .inequalities import (
     DIRECTION_CS,
     DIRECTIONS,
@@ -459,6 +459,14 @@ def _cmd_export(args) -> tuple[int, dict, list[str]]:
 
 # -- parser ----------------------------------------------------------------------
 
+def _int_option(text: str) -> int:
+    """An integer option read by ``int_from_str``; a refusal is a usage error (exit 2)."""
+    try:
+        return int_from_str(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; built on first use and shared for the process."""
@@ -482,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_reference_command(name, handler, help_text, alpha, nef=True):
         # --omega is required exactly where --alpha is.
         p = add(name, handler, help_text)
-        p.add_argument("-p", type=int, required=True)
+        p.add_argument("-p", type=_int_option, required=True)
         if alpha:
             p.add_argument("--alpha", required=True)
         p.add_argument("--omega", required=alpha,
@@ -507,10 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=DIRECTIONS, default=DIRECTION_CS)
 
     p = add("verify", _cmd_verify, "seeded verification of both directions")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default: 0)")
-    p.add_argument("--height", type=int, default=10,
+    p.add_argument("-p", type=_int_option, required=True)
+    p.add_argument("--samples", type=_int_option, default=100)
+    p.add_argument("--seed", type=_int_option, default=0, help="PRNG seed (default: 0)")
+    p.add_argument("--height", type=_int_option, default=10,
                    help="bound on sampled numerators/denominators (default: 10)")
 
     p = add_reference_command("counterexample", _cmd_counterexample,
@@ -540,6 +548,25 @@ _HANDLED = tuple(t for types, _, _ in _EXITS for t in types)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and print its report; returns the exit code.
+
+    The interpreter's int/str digit limit is lifted while the command runs and
+    prints, and restored after: every digit string hodgecs reads is bounded
+    first (``int_from_str``, ``rational_from_str``), and an exact result may be
+    longer. Interpreters before 3.10.7 have no limit and no setter.
+    """
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -35,6 +35,18 @@ def rational_from_str(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational literal {text!r}") from None
 
 
+def int_from_str(text: str) -> int:
+    """Parse an integer as ``int`` does; more than ``MAX_LITERAL_DIGITS`` digits are
+    refused before any conversion, so the interpreter's digit limit is never reached."""
+    if (digits := sum(map(str.isdigit, text))) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"integer literal with {digits} digits exceeds the limit "
+                         f"of {MAX_LITERAL_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
 

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (DegreeError, FlagError, RingMismatchError, SingularSplitError,
                      ValidationLimitError)
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, int_from_str
 from .linalg import Matrix, _cleared, _gaussian_ints
 
 FLAG_NONE = "none"
@@ -260,7 +260,8 @@ class IntersectionRing:
         """The declared samples as flagged degree-1 classes, in declaration order;
         with ``flag``, only the samples of that flag.
 
-        Each call builds its classes from the ring's cleared ints.
+        Each call builds its classes from the ring's cleared ints, through the
+        constructor, which checks them like any other class.
         """
         return tuple(ClassVector(self, 1, re, None, den, f) for re, den, f in self._sample_ints(flag))
 
@@ -631,7 +632,10 @@ def validate_ring(ring: IntersectionRing) -> ValidationReport:
     text = os.environ.get(VALIDATE_LIMIT_ENV, "")
     if text and not text.isdecimal():
         raise ValueError(f"{VALIDATE_LIMIT_ENV} must be a nonnegative integer, got {text!r}")
-    limit = int(text) if text else VALIDATE_LIMIT
+    try:
+        limit = int_from_str(text) if text else VALIDATE_LIMIT
+    except ValueError as exc:
+        raise ValueError(f"{VALIDATE_LIMIT_ENV}: {exc}") from None
     report = ValidationReport(ring.name)
     n = ring.n
 

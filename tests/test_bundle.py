@@ -16,6 +16,7 @@ from hodgecs.bundle import (
     resolve_class,
     serialize_ring_bundle,
 )
+from hodgecs.cli import main
 from hodgecs.errors import BundleSemanticError, BundleSyntaxError
 
 
@@ -135,6 +136,80 @@ def test_literal_size_limit_does_not_depend_on_the_interpreter(digits, tmp_path)
         assert _hodgecs(literal, limit) == (2, "", f"error: {message}\n"), limit
         assert _hodgecs(["validate", str(path)], limit) == (
             1, f"INVALID: {path}\n  [rational] samples[0].coeffs[1]: {message}\n", ""), limit
+
+
+def _same_under_every_limit(argv):
+    """Run ``argv`` in both output modes under digit limits 640, 4300 and 0; each
+    mode must give the same (exit code, stdout, stderr) under all three."""
+    results = []
+    for mode in ("text", "json"):
+        runs = [_hodgecs([*argv, "--output", mode], limit) for limit in (640, 4300, 0)]
+        assert runs[1:] == runs[:1] * 2, (mode, runs)
+        results.append(runs[0])
+    return results
+
+
+def _int_message(digits):
+    return f"integer literal with {digits} digits exceeds the limit of 640 digits"
+
+
+@pytest.mark.parametrize("field, digits", [('"n": 2', 5001), ('"da": 1', 641)])
+def test_integer_field_size_limit_does_not_depend_on_the_interpreter(field, digits, tmp_path):
+    text = serialize_ring_bundle(zoo.get("p1xp1").ring)
+    assert field in text
+    text = text.replace(field, field[:-1] + "9" * digits, 1)
+    with pytest.raises(BundleSemanticError) as err:
+        parse_ring_bundle(text)
+    assert (err.value.constraint, err.value.path) == ("integer", "$")
+    assert Exception.__str__(err.value) == _int_message(digits)
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    (code, out, stderr), (json_code, json_out, _) = _same_under_every_limit(["validate", str(path)])
+    assert (code, out, stderr) == (1, f"INVALID: {path}\n  [integer] $: {_int_message(digits)}\n", "")
+    assert json_code == 1 and json.loads(json_out)["issues"] == [
+        {"check": "integer", "location": "$", "message": _int_message(digits)}]
+    for code, out, stderr in _same_under_every_limit(["info", str(path)]):
+        assert (code, out, stderr) == (2, "", f"invalid ring bundle: $: {_int_message(digits)}\n")
+
+
+def test_integer_options_are_bounded_before_conversion(capsys, monkeypatch):
+    interpreter_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    long = "9" * 641
+    base = {"-p": "1", "--samples": "1", "--seed": "0", "--height": "10"}
+    for option in base:
+        argv = ["verify", "zoo:p1xp1",
+                *(x for k, v in base.items() for x in (k, long if k == option else v))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {option}: {_int_message(641)}\n"), err
+    # A malformed value keeps argparse's wording; a 640-digit one converts.
+    assert main(["verify", "zoo:p1xp1", "-p", "x"]) == 2
+    assert capsys.readouterr().err.endswith("error: argument -p: invalid int value: 'x'\n")
+    assert main(["verify", "zoo:p1xp1", "-p", "1", "--samples", "1", "--seed", "9" * 640]) == 0
+    capsys.readouterr()
+    # main lifts the interpreter's digit limit only while it runs.
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == interpreter_limit
+    for code, out, stderr in _same_under_every_limit(
+            ["verify", "zoo:p1xp1", "-p", "1", "--samples", "1", "--height", long]):
+        assert code == 2 and out == ""
+        assert stderr.endswith(f"error: argument --height: {_int_message(641)}\n")
+    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", long)
+    for code, out, stderr in _same_under_every_limit(["info", "zoo:flag3"]):
+        assert (code, out, stderr) == (2, "", f"error: HODGECS_VALIDATE_LIMIT: {_int_message(641)}\n")
+
+
+def test_long_exact_results_print_under_every_limit(tmp_path):
+    doc = json.loads(serialize_ring_bundle(zoo.get("p1xp1").ring))
+    doc["samples"][0]["coeffs"][0] = "7" * 640
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (code, out, stderr), (json_code, json_out, _) = _same_under_every_limit(
+        ["kt", str(path), "--d1", "sample:omega", "--d2", "sample:omega"])
+    assert (code, stderr, json_code) == (0, "", 0)
+    # The step's square has more digits than any of the three limits but 0.
+    steps = json.loads(json_out)["steps"]
+    assert steps and all(len(s["lhs_squared"]) > 640 for s in steps)
+    assert steps[0]["lhs_squared"] in out
 
 
 def test_boolean_is_not_an_integer():
