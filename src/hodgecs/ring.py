@@ -296,24 +296,25 @@ class ClassVector:
 
     The class is (re + i * im) / den: ``re`` and ``im`` are int tuples of
     numerators (``im`` is None for a real class) over one positive ``den``.
-    The constructor is the one way to build a class and the one place that
-    checks one: the degree must lie in 0..n with one coefficient per basis
-    element (:class:`DegreeError`), and a kahler or nef flag needs a real
-    degree-1 class (:class:`FlagError`). It brings the fields to lowest terms,
-    so equal classes have equal fields. ``coeffs``, the Gaussian-rational
-    coefficients for values that leave the package, is built on each read.
-    Arithmetic stays on ints.
+    Every class comes from the constructor, which checks it (the degree lies
+    in 0..n with one coefficient per basis element, else :class:`DegreeError`;
+    a kahler or nef flag needs a real degree-1 class, else :class:`FlagError`)
+    and brings the fields to lowest terms, so equal classes have equal fields.
+    ``coeffs``, the Gaussian-rational coefficients for values that leave the
+    package, is built on each read. Arithmetic stays on ints.
     """
 
     __slots__ = ("ring", "degree", "re", "im", "den", "flag")
 
     def __new__(cls, ring: IntersectionRing, degree: int, re: Sequence[int],
                 im: Optional[Sequence[int]] = None, den: int = 1, flag: str = FLAG_NONE):
-        h = ring.dim(degree)
+        if not 0 <= degree <= ring.n:
+            raise DegreeError(f"degree {degree} outside 0..{ring.n}")
+        h = ring.hodge[degree]
         if len(re) != h or im is not None and len(im) != h:
             raise DegreeError(f"degree {degree} needs {h} coefficients, got "
                               f"{len(re) if len(re) != h else len(im)}")
-        im = tuple(im) if any(im or ()) else None
+        im = tuple(im) if im is not None and any(im) else None
         if flag != FLAG_NONE:
             if flag not in FLAGS:
                 raise FlagError(f"unknown positivity flag {flag!r}")
@@ -365,13 +366,13 @@ class ClassVector:
 
     def _times(self, fr: int, fi: int, q: int) -> "ClassVector":
         """This class times the scalar (fr + i * fi) / q, for ints fr, fi and q > 0."""
-        im = self.im or (0,) * len(self.re)
-        return ClassVector(
-            self.ring, self.degree,
-            [fr * x - fi * y for x, y in zip(self.re, im)],
-            [fr * y + fi * x for x, y in zip(self.re, im)] if fi or self.im else None,
-            self.den * q,
-        )
+        re, im = self.re, self.im
+        if fi:
+            im = im or (0,) * len(re)
+            re, im = [fr * x - fi * y for x, y in zip(re, im)], [fr * y + fi * x for x, y in zip(re, im)]
+        else:
+            re, im = [fr * x for x in re], im and [fr * y for y in im]
+        return ClassVector(self.ring, self.degree, re, im, self.den * q)
 
     def scaled(self, factor) -> "ClassVector":
         (fr,), (fi,), q = _gaussian_ints([factor])

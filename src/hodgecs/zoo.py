@@ -23,7 +23,7 @@ from .ring import (
     FLAG_NEF,
     IntersectionRing,
     RingSample,
-    wedge,
+    canonical_product_key,
 )
 
 DATA_ENV_VAR = "HODGECS_DATA_DIR"
@@ -103,6 +103,13 @@ def _join_label(u: str, v: str) -> str:
     return f"{u}.{v}"
 
 
+def _basis_product(r: IntersectionRing, a: int, i: int, b: int, j: int) -> Sequence:
+    """The coefficients of e_(a,i) * e_(b,j), read off the ring's products; degree 0 is the unit."""
+    if a == 0 or b == 0:
+        return [int(k == (j if a == 0 else i)) for k in range(r.hodge[a + b])]
+    return r.products.get(canonical_product_key(a, i, b, j), ())
+
+
 def product(e1: ZooEntry, e2: ZooEntry, name: str | None = None) -> ZooEntry:
     """Kunneth product of two entries.
 
@@ -146,12 +153,12 @@ def product(e1: ZooEntry, e2: ZooEntry, name: str | None = None) -> ZooEntry:
             a2, i2, j2 = triples[db][kb]
             if a1 + a2 > r1.n or (da - a1) + (db - a2) > r2.n:
                 continue
-            v1 = wedge(r1.basis_class(a1, i1), r1.basis_class(a2, i2))
-            v2 = wedge(r2.basis_class(da - a1, j1), r2.basis_class(db - a2, j2))
+            v1 = _basis_product(r1, a1, i1, a2, i2)
+            v2 = _basis_product(r2, da - a1, j1, db - a2, j2)
             out = [Fraction(0)] * hodge[da + db]
-            for (i, c1), (j, c2) in itertools.product(enumerate(v1.re), enumerate(v2.re)):
+            for (i, c1), (j, c2) in itertools.product(enumerate(v1), enumerate(v2)):
                 if c1 and c2:
-                    out[index[da + db][(a1 + a2, i, j)]] += Fraction(c1 * c2, v1.den * v2.den)
+                    out[index[da + db][(a1 + a2, i, j)]] += c1 * c2
             if any(out):
                 products_table[(da, ka, db, kb)] = tuple(out)
 
