@@ -1,12 +1,13 @@
 """Exact verification of Cauchy-Schwarz-type intersection inequalities.
 
 The package models even cohomology rings of compact Kahler manifolds exactly
-(int numerators over one denominator inside, Gaussian rationals for the values
-it returns) and checks, at desk scale: mixed hard-Lefschetz isomorphisms,
-signatures of mixed intersection forms, positivity on primitive subspaces, the
-mixed Lefschetz decomposition and its identities, both directions of the
-Cauchy-Schwarz-type inequality for g, the Khovanskii-Teissier log-concavity
-chain, and the non-strict nef boundary versions of all of the above.
+(rational classes as int numerators over one denominator inside, Fractions
+for the values it returns) and checks, at desk scale: mixed hard-Lefschetz
+isomorphisms, signatures of mixed intersection forms, positivity on primitive
+subspaces, the mixed Lefschetz decomposition and its identities, both
+directions of the Cauchy-Schwarz-type inequality for g, the
+Khovanskii-Teissier log-concavity chain, and the non-strict nef boundary
+versions of all of the above.
 """
 
 from .errors import (
@@ -31,7 +32,6 @@ from .ring import (
     RingSample,
     as_kahler,
     integrate,
-    integrate_real,
     mixed_setup,
     power,
     sanity_check_kahler,

@@ -22,7 +22,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence
 
@@ -38,7 +37,7 @@ from .errors import (
     UnknownRingError,
     ValidationLimitError,
 )
-from .gaussian import GaussianRational, int_from_str, rational_to_str
+from .gaussian import int_from_str, rational_to_str
 from .inequalities import (
     DIRECTION_CS,
     DIRECTIONS,
@@ -71,27 +70,18 @@ from .ring import (
 
 # -- serialization helpers ---------------------------------------------------
 
-def _scalar(x) -> object:
-    """Exact JSON form of a matrix entry or scalar: "p/q" when real, {"re","im"} otherwise."""
-    if isinstance(x, GaussianRational):
-        if x.is_real:
-            return rational_to_str(x.re)
-        return x.to_json()
-    return rational_to_str(Fraction(x))
+def _ratios(nums, den: int) -> list[str]:
+    """Int numerators over ``den`` > 0 as exact rational strings, as ``rational_to_str``
+    writes them: "p/q" in lowest terms, "p" when q is 1."""
+    out = []
+    for x in nums:
+        g = gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
 
 
 def _coeffs_json(c: ClassVector) -> list:
-    """The coefficients of a class as ``_scalar`` writes them, read off the int
-    numerators: "p/q" in lowest terms ("p" when q is 1), {"re","im"} when complex."""
-    d = c.den
-
-    def ratio(x: int) -> str:
-        g = gcd(x, d)
-        return str(x // g) if g == d else f"{x // g}/{d // g}"
-
-    if c.im is None:
-        return [ratio(x) for x in c.re]
-    return [{"re": ratio(x), "im": ratio(y)} if y else ratio(x) for x, y in zip(c.re, c.im)]
+    return _ratios(c.re, c.den)
 
 
 def _class_json(c: ClassVector) -> dict:
@@ -103,7 +93,7 @@ def _class_json(c: ClassVector) -> dict:
 
 
 def _matrix_json(m: Matrix) -> list:
-    return [[_scalar(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [_ratios(row, m.den) for row in m.num]
 
 
 def _counterexample_json(ce) -> dict:
@@ -228,18 +218,17 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     lines = [str(ring_report)]
     sample_reports = []
     failures = len(ring_report.issues)
-    for s in ring.samples:
-        if s.flag != FLAG_KAHLER:
-            continue
-        check = sanity_check_kahler(ring, ring.class_vector(1, s.coeffs, s.flag))
+    names = [s.name for s in ring.samples if s.flag == FLAG_KAHLER]
+    for name, sample in zip(names, ring.kahler_samples()):
+        check = sanity_check_kahler(ring, sample)
         sample_reports.append({
-            "sample": s.name,
+            "sample": name,
             "passed": check.passed,
             "checks": [
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in check.checks
             ],
         })
-        lines.append(f"kahler sample {s.name!r}: {'ok' if check.passed else 'FAIL'}")
+        lines.append(f"kahler sample {name!r}: {'ok' if check.passed else 'FAIL'}")
         if not check.passed:
             failures += 1
             lines += [f"  {c}" for c in check.checks]
@@ -305,7 +294,7 @@ def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
     recon_ok = dec.reconstruct() == alpha
     certs_ok = all(c.is_zero for c in dec.certificates)
     report.update({
-        "lambda": _scalar(dec.lam),
+        "lambda": rational_to_str(dec.lam),
         "components": [_class_json(c) for c in dec.components],
         "certificates": [_class_json(c) for c in dec.certificates],
         "certificates_zero": certs_ok,

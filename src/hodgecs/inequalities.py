@@ -1,13 +1,15 @@
 """Cauchy-Schwarz-type intersection inequalities and their verdicts.
 
 For a degree-p class a and a setup (w, w_1..w_(n-2p)) with product Omega_p,
-the central quantity is the real number
+the central quantity is the rational number
 
-    g(a, w; Omega_p) = (int a*conj(a)*Omega_p) * (int w^(2p)*Omega_p)
-                     - (int a*w^p*Omega_p) * (int conj(a)*w^p*Omega_p),
+    g(a, w; Omega_p) = (int a*a*Omega_p) * (int w^(2p)*Omega_p)
+                     - (int a*w^p*Omega_p)^2,
 
 the Cauchy-Schwarz defect of the form b(x, y) = int x*y*Omega_p at the pair
-(a, w^p): g = b(a, conj(a)) * b(w^p, w^p) - |b(a, w^p)|^2, as w is real. It is
+(a, w^p): g = b(a, a) * b(w^p, w^p) - b(a, w^p)^2. Classes are rational; for a
+complex class a = x + iy the defect with conj(a) in place of one a is
+g(x) + g(y), as the setup is real (see :func:`compute_g_direct`). It is
 evaluated on ints: a setup gives w^p, Omega_p, w^p * Omega_p and
 int w^(2p)*Omega_p as int numerators once, and a class adds one contraction
 per product and one dot product per integral, with one ``Fraction`` for the
@@ -46,7 +48,7 @@ from .ring import (
     _pair_ints,
     _product_ints,
     _setup_ints,
-    integrate_real,
+    integrate,
     mixed_setup,
     multiplication_matrix,
     power,
@@ -59,18 +61,15 @@ DIRECTION_OPPOSITE = "opposite"
 DIRECTIONS = (DIRECTION_CS, DIRECTION_OPPOSITE)
 
 
-def _proportional_ints(are, aim, bre, bim) -> bool:
-    """Exact test that {a, b} spans at most a line, on Gaussian-integer numerators
-    (an ``im`` of None is zero): with a_k the first nonzero coordinate of a, that
-    holds exactly when b_i * a_k == a_i * b_k for all i. Scale plays no part."""
-    zero = (0,) * len(are)
-    av, bv = list(zip(are, aim or zero)), list(zip(bre, bim or zero))
-    k = next((k for k, x in enumerate(av) if any(x)), None)
+def _proportional_ints(a, b) -> bool:
+    """Exact test that {a, b} spans at most a line, on int numerators: with a_k the
+    first nonzero coordinate of a, that holds exactly when b_i * a_k == a_i * b_k
+    for all i. Scale plays no part."""
+    k = next((k for k, x in enumerate(a) if x), None)
     if k is None:
         return True
-    (ar, ai), (br, bi) = av[k], bv[k]
-    return all(yr * ar - yi * ai == xr * br - xi * bi and yr * ai + yi * ar == xr * bi + xi * br
-               for (xr, xi), (yr, yi) in zip(av, bv))
+    ak, bk = a[k], b[k]
+    return all(y * ak == x * bk for x, y in zip(a, b))
 
 
 def proportional(a: ClassVector, b: ClassVector) -> bool:
@@ -81,32 +80,31 @@ def proportional(a: ClassVector, b: ClassVector) -> bool:
     _check_same_ring(a, b)
     if a.degree != b.degree:
         raise DegreeError("proportionality needs classes of equal degree")
-    return _proportional_ints(a.re, a.im, b.re, b.im)
+    return _proportional_ints(a.re, b.re)
 
 
 def _g(alpha: ClassVector, data: tuple) -> Fraction:
-    """g of the degree-p class alpha = (re + i * im) / d from its setup's int data.
+    """g of the degree-p class alpha = x / d from its setup's int data.
 
-    With B = alpha * Omega, aa = int alpha * conj(alpha) * Omega is the integral of
-    re * B_re plus that of im * B_im, and m = int alpha * T; the setup data is real
-    (positivity flags need real classes), so int conj(alpha) * T is conj(m) and
-    g = aa * V - |m|^2.
+    With B = x * Omega, aa = int x * B and m = int x * T, so g = aa * V - m^2.
     """
-    ring, p = alpha.ring, alpha.degree
+    ring, p, x = alpha.ring, alpha.degree, alpha.re
     _, (o, o_den), (t, t_den), (v, v_den) = data
-    aa = mm = 0
-    for x in (alpha.re, alpha.im) if alpha.im else (alpha.re,):
-        b = x if o is None else _product_ints(ring, p, x, ring.n - 2 * p, o)
-        m = _pair_ints(ring, p, x, t)
-        aa, mm = aa + _pair_ints(ring, p, x, b), mm + m * m
+    b = x if o is None else _product_ints(ring, p, x, ring.n - 2 * p, o)
+    aa, m = _pair_ints(ring, p, x, b), _pair_ints(ring, p, x, t)
     # aa and m are numerators over d^2 * a and d * c; a pairing adds k = D * scale.
     k = ring._den * ring._weights[1]
     a, c = (k if o is None else k * o_den * ring._den), k * t_den
-    return Fraction(aa * v * c * c - mm * a * v_den, alpha.den ** 2 * a * v_den * c * c)
+    return Fraction(aa * v * c * c - m * m * a * v_den, alpha.den ** 2 * a * v_den * c * c)
 
 
 def compute_g_direct(alpha: ClassVector, setup: MixedSetup) -> Fraction:
-    """Evaluate g on ints from the setup's cached int data; the result is real."""
+    """Evaluate g on ints from the setup's cached int data.
+
+    Classes are rational. For a complex class alpha = x + iy (x, y rational),
+    the defect int alpha*conj(alpha)*Omega_p * V - |int alpha*w^p*Omega_p|^2
+    equals g(x) + g(y), as w and Omega_p are real: call this on x and on y.
+    """
     setup.check_class(alpha)
     return _g(alpha, setup._ints)
 
@@ -166,7 +164,7 @@ def _verdict(alpha: ClassVector, data: tuple) -> tuple[Fraction, str, bool]:
     """g, the relation of g to zero, and whether alpha is proportional to W = w^p,
     from the setup's int data."""
     g = _g(alpha, data)
-    prop = _proportional_ints(alpha.re, alpha.im, data[0][0], None)
+    prop = _proportional_ints(alpha.re, data[0][0])
     relation = RELATION_ZERO if g == 0 else (
         RELATION_POSITIVE if g > 0 else RELATION_NEGATIVE
     )
@@ -306,7 +304,7 @@ def construct_counterexample(
     kernel = multiplication_matrix(ring, deg, setup.tower[2 * (p - deg) + 1]).kernel()
     if not kernel.rows:
         return None
-    witness = ClassVector(ring, deg, kernel.num[0], None, kernel.den)
+    witness = ClassVector(ring, deg, kernel.num[0], kernel.den)
     theta = setup.omega_power + wedge(witness, power(setup.omega, p - deg))
     verdict = check_cs(theta, setup, kind)
     if verdict.satisfied:
@@ -494,7 +492,7 @@ def kt_chain(ring: IntersectionRing, d1: ClassVector, d2: ClassVector) -> KtRepo
     n = ring.n
     powers1 = tuple(accumulate([d1] * n, wedge, initial=ring.unit()))
     powers2 = tuple(accumulate([d2] * n, wedge, initial=ring.unit()))
-    numbers = [integrate_real(wedge(powers1[k], powers2[n - k])) for k in range(n + 1)]
+    numbers = [integrate(wedge(powers1[k], powers2[n - k])) for k in range(n + 1)]
     steps = []
     for k in range(1, n):
         lhs = numbers[k]

@@ -5,7 +5,10 @@ of degree-1 classes whose product is written Omega. The primitive subspace in
 degree p is the kernel of multiplication by w*Omega, and the associated
 bilinear form in degree p is
 
-    Q(u, v) = (-1)^p * integral of u * conj(v) * Omega.
+    Q(u, v) = (-1)^p * integral of u * v * Omega,
+
+on rational classes; for complex u + iv, Q(u + iv, u - iv) = Q(u, u) + Q(v, v),
+as Omega is real.
 
 Both the signed form above and the unsigned variant (without the (-1)^p
 prefactor, the usual convention in degree 1) are reported side by side, since
@@ -36,7 +39,6 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DegreeError, FlagError, SingularSplitError
-from .gaussian import GaussianRational
 from .linalg import Matrix
 from .ring import (
     FLAG_KAHLER,
@@ -48,7 +50,7 @@ from .ring import (
     _product_ints,
     class_columns,
     form_matrix,
-    integrate_real,
+    integrate,
     multiplication_matrix,
     wedge,
     wedge_all,
@@ -127,7 +129,7 @@ def primitive_basis(
     if p + multiplier.degree > ring.n:
         raise DegreeError("reference product leaves the grading")
     kernel = multiplication_matrix(ring, p, multiplier).kernel()
-    basis = tuple(ClassVector(ring, p, row, None, kernel.den) for row in kernel.num)
+    basis = tuple(ClassVector(ring, p, row, kernel.den) for row in kernel.num)
     return PrimitiveSubspace(p, omega, omegas, basis)
 
 
@@ -247,7 +249,7 @@ class DecompositionResult:
 
     setup: MixedSetup
     alpha: ClassVector
-    lam: GaussianRational
+    lam: Fraction
     components: tuple[ClassVector, ...]      # components[i-1] has degree i
     certificates: tuple[ClassVector, ...]    # a_i * w^(2(p-i)+1) * Omega_p
 
@@ -260,10 +262,10 @@ class DecompositionResult:
         return out
 
     def pairing_terms(self) -> tuple[Fraction, ...]:
-        """The reals t_i = integral of a_i * conj(a_i) * w^(2(p-i)) * Omega_p."""
+        """The rationals t_i = integral of a_i * a_i * w^(2(p-i)) * Omega_p."""
         s = self.setup
         return tuple(
-            integrate_real(wedge(wedge(comp, comp.conjugate()), s.tower[2 * (s.p - i)]))
+            integrate(wedge(wedge(comp, comp), s.tower[2 * (s.p - i)]))
             for i, comp in enumerate(self.components, start=1)
         )
 
@@ -276,7 +278,7 @@ class LefschetzDecomposer:
     from ``setup.levels``, which raises on a singular map. Decomposing a
     class then runs on int numerators: per level, contractions over the ring's
     table, one int matrix-vector product and one gcd. Classes are built only
-    for the components, the certificates and the degree-0 remainder.
+    for the components and the certificates.
     """
 
     def __init__(self, setup: MixedSetup):
@@ -290,47 +292,40 @@ class LefschetzDecomposer:
         ring, w, big_d = setup.ring, setup.omega, setup.ring._den
         setup.check_class(alpha)
 
-        def parts(c: ClassVector) -> list:
-            return [u for u in (c.re, c.im) if u is not None]
-
-        def build(degree: int, nums: list, den: int) -> ClassVector:
-            return ClassVector(ring, degree, nums[0], nums[1] if len(nums) > 1 else None, den)
-
         components: list[ClassVector] = []      # levels p .. 1
         certificates: list[ClassVector] = []
-        # The current class as its real and imaginary int numerators over den.
-        current, den = parts(alpha), alpha.den
+        # The current class as int numerators over den.
+        current, den = alpha.re, alpha.den
         for i, c, inverse, d in self._levels:
             k = ring.n - 2 * i + 1                # the degree of C_i
             # rest = L^-1 (current * C_i), with L^-1 = inverse / d, in lowest terms.
-            rest = [[sum(map(mul, row, v)) for row in inverse]
-                    for v in (_product_ints(ring, i, u, k, c.re) for u in current)]
+            v = _product_ints(ring, i, current, k, c.re)
+            rest = [sum(map(mul, row, v)) for row in inverse]
             rest_den = den * c.den * big_d * d
-            g = gcd(rest_den, *(x for u in rest for x in u))
-            rest, rest_den = [[x // g for x in u] for u in rest], rest_den // g
+            g = gcd(rest_den, *rest)
+            rest, rest_den = [x // g for x in rest], rest_den // g
             # a_i = current - rest * w.
-            rw = [_product_ints(ring, i - 1, u, 1, w.re) for u in rest]
+            rw = _product_ints(ring, i - 1, rest, 1, w.re)
             rw_den = rest_den * w.den * big_d
             m = lcm(den, rw_den)
             s, t = m // den, m // rw_den
-            a = build(i, [[s * x - t * y for x, y in zip(u, v)] for u, v in zip(current, rw)], m)
+            a = ClassVector(ring, i, [s * x - t * y for x, y in zip(current, rw)], m)
             components.append(a)
-            certificates.append(build(ring.n - i + 1, [_product_ints(ring, i, u, k, c.re)
-                                                       for u in parts(a)], a.den * c.den * big_d))
+            certificates.append(ClassVector(ring, ring.n - i + 1,
+                                            _product_ints(ring, i, a.re, k, c.re),
+                                            a.den * c.den * big_d))
             current, den = rest, rest_den
 
         # The recursion remainder lam = current must match the closed form
-        # lam = (int a * w^p * Omega_p) / (int w^(2p) * Omega_p): lam times the
-        # volume and the integral, both in lowest terms, have equal int fields.
-        lam = build(0, current, den)
-        m_re, m_im, m = _integral(wedge(alpha, setup.tower[setup.p]))
-        if lam.scaled(setup.volume) != ClassVector(ring, 0, [m_re], [m_im], m):
+        # lam = (int a * w^p * Omega_p) / (int w^(2p) * Omega_p).
+        lam = Fraction(current[0], den)
+        if lam * setup.volume != Fraction(*_integral(wedge(alpha, setup.tower[setup.p]))):
             raise SingularSplitError(
                 "recursion remainder disagrees with the closed-form coefficient; "
                 "the reference classes are not Kahler"
             )
 
-        return DecompositionResult(setup, alpha, lam.coeffs[0],
+        return DecompositionResult(setup, alpha, lam,
                                    tuple(reversed(components)), tuple(reversed(certificates)))
 
 

@@ -100,7 +100,7 @@ def sample_random_class(
         draws = [(rng.int_between(-height, height), rng.int_between(1, height)) for _ in range(dim)]
         if any(num for num, _ in draws):
             den = lcm(*(d for _, d in draws))
-            return ClassVector(ring, degree, [num * (den // d) for num, d in draws], None, den)
+            return ClassVector(ring, degree, [num * (den // d) for num, d in draws], den)
 
 
 def _cone_draws(ring: IntersectionRing, rng: Xoshiro256StarStar, height: int):
@@ -120,7 +120,7 @@ def _cone_draws(ring: IntersectionRing, rng: Xoshiro256StarStar, height: int):
         for (num, d), (gen_re, _, _) in zip(draws, generators):
             f = num * (den // d)
             out = [x + f * y for x, y in zip(out, gen_re)]
-        return ClassVector(ring, 1, out, None, den, FLAG_KAHLER)
+        return ClassVector(ring, 1, out, den, FLAG_KAHLER)
 
     return draw
 

@@ -323,12 +323,13 @@ def test_validate_gates_only_the_kahler_samples(tmp_path, monkeypatch, capsys):
     path = tmp_path / "samples.json"
     path.write_text(json.dumps(doc))
     cleared = []
-    real = IntersectionRing._sample_ints
-    monkeypatch.setattr(IntersectionRing, "_sample_ints",
-                        lambda self, *flag: cleared.append(self.name) or real(self, *flag))
+    real = IntersectionRing.class_vector
+    monkeypatch.setattr(IntersectionRing, "class_vector",
+                        lambda self, *args: cleared.append(args[0]) or real(self, *args))
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 1
-    assert cleared == []  # no sample is cleared to ints, the nef ones included
+    # The Kahler samples are cleared to ints once each, not once per gate; no nef one is.
+    assert cleared == [1, 1]
     assert out.splitlines()[:3] == ["ring 'p1xp2': all checks passed",
                                     "kahler sample 'w': ok", "kahler sample 'bad': FAIL"]
 

@@ -1,9 +1,10 @@
-"""Complex classes where they enter: proportionality and the Kahler gate.
+"""Complex classes at the package edge: classes are rational, and a complex
+class is handled through its real and imaginary parts.
 
-Elimination is over the rationals only, so the library code that meets a
-non-real class must handle it before any matrix is reduced. ``proportional``
-is compared with sympy's rank of the stacked pair; skipped when sympy is
-absent.
+``proportional`` is compared with sympy's rank of the stacked pair. For a
+complex class alpha = x + iy, g is computed by sympy with ``I`` from the form
+matrix of Omega_p, w^p and the volume; it must equal g(x) + g(y), as the setup
+is real. Skipped when sympy is absent.
 """
 
 import random
@@ -14,12 +15,11 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from hodgecs import zoo
-from hodgecs.errors import FlagError
-from hodgecs.gaussian import GaussianRational
-from hodgecs.inequalities import proportional
-from hodgecs.ring import as_kahler, sanity_check_kahler
+from hodgecs.inequalities import compute_g_direct, proportional
+from hodgecs.ring import form_matrix
+from hodgecs.sampling import random_strict_setup, sample_random_class
 from test_lefschetz import _p1_fourth
-from test_linalg_kernel import _sym
+from test_linalg_kernel import _sym, _sym_matrix
 
 
 def _oracle(a, b) -> bool:
@@ -27,15 +27,13 @@ def _oracle(a, b) -> bool:
     return sympy.Matrix(rows).rank(simplify=True) <= 1
 
 
-def _scalar(rng, real_only=False, imag_only=False):
-    re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    im = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return GaussianRational(0 if imag_only else re, 0 if real_only else im)
+def _scalar(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
-def _nonzero(rng, **kind):
+def _nonzero(rng):
     while True:
-        z = _scalar(rng, **kind)
+        z = _scalar(rng)
         if z:
             return z
 
@@ -47,8 +45,8 @@ def _pairs(ring, p, rng):
     def cls(coeffs):
         return ring.class_vector(p, coeffs)
 
-    def draw(**kind):
-        return [_scalar(rng, **kind) for _ in range(h)]
+    def draw():
+        return [_scalar(rng) for _ in range(h)]
 
     zero = cls([0] * h)
     a = cls(draw())
@@ -59,20 +57,13 @@ def _pairs(ring, p, rng):
         a, t = cls(draw()), _nonzero(rng)
         yield a, a.scaled(t)
         yield a.scaled(t), a
-        # t * b with one coordinate moved by a real, an imaginary or a
-        # complex amount.
-        for kind in ({"real_only": True}, {"imag_only": True}, {}):
+        # t * b with one coordinate moved.
+        for _ in range(2):
             b = cls(draw())
             moved = list(b.scaled(t).coeffs)
             j = rng.randrange(h)
-            moved[j] = moved[j] + _nonzero(rng, **kind)
+            moved[j] = moved[j] + _nonzero(rng)
             yield cls(moved), b
-        # A real class against itself moved by an imaginary amount: the real
-        # parts of every cross product agree, the imaginary parts do not.
-        real = draw(real_only=True)
-        moved = list(real)
-        moved[rng.randrange(h)] += _nonzero(rng, imag_only=True)
-        yield cls(real), cls(moved)
         yield cls(draw()), cls(draw())
 
 
@@ -89,13 +80,24 @@ def test_proportional_matches_sympy_rank(ring):
     assert seen[True] and seen[False]
 
 
-def test_kahler_gate_fails_a_non_real_class_without_raising():
-    ring = zoo.get("blp4").ring
-    w = ring.class_vector(1, [GaussianRational(2, 1), -1])
-    report = sanity_check_kahler(ring, w)
-    assert not report.passed
-    checks = {c.name: c for c in report.checks}
-    assert not checks["real"].passed
-    assert str(checks["real"]).startswith("FAIL real")
-    with pytest.raises(FlagError):
-        as_kahler(ring, w)
+_ZOO_CASES = [(name, p) for name in zoo.list_entries()
+              for p in range(1, zoo.get(name).ring.n // 2 + 1)]
+
+
+@pytest.mark.parametrize("name, p", _ZOO_CASES, ids=[f"{n}-p{p}" for n, p in _ZOO_CASES])
+def test_complex_g_is_the_sum_of_g_over_the_parts(name, p):
+    ring = zoo.get(name).ring
+    for k in range(3):
+        setup = random_strict_setup(ring, p, 9, seed=70, index=k)
+        x = sample_random_class(ring, p, 9, seed=71, index=k)
+        y = sample_random_class(ring, p, 9, seed=72, index=k)
+        q = _sym_matrix(form_matrix(ring, p, setup.omega_p))
+        w = sympy.Matrix([_sym(c) for c in setup.omega_power.coeffs])
+        a = sympy.Matrix([_sym(u) + sympy.I * _sym(v) for u, v in zip(x.coeffs, y.coeffs)])
+        volume = (w.T * q * w)[0, 0]
+        assert volume == _sym(setup.volume)
+        mixed = (a.T * q * w)[0, 0]
+        g = sympy.expand((a.T * q * a.conjugate())[0, 0] * volume
+                         - mixed * sympy.conjugate(mixed))
+        assert sympy.im(g) == 0
+        assert g == _sym(compute_g_direct(x, setup) + compute_g_direct(y, setup)), (name, p, k)

@@ -31,8 +31,8 @@ from hodgecs.ring import (
     IntersectionRing,
     RingSample,
     as_kahler,
+    form_matrix,
     integrate,
-    integrate_real,
     mixed_setup,
     power,
     sanity_check_kahler,
@@ -51,9 +51,23 @@ def _setup(ring, p, omega_name="omega", aux=None):
 
 def _g_three_wedges(alpha, setup):
     """Oracle: g from three product classes and the setup's tower, as
-    (int alpha * conj(alpha) * Omega_p) * V - |int alpha * w^p * Omega_p|^2."""
-    aa = integrate_real(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
-    return aa * setup.volume - integrate(wedge(alpha, setup.tower[setup.p])).abs2()
+    (int alpha * alpha * Omega_p) * V - (int alpha * w^p * Omega_p)^2."""
+    aa = integrate(wedge(wedge(alpha, alpha), setup.omega_p))
+    return aa * setup.volume - integrate(wedge(alpha, setup.tower[setup.p])) ** 2
+
+
+def _g_complex(x, y, setup):
+    """Oracle: g of the complex class x + iy in Gaussian rationals, from the form
+    matrix Q of Omega_p, the integrals m_i = int e_i * w^p * Omega_p and V:
+    (a^T Q conj(a)) * V - |m^T a|^2 with a = x + iy."""
+    ring, p = setup.ring, setup.p
+    a = [GaussianRational(u, v) for u, v in zip(x.coeffs, y.coeffs)]
+    q = form_matrix(ring, p, setup.omega_p)
+    m = [integrate(wedge(ring.basis_class(p, i), setup.tower[p])) for i in range(ring.dim(p))]
+    aqa = sum((a[i] * q[i, j] * a[j].conjugate() for i in range(len(a)) for j in range(len(a))),
+              GaussianRational(0))
+    ma = sum((mi * ai for mi, ai in zip(m, a)), GaussianRational(0))
+    return aqa * setup.volume - ma.abs2()
 
 
 # -- g -------------------------------------------------------------------------
@@ -90,21 +104,28 @@ def test_g_degree_mismatch():
 
 
 def test_g_real_for_complex_class():
+    # alpha = (1 + 2i) e_0 + (-3 + 5i) e_1 = x + iy: its g is real and is
+    # g(x) + g(y), as the setup is real.
     ring = zoo.get("blp4").ring
     setup = _setup(ring, 2)
-    alpha = ring.class_vector(2, [GaussianRational(1, 2), GaussianRational(-3, 5)])
-    g = compute_g_direct(alpha, setup)   # raises if the imaginary part survives
-    assert isinstance(g, Fraction)
+    x, y = ring.class_vector(2, [1, -3]), ring.class_vector(2, [2, 5])
+    g = _g_complex(x, y, setup)
+    assert g.is_real
+    assert g == compute_g_direct(x, setup) + compute_g_direct(y, setup)
+    with pytest.raises(ValueError, match="non-real"):
+        ring.class_vector(2, [GaussianRational(1, 2), GaussianRational(-3, 5)])
 
 
 def test_g_scale_equivariance_complex():
+    # t * alpha = Re(t) * alpha + i * Im(t) * alpha for a rational class alpha.
     ring = zoo.get("p1xp1").ring
     setup = _setup(ring, 1)
     alpha = ring.class_vector(1, [3, -2])
     t = GaussianRational(Fraction(2, 3), Fraction(-1, 2))
     g1 = compute_g_direct(alpha, setup)
-    g2 = compute_g_direct(alpha.scaled(t), setup)
-    assert g2 == t.abs2() * g1
+    x, y = alpha.scaled(t.re), alpha.scaled(t.im)
+    g2 = compute_g_direct(x, setup) + compute_g_direct(y, setup)
+    assert g2 == _g_complex(x, y, setup) == t.abs2() * g1
 
 
 def test_g_decomposed_matches_direct():
@@ -127,14 +148,17 @@ def test_g_decomposed_blowup_theta():
 
 
 def test_complex_proportional_class_gives_equality():
+    # alpha = t * w^2 = x + iy is proportional to w^2 exactly when x and y are.
     ring = zoo.get("blp4").ring
     setup = _setup(ring, 2)
     t = GaussianRational(Fraction(3, 2), Fraction(-1, 3))
-    alpha = power(setup.omega, 2).scaled(t)
-    assert proportional(alpha, power(setup.omega, 2))
-    assert compute_g_direct(alpha, setup) == 0
-    dec = compute_g_decomposed(alpha, setup)
-    assert dec.value == 0 and dec.decomposition.lam == t
+    w2 = power(setup.omega, 2)
+    x, y = w2.scaled(t.re), w2.scaled(t.im)
+    assert proportional(x, w2) and proportional(y, w2)
+    assert compute_g_direct(x, setup) + compute_g_direct(y, setup) == 0 == _g_complex(x, y, setup)
+    dx, dy = compute_g_decomposed(x, setup), compute_g_decomposed(y, setup)
+    assert dx.value == dy.value == 0
+    assert GaussianRational(dx.decomposition.lam, dy.decomposition.lam) == t
 
 
 def test_two_route_agreement_complex_classes():
@@ -144,15 +168,14 @@ def test_two_route_agreement_complex_classes():
 
     rng = Xoshiro256StarStar(55)
     for _ in range(8):
-        alpha = ring.class_vector(2, [
-            GaussianRational(
-                Fraction(rng.int_between(-5, 5), rng.int_between(1, 3)),
-                Fraction(rng.int_between(-5, 5), rng.int_between(1, 3)),
-            )
-            for _ in range(2)
-        ])
-        direct = compute_g_direct(alpha, setup)
-        assert direct == compute_g_decomposed(alpha, setup).value
+        # alpha = x + iy, drawn as the real and imaginary part of each coefficient.
+        draws = [(Fraction(rng.int_between(-5, 5), rng.int_between(1, 3)),
+                  Fraction(rng.int_between(-5, 5), rng.int_between(1, 3))) for _ in range(2)]
+        x = ring.class_vector(2, [u for u, _ in draws])
+        y = ring.class_vector(2, [v for _, v in draws])
+        direct = compute_g_direct(x, setup) + compute_g_direct(y, setup)
+        assert direct == _g_complex(x, y, setup)
+        assert direct == compute_g_decomposed(x, setup).value + compute_g_decomposed(y, setup).value
 
 
 def test_two_route_agreement_seeded():
@@ -414,16 +437,17 @@ def _count_wedges(monkeypatch):
 
 
 def test_g_direct_conjugates_its_mixed_integral(monkeypatch):
+    # A rational class is its own conjugate: the mixed integral pairs alpha with itself.
     ring = zoo.blowup_pn(8).ring
     setup = random_strict_setup(ring, 3, 10, seed=1, index=0)
     alpha = sample_random_class(ring, 3, 10, seed=1, index=0) + sample_random_class(
-        ring, 3, 10, seed=2, index=0).scaled(GaussianRational(0, 1))
-    # Oracle: the defining integrals, the conjugate one formed on its own.
+        ring, 3, 10, seed=2, index=0).scaled(Fraction(-2, 3))
+    # Oracle: the defining integrals, each formed on its own.
     mid = wedge(power(setup.omega, 3), setup.omega_p)
     expected = (
-        integrate(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
+        integrate(wedge(wedge(alpha, alpha), setup.omega_p))
         * integrate(wedge(power(setup.omega, 6), setup.omega_p))
-        - integrate(wedge(alpha, mid)) * integrate(wedge(alpha.conjugate(), mid))
+        - integrate(wedge(alpha, mid)) * integrate(wedge(alpha, mid))
     )
     setup.tower  # built once per setup, not per call
     calls = _count_wedges(monkeypatch)
@@ -495,11 +519,11 @@ def test_verify_builds_pinned_class_counts():
     ring.kahler_samples()  # clears the sample ints, once per ring, before counting
     seen = _class_constructions(lambda: verify_theorem(ring, 1, 50, seed=1))
     # Per sample: three cone draws and one class draw; nothing else, as g and
-    # proportionality run on ints. The cs counterexample adds 16: its setup
+    # proportionality run on ints. The cs counterexample adds 13: its setup
     # (Omega_p = w_1 * w_2, from the unit) and tower, the witness, w^p and
     # theta (w^0 is the unit), and per decomposition level a component and a
-    # certificate, then the remainder and its closed-form check.
-    assert seen == {"constructions": 4 * 50 + 16}
+    # certificate; the remainder and its closed-form check are Fractions.
+    assert seen == {"constructions": 4 * 50 + 13}
 
 
 def test_setup_draws_do_not_build_the_sample_classes(monkeypatch):

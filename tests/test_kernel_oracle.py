@@ -106,7 +106,7 @@ def test_primitive_basis_on_p1_to_the_seventh_equals_the_oracle():
     assert _same(op, multiplication_matrix(ring, 3, by))
     oracle = _two_pass_kernel(op)
     prim = primitive_basis(ring, 3, w, [w1])
-    assert prim.basis == tuple(ClassVector(ring, 3, row, None, oracle.den) for row in oracle.num)
+    assert prim.basis == tuple(ClassVector(ring, 3, row, oracle.den) for row in oracle.num)
     assert prim.dim == 14
     report = hr_check(ring, 3, w, [w1])
     assert report.passed, report

@@ -24,7 +24,7 @@ from hodgecs.ring import (
     FLAG_KAHLER,
     MixedSetup,
     as_kahler,
-    integrate_real,
+    integrate,
     mixed_setup,
     power,
     wedge,
@@ -77,7 +77,7 @@ def test_primitive_p1xp1():
     prim = primitive_basis(ring, 1, ring.sample("omega"), [])
     # (xa + yb)(a + b) = (x + y) ab vanishes exactly when x = -y.
     assert [tuple(v.coeffs) for v in prim.basis] == [
-        (GaussianRational(1), GaussianRational(-1))
+        (Fraction(1), Fraction(-1))
     ]
     assert prim.dim == prim.expected_dim == 1
 
@@ -95,7 +95,7 @@ def test_primitive_blowup():
     w = ring.sample("omega")
     prim = primitive_basis(ring, 1, w, [w, w])
     assert [tuple(v.coeffs) for v in prim.basis] == [
-        (GaussianRational(1), GaussianRational(-8))
+        (Fraction(1), Fraction(-8))
     ]
 
 
@@ -148,7 +148,7 @@ def test_gram_restricted_to_primitive_positive():
     prim = primitive_basis(ring, 1, w, [])
     diff = prim.basis[0]
     # integral of (a-b)^2 is -2; the signed form flips it to +2.
-    value = form.sign_factor * integrate_real(wedge(diff, diff))
+    value = form.sign_factor * integrate(wedge(diff, diff))
     assert value == 2
 
 
@@ -234,24 +234,38 @@ def test_decompose_identities_seeded():
         for p in range(1, ring.n // 2 + 1):
             setup = random_strict_setup(ring, p, 5, seed=2, index=0)
             decomposer = LefschetzDecomposer(setup)
-            denom = integrate_real(wedge(power(setup.omega, 2 * p), setup.omega_p))
+            denom = integrate(wedge(power(setup.omega, 2 * p), setup.omega_p))
             for k in range(8):
                 alpha = sample_random_class(ring, p, 5, seed=40, index=k)
                 dec = decomposer.decompose(alpha)
                 assert dec.reconstruct() == alpha
                 assert all(c.is_zero for c in dec.certificates)
-                numer = integrate_real(
+                numer = integrate(
                     wedge(wedge(alpha, power(setup.omega, p)), setup.omega_p))
-                assert dec.lam == GaussianRational(Fraction(numer, denom))
+                assert dec.lam == Fraction(numer, denom)
+                assert type(dec.lam) is Fraction
 
 
 def test_decompose_complex_class():
+    # A complex class alpha = x + iy decomposes through its rational parts, as
+    # the decomposition is linear: the parts' lambdas and components, paired as
+    # real and imaginary parts, reassemble alpha = (1 + 2i) a - i b.
     ring = zoo.get("p1xp1").ring
     setup = mixed_setup(1, ring.sample("omega"), [])
-    alpha = ring.class_vector(1, [GaussianRational(1, 2), GaussianRational(0, -1)])
-    dec = mixed_lefschetz_decompose(alpha, setup)
-    assert dec.reconstruct() == alpha
-    assert all(c.is_zero for c in dec.certificates)
+    alpha = [GaussianRational(1, 2), GaussianRational(0, -1)]
+    x, y = ring.class_vector(1, [1, 0]), ring.class_vector(1, [2, -1])
+    dx, dy = mixed_lefschetz_decompose(x, setup), mixed_lefschetz_decompose(y, setup)
+    for part, dec in ((x, dx), (y, dy)):
+        assert dec.reconstruct() == part
+        assert all(c.is_zero for c in dec.certificates)
+    lam = GaussianRational(dx.lam, dy.lam)
+    comp = [GaussianRational(u, v) for u, v in zip(dx.components[0].coeffs, dy.components[0].coeffs)]
+    assert [lam * w + c for w, c in zip(setup.omega.coeffs, comp)] == alpha
+    # Linearity over the rationals, which the reduction rests on.
+    t = Fraction(-3, 7)
+    dec = mixed_lefschetz_decompose(x + y.scaled(t), setup)
+    assert dec.lam == dx.lam + t * dy.lam
+    assert dec.components == tuple(u + v.scaled(t) for u, v in zip(dx.components, dy.components))
 
 
 def test_decompose_rejects_boundary():
@@ -330,9 +344,9 @@ def test_decompose_matches_split_oracle():
     for k, setup in enumerate(cases):
         ring, p = setup.ring, setup.p
         decomposer = LefschetzDecomposer(setup)
-        real = sample_random_class(ring, p, 6, seed=43, index=k)
-        imag = sample_random_class(ring, p, 6, seed=44, index=k)
-        for alpha in (real, real + imag.scaled(GaussianRational(0, 1))):
+        first = sample_random_class(ring, p, 6, seed=43, index=k)
+        second = sample_random_class(ring, p, 6, seed=44, index=k)
+        for alpha in (first, second):
             dec = decomposer.decompose(alpha)
             lam, components, certificates = _split_oracle(alpha, setup)
             where = (ring.name, p, alpha)

@@ -9,14 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from hodgecs import zoo
 from hodgecs.bundle import _json_text
-from hodgecs.cli import _coeffs_json, _scalar
+from hodgecs.cli import _coeffs_json
 from hodgecs.errors import MissingSamplesError
-from hodgecs.gaussian import GaussianRational
+from hodgecs.gaussian import GaussianRational, rational_to_str
 from hodgecs.inequalities import (_g_verdict, _proportional_ints, compute_g_decomposed,
                                   compute_g_direct, proportional, verify_theorem)
 from hodgecs.linalg import Matrix
 from hodgecs.ring import (FLAG_KAHLER, FLAGS, POSITIVE_FLAGS, ClassVector, IntersectionRing,
-                          RingSample, integrate, mixed_setup, power, wedge)
+                          RingSample, mixed_setup, power, wedge)
 from hodgecs.sampling import (STREAM_CONE, Xoshiro256StarStar, random_cone_class,
                               random_strict_setup)
 from test_inequalities import _g_three_wedges
@@ -98,43 +98,25 @@ def test_inertia_parts_sum(m):
     assert np_ + nm + nz == m.rows
 
 
-complex_pairs = st.tuples(
-    st.tuples(small_fractions, small_fractions),
-    st.tuples(small_fractions, small_fractions),
-)
-
-
 @settings(max_examples=40, deadline=None)
-@given(complex_pairs, complex_pairs)
-def test_conjugation_commutes_with_ring_ops(ca, cb):
-    ring = zoo.get("p1xp1").ring
-    a = ring.class_vector(1, [GaussianRational(*ca[0]), GaussianRational(*ca[1])])
-    b = ring.class_vector(1, [GaussianRational(*cb[0]), GaussianRational(*cb[1])])
-    assert wedge(a, b).conjugate() == wedge(a.conjugate(), b.conjugate())
-    assert integrate(wedge(a, b)).conjugate() == integrate(wedge(a.conjugate(), b.conjugate()))
-
-
-@settings(max_examples=40, deadline=None)
-@given(complex_pairs, st.tuples(small_fractions, small_fractions))
-def test_g_scale_equivariance(coeffs, scale):
-    t = GaussianRational(*scale)
+@given(st.tuples(small_fractions, small_fractions), small_fractions)
+def test_g_scale_equivariance(coeffs, t):
     ring = zoo.get("p1xp1").ring
     setup = mixed_setup(1, ring.sample("omega"), [])
-    alpha = ring.class_vector(1, [GaussianRational(*coeffs[0]), GaussianRational(*coeffs[1])])
+    alpha = ring.class_vector(1, list(coeffs))
     g = compute_g_direct(alpha, setup)
-    assert compute_g_direct(alpha.scaled(t), setup) == t.abs2() * g
+    assert compute_g_direct(alpha.scaled(t), setup) == t * t * g
     assert g <= 0  # opposite direction holds unconditionally in degree 1
 
 
-# Real entries (zero, negative, fractional) and complex ones, in classes of 1 to 3
-# coefficients: degree 1 of p4, of blp4 and of P^1 x P^1 x P^1.
+# Entries (zero, negative, fractional, and real Gaussian rationals) in classes of
+# 1 to 3 coefficients: degree 1 of p4, of blp4 and of P^1 x P^1 x P^1.
 _formatter_rings = {1: zoo.get("p4").ring, 2: zoo.get("blp4").ring,
                     3: zoo.product(zoo.get("p1xp1"), zoo.get("p1")).ring}
 _entries = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-60, max_value=60, max_denominator=24),
-    st.builds(GaussianRational, st.fractions(min_value=-9, max_value=9, max_denominator=12),
-              st.fractions(min_value=-9, max_value=9, max_denominator=12)),
+    st.builds(GaussianRational, st.fractions(min_value=-9, max_value=9, max_denominator=12)),
 )
 
 
@@ -143,28 +125,27 @@ _entries = st.one_of(
 @example([Fraction(0), Fraction(0)])
 @example([Fraction(1, 2), Fraction(1, 4)])
 @example([Fraction(-3, 6), Fraction(5)])
-@example([GaussianRational(Fraction(1, 2), Fraction(1, 4)), Fraction(2, 4)])
-@example([GaussianRational(0, Fraction(-2, 3)), Fraction(0), Fraction(-7, 9)])
+@example([GaussianRational(Fraction(1, 2)), Fraction(2, 4)])
+@example([Fraction(-2, 3), Fraction(0), Fraction(-7, 9)])
 def test_int_coefficient_formatter_matches_scalar(coeffs):
     cls = _formatter_rings[len(coeffs)].class_vector(1, coeffs)
-    assert _coeffs_json(cls) == [_scalar(c) for c in cls.coeffs]
+    assert _coeffs_json(cls) == [rational_to_str(c) for c in cls.coeffs]
 
 
 # -- the trusted constructions against the normalising constructor ------------
 
 def _fields(c):
-    return c.ring, c.degree, c.re, c.im, c.den, c.flag
+    return c.ring, c.degree, c.re, c.den, c.flag
 
 
 def _in_lowest_terms(c):
-    return (type(c.re) is tuple and (c.im is None or (type(c.im) is tuple and any(c.im)))
-            and c.den > 0 and gcd(c.den, *c.re, *(c.im or ())) == 1)
+    return type(c.re) is tuple and c.den > 0 and gcd(c.den, *c.re) == 1
 
 
 def _normalised(ring, degree, coeffs, flag):
     """The normalising constructor on real rationals: numerators over their lcm."""
     den = lcm(*(c.denominator for c in coeffs))
-    return ClassVector(ring, degree, [int(c * den) for c in coeffs], None, den, flag)
+    return ClassVector(ring, degree, [int(c * den) for c in coeffs], den, flag)
 
 
 _trusted_rings = [zoo.get(name).ring for name in ("p2", "p1xp1", "blp3", "flag3")]
@@ -178,25 +159,22 @@ def _classes(draw):
     degree = draw(st.integers(min_value=0, max_value=ring.n))
     dim = ring.dim(degree)
     re = draw(st.lists(_numerators, min_size=dim, max_size=dim))
-    im = draw(st.none() | st.lists(_numerators, min_size=dim, max_size=dim))
-    return ClassVector(ring, degree, re, im, draw(st.integers(min_value=1, max_value=36)))
+    return ClassVector(ring, degree, re, draw(st.integers(min_value=1, max_value=36)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_classes(), st.sampled_from(FLAGS))
 @example(ClassVector(_trusted_rings[1], 0, [1]), FLAGS[0])
-@example(ClassVector(_trusted_rings[1], 0, [3], [2], 4), FLAGS[0])
-@example(ClassVector(_trusted_rings[1], 1, [2, 4], None, 6), FLAG_KAHLER)
+@example(ClassVector(_trusted_rings[1], 0, [6], 4), FLAGS[0])
+@example(ClassVector(_trusted_rings[1], 1, [2, 4], 6), FLAG_KAHLER)
 def test_trusted_paths_equal_the_normalising_constructor(c, flag):
     ring = c.ring
     pairs = []
-    if c.degree == 1 and c.im is None:
-        pairs.append((c.with_flag(flag), ClassVector(ring, 1, c.re, None, c.den, flag)))
+    if c.degree == 1:
+        pairs.append((c.with_flag(flag), ClassVector(ring, 1, c.re, c.den, flag)))
         c = pairs[-1][0]
-    plain = ClassVector(ring, c.degree, c.re, c.im, c.den)
+    plain = ClassVector(ring, c.degree, c.re, c.den)
     pairs += [
-        (c.conjugate(), ClassVector(ring, c.degree, c.re, c.im and [-y for y in c.im], c.den,
-                                    c.flag)),
         (wedge(ring.unit(), c), plain),
         (wedge(c, ring.unit()), plain),
     ]
@@ -266,65 +244,57 @@ def _case_ring(name):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_g_cases), st.integers(min_value=0, max_value=2**64),
-       st.sampled_from(["real", "complex", "w^p", "w^p + i*real"]), st.data())
+       st.sampled_from(["random", "w^p", "w^p + random"]), st.data())
 def test_g_direct_equals_the_three_wedge_oracle_and_the_decomposition(case, seed, kind, data):
     ring = _case_ring(case[0])
     p = case[1]
     setup = random_strict_setup(ring, p, 10, seed, 0)
     dim = ring.dim(p)
-    coeffs = data.draw(st.lists(gaussians if kind == "complex" else small_fractions,
-                                min_size=dim, max_size=dim))
+    coeffs = data.draw(st.lists(small_fractions, min_size=dim, max_size=dim))
     alpha = ring.class_vector(p, coeffs)
     w_p = power(setup.omega, p)
     if kind == "w^p":
-        alpha = w_p.scaled(data.draw(gaussians))
-    elif kind == "w^p + i*real":
-        alpha = w_p + alpha.scaled(GaussianRational(0, 1))
+        alpha = w_p.scaled(data.draw(small_fractions))
+    elif kind == "w^p + random":
+        alpha = w_p + alpha
     g = compute_g_direct(alpha, setup)
     assert g == _g_three_wedges(alpha, setup) == compute_g_decomposed(alpha, setup).value
     g_verdict, _, prop = _g_verdict(alpha, setup)
     assert (g_verdict, prop) == (g, proportional(alpha, w_p))
 
 
-_gaussian_ints = st.tuples(st.integers(min_value=-6, max_value=6),
-                           st.integers(min_value=-6, max_value=6))
+_small_ints = st.integers(min_value=-6, max_value=6)
 
 
 @st.composite
 def _numerator_pairs(draw):
-    """Gaussian-integer numerator rows a and b (an im of None when real); b is
-    often a Gaussian-integer multiple of a, or zero."""
+    """Int numerator rows a and b; b is often an int multiple of a, or zero."""
     dim = draw(st.integers(min_value=1, max_value=4))
-    a = draw(st.lists(_gaussian_ints, min_size=dim, max_size=dim))
+    a = draw(st.lists(_small_ints, min_size=dim, max_size=dim))
     kind = draw(st.sampled_from(["free", "multiple", "zero"]))
     if kind == "free":
-        b = draw(st.lists(_gaussian_ints, min_size=dim, max_size=dim))
+        b = draw(st.lists(_small_ints, min_size=dim, max_size=dim))
     else:
-        lr, li = (0, 0) if kind == "zero" else draw(_gaussian_ints)
-        b = [(lr * x - li * y, lr * y + li * x) for x, y in a]
-
-    def split(v):
-        re, im = tuple(x for x, _ in v), tuple(y for _, y in v)
-        return re, (im if any(im) else None)
-
-    return (*split(a), *split(b))
+        lam = 0 if kind == "zero" else draw(_small_ints)
+        b = [lam * x for x in a]
+    return tuple(a), tuple(b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_numerator_pairs(), st.integers(min_value=1, max_value=12),
        st.integers(min_value=1, max_value=12))
-@example(((0, 0), None, (1, 2), None), 1, 1)
-@example(((1, 2), None, (0, 0), None), 1, 1)
-@example(((0, 3), (0, 1), (0, -1), (0, 3)), 2, 5)
+@example(((0, 0), (1, 2)), 1, 1)
+@example(((1, 2), (0, 0)), 1, 1)
+@example(((0, 3), (0, -1)), 2, 5)
+@example(((2, 3), (4, 5)), 1, 1)
 def test_proportional_ints_equals_a_fraction_ratio_oracle(rows, da, db):
-    are, aim, bre, bim = rows
+    are, bre = rows
     # Oracle: a = 0, or b = lam * a with lam = b_k / a_k at the first nonzero a_k.
-    zero = [0] * len(are)
-    a = [GaussianRational(Fraction(x, da), Fraction(y, da)) for x, y in zip(are, aim or zero)]
-    b = [GaussianRational(Fraction(x, db), Fraction(y, db)) for x, y in zip(bre, bim or zero)]
+    a = [Fraction(x, da) for x in are]
+    b = [Fraction(x, db) for x in bre]
     k = next((i for i, x in enumerate(a) if x), None)
     expected = k is None or all(y == (b[k] / a[k]) * x for x, y in zip(a, b))
-    assert _proportional_ints(are, aim, bre, bim) == expected
+    assert _proportional_ints(are, bre) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,7 +15,6 @@ from hodgecs.ring import (
     RingSample,
     as_kahler,
     integrate,
-    integrate_real,
     mixed_setup,
     power,
     sanity_check_kahler,
@@ -77,7 +76,7 @@ def test_wedge_commutes_and_bilinear():
 def test_power_basics():
     p4 = zoo.get("p4").ring
     h = p4.basis_class(1, 0)
-    assert integrate_real(power(h, 4)) == 1
+    assert integrate(power(h, 4)) == 1
     assert power(h, 0) == p4.unit()
 
 
@@ -85,7 +84,7 @@ def test_power_blowup_fourth():
     ring = zoo.get("blp4").ring
     w = ring.class_vector(1, [2, -1])
     # 16 H^4 + E^4 integrates to 16 - 1 = 15.
-    assert integrate_real(power(w, 4)) == blowup_integral_oracle(4, [(2, -1)] * 4) == 15
+    assert integrate(power(w, 4)) == blowup_integral_oracle(4, [(2, -1)] * 4) == 15
 
 
 def test_degree_overflow_rejected():
@@ -99,15 +98,15 @@ def test_degree_overflow_rejected():
 
 def test_integrate_examples():
     p2 = zoo.get("p2").ring
-    assert integrate_real(power(p2.basis_class(1, 0), 2)) == 1
+    assert integrate(power(p2.basis_class(1, 0), 2)) == 1
 
     bl = zoo.get("blp4").ring
     e = bl.class_vector(1, [0, 1])
-    assert integrate_real(power(e, 4)) == -1 == blowup_integral_oracle(4, [(0, 1)] * 4)
+    assert integrate(power(e, 4)) == -1 == blowup_integral_oracle(4, [(0, 1)] * 4)
 
     pp = zoo.get("p1xp1").ring
     ab = pp.class_vector(1, [1, 1])
-    assert integrate_real(power(ab, 2)) == p1xp1_integral_oracle((1, 1), (1, 1)) == 2
+    assert integrate(power(ab, 2)) == p1xp1_integral_oracle((1, 1), (1, 1)) == 2
 
 
 def test_integrate_wrong_degree():
@@ -123,20 +122,37 @@ def test_ring_mismatch_rejected():
         wedge(a, b)
 
 
-def test_conjugation_properties():
+def test_class_vector_and_scaled_refuse_a_non_real_value():
     ring = zoo.get("blp4").ring
-    rng = Xoshiro256StarStar(11)
-    for _ in range(10):
-        a = ring.class_vector(2, [
-            GaussianRational(rng.int_between(-3, 3), rng.int_between(-3, 3))
-            for _ in range(2)
-        ])
-        b = ring.class_vector(2, [
-            GaussianRational(rng.int_between(-3, 3), rng.int_between(-3, 3))
-            for _ in range(2)
-        ])
-        assert wedge(a, b).conjugate() == wedge(a.conjugate(), b.conjugate())
-        assert integrate(a.conjugate() * b.conjugate()) == integrate(a * b).conjugate()
+    for value in (GaussianRational(0, 1), GaussianRational(Fraction(1, 2), -3)):
+        with pytest.raises(ValueError, match="rational coefficients; got the non-real value"):
+            ring.class_vector(1, [1, value])
+        with pytest.raises(ValueError, match="rational coefficients; got the non-real value"):
+            ring.basis_class(2, 0).scaled(value)
+        with pytest.raises(ValueError, match="non-real"):
+            value * ring.basis_class(2, 0)
+    # Real Gaussian rationals are read as the rationals they are.
+    assert ring.class_vector(1, [GaussianRational(Fraction(1, 2)), 3]) == \
+        ring.class_vector(1, [Fraction(1, 2), 3])
+    assert ring.basis_class(1, 0).scaled(GaussianRational(-2)) == -2 * ring.basis_class(1, 0)
+
+
+def test_constructor_refuses_a_denominator_below_one():
+    ring = zoo.get("blp4").ring
+    for den in (0, -1, -6):
+        with pytest.raises(ValueError, match=f"positive integer, got {den}"):
+            ClassVector(ring, 1, [1, 0], den)
+    assert ClassVector(ring, 1, [-2, 0], 2) == -ring.basis_class(1, 0)
+
+
+def test_basis_class_refuses_an_index_outside_the_basis():
+    ring = zoo.get("blp4").ring
+    for i in (-1, -2, 2, 7):
+        with pytest.raises(DegreeError, match=f"basis index {i} outside 0..1 in degree 1"):
+            ring.basis_class(1, i)
+    with pytest.raises(DegreeError, match="basis index 1 outside 0..0 in degree 0"):
+        ring.basis_class(0, 1)
+    assert [ring.basis_class(1, i).re for i in range(2)] == [(1, 0), (0, 1)]
 
 
 # -- validation -------------------------------------------------------------------
@@ -286,28 +302,25 @@ def test_mixed_setup_caches_reference_product():
 def test_positivity_flags_reject_complex_classes():
     bl = zoo.get("blp4").ring
     coeffs = [GaussianRational(2, 1), -1]
-    for flag in ("kahler", "nef"):
-        with pytest.raises(FlagError, match="real degree-1"):
+    # No complex class is built, flagged or not, so no flag ever meets one.
+    for flag in ("none", "kahler", "nef"):
+        with pytest.raises(ValueError, match=r"non-real value 2\+1i"):
             bl.class_vector(1, coeffs, flag)
-        with pytest.raises(FlagError, match="real degree-1"):
-            bl.class_vector(1, coeffs).with_flag(flag)
-    # Unflagged complex classes and real flagged classes are still accepted.
-    assert not bl.class_vector(1, coeffs).is_real
     assert bl.class_vector(1, [2, -1], "kahler").flag == "kahler"
-    # The constructor itself enforces the same rules, so no path builds a
-    # flagged complex class or a class of the wrong shape.
+    # The constructor enforces the flag rules, so no path builds a flagged
+    # class of the wrong degree or a class of the wrong shape.
     for flag in ("kahler", "nef"):
         with pytest.raises(FlagError, match="real degree-1"):
-            ClassVector(bl, 1, [2, -1], [1, 0], 1, flag)
+            ClassVector(bl, 2, [1, 0], 1, flag)
         with pytest.raises(FlagError, match="real degree-1"):
-            ClassVector(bl, 2, [1, 0], None, 1, flag)
+            bl.class_vector(2, [1, 0]).with_flag(flag)
     with pytest.raises(FlagError, match="unknown positivity flag 'ample'"):
-        ClassVector(bl, 1, [2, -1], None, 1, "ample")
+        ClassVector(bl, 1, [2, -1], 1, "ample")
     with pytest.raises(DegreeError, match="degree 1 needs 2 coefficients, got 1"):
         ClassVector(bl, 1, [1])
-    with pytest.raises(DegreeError, match="degree 1 needs 2 coefficients, got 1"):
-        ClassVector(bl, 1, [1, 0], [1])
+    with pytest.raises(DegreeError, match="degree 1 needs 2 coefficients, got 3"):
+        ClassVector(bl, 1, [1, 0, 0])
     for degree in (-1, bl.n + 1):
         with pytest.raises(DegreeError, match=f"degree {degree} outside 0..{bl.n}"):
             ClassVector(bl, degree, [1])
-    assert ClassVector(bl, 1, [4, -2], [0, 0], 2, "kahler") == bl.class_vector(1, [2, -1])
+    assert ClassVector(bl, 1, [4, -2], 2, "kahler") == bl.class_vector(1, [2, -1])

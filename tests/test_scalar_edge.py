@@ -1,12 +1,13 @@
 """Exact scalars at the package edge: one reader in, one int integral out.
 
 ``linalg._gaussian_ints`` reads the ints, Fractions and Gaussian rationals of
-``class_vector``, ``scaled``, ``Matrix(entries)`` and ``solve``; ``ring._integral``
-takes every integral as int numerators over one denominator. Here both are
-compared with the Gaussian-rational formulas they replaced: g by ``*``, ``-`` and
-``abs2`` of integrals, the decomposition's closed-form check on the returned
-lambda, and integrals formed from ``coeffs`` and the ring's integral vector. A
-profile hook checks that the int paths build no Gaussian rational.
+``class_vector``, ``scaled``, ``Matrix(entries)`` and ``solve``, and classes
+refuse a non-real value; ``ring._integral`` takes every integral as int
+numerators over one denominator. Here both are compared with the Fraction
+formulas they replaced: g by ``*`` and ``-`` of integrals, the decomposition's
+closed-form check on the returned lambda, and integrals formed from ``coeffs``
+and the ring's integral vector. A profile hook checks that the int paths build
+no Gaussian rational.
 """
 
 from fractions import Fraction
@@ -28,7 +29,6 @@ from hodgecs.linalg import Matrix
 from hodgecs.ring import (
     FLAG_NEF,
     integrate,
-    integrate_real,
     mixed_setup,
     power,
     sanity_check_kahler,
@@ -49,13 +49,11 @@ def _rings():
 
 
 def _oracle_g(alpha, setup) -> Fraction:
-    """g by the Gaussian-rational formula: pair * vol - |mixed|^2, then its real part."""
-    pair = _oracle_integral(wedge(wedge(alpha, alpha.conjugate()), setup.omega_p))
+    """g by the Fraction formula: pair * vol - mixed^2."""
+    pair = _oracle_integral(wedge(wedge(alpha, alpha), setup.omega_p))
     vol = _oracle_integral(setup.tower[2 * setup.p])
     mixed = _oracle_integral(wedge(alpha, setup.tower[setup.p]))
-    g = pair * vol - mixed.abs2()
-    assert g.is_real
-    return g.re
+    return pair * vol - mixed * mixed
 
 
 def _boundary_setup(ring, p):
@@ -65,11 +63,11 @@ def _boundary_setup(ring, p):
 
 
 def _alphas(ring, p, k):
-    real = sample_random_class(ring, p, 7, seed=21, index=k)
+    first = sample_random_class(ring, p, 7, seed=21, index=k)
     other = sample_random_class(ring, p, 7, seed=22, index=k)
-    yield real
-    yield real + other.scaled(I)
-    yield other.scaled(GaussianRational(Fraction(1, 3), Fraction(-2, 5)))
+    yield first
+    yield first + other
+    yield other.scaled(Fraction(-2, 5))
     yield ring.zero_class(p)
 
 
@@ -81,8 +79,8 @@ def test_g_and_lambda_match_the_gaussian_formulas():
             for k, setup in enumerate(setups):
                 where = (ring.name, p, k, setup.mode)
                 vol = _oracle_integral(setup.tower[2 * setup.p])
-                assert setup.volume == integrate_real(setup.tower[2 * p]) == vol, where
-                for alpha in (*_alphas(ring, p, k), setup.omega_power.scaled(I)):
+                assert setup.volume == integrate(setup.tower[2 * p]) == vol, where
+                for alpha in (*_alphas(ring, p, k), setup.omega_power.scaled(Fraction(-3, 4))):
                     g = compute_g_direct(alpha, setup)
                     assert g == _oracle_g(alpha, setup), where
                     assert check_cs(alpha, setup).g_value == g, where
@@ -90,21 +88,21 @@ def test_g_and_lambda_match_the_gaussian_formulas():
                     assert integrate(mixed) == _oracle_integral(mixed), where
                     if setup.mode == "strict":
                         dec = LefschetzDecomposer(setup).decompose(alpha)
-                        assert isinstance(dec.lam, GaussianRational)
+                        assert type(dec.lam) is Fraction
                         assert dec.lam * vol == _oracle_integral(mixed), where
                         assert compute_g_decomposed(alpha, setup).value == g, where
 
 
 def test_lambda_check_compares_both_parts():
-    # A decomposer whose level inverses are off by a factor of 2 gives lam / 2.
-    # For i * w^p only the imaginary part of lam is nonzero, so a check on
-    # real parts alone would let the wrong lam through.
+    # A decomposer whose level inverses are off by a factor of 2 gives lam / 2,
+    # which the closed-form check (lam times the volume against the integral of
+    # alpha * w^p * Omega_p) refuses, whatever the sign and size of lam.
     ring = zoo.get("blp4").ring
     setup = random_strict_setup(ring, 2, 9, seed=3, index=0)
     broken = LefschetzDecomposer(setup)
     broken._levels = [(i, c, inverse, 2 * d) for i, c, inverse, d in broken._levels]
-    for alpha in (setup.omega_power, setup.omega_power.scaled(I)):
-        assert LefschetzDecomposer(setup).decompose(alpha).lam in (1, I)
+    for alpha in (setup.omega_power, setup.omega_power.scaled(Fraction(-2, 3))):
+        assert LefschetzDecomposer(setup).decompose(alpha).lam in (1, Fraction(-2, 3))
         with pytest.raises(SingularSplitError, match="closed-form"):
             broken.decompose(alpha)
 
@@ -121,15 +119,18 @@ def test_ints_fractions_and_gaussians_give_the_same_classes():
         a = ring.class_vector(1, values)
         assert a == ring.class_vector(1, as_gaussian)
         assert a.coeffs == tuple(as_gaussian)
-        assert a.is_real
-    mixed = [GaussianRational(Fraction(1, 2), Fraction(-3, 4)), Fraction(1, 6)]
+        assert all(type(x) is Fraction for x in a.coeffs)
+    mixed = [GaussianRational(Fraction(1, 2)), Fraction(1, 6)]
     c = ring.class_vector(1, mixed)
     assert c.coeffs == tuple(map(GaussianRational.coerce, mixed))
-    assert (c.re, c.im, c.den) == ((6, 2), (-9, 0), 12)
-    for factor in (*VALUES, GaussianRational(Fraction(2, 3), 5), I):
+    assert (c.re, c.den) == ((3, 1), 6)
+    for factor in (*VALUES, GaussianRational(Fraction(2, 3))):
         expected = tuple(x * factor for x in c.coeffs)
         assert c.scaled(factor).coeffs == expected
         assert (c * factor).coeffs == (factor * c).coeffs == expected
+    for factor in (GaussianRational(Fraction(2, 3), 5), I):
+        with pytest.raises(ValueError, match="non-real"):
+            c.scaled(factor)
 
 
 def test_ints_fractions_and_gaussians_give_the_same_matrices():
@@ -166,9 +167,12 @@ def test_floats_and_complex_entries_keep_their_errors():
     with pytest.raises(ValueError, match="ragged rows"):
         Matrix([[1, 2], [3]])
     with pytest.raises(DegreeError, match="needs 2 coefficients, got 1"):
+        ring.class_vector(1, [GaussianRational(3)])
+    # A non-real value is refused before the shape is checked.
+    with pytest.raises(ValueError, match="non-real value 1i"):
         ring.class_vector(1, [I])
-    with pytest.raises(ArithmeticError, match="expected a real value, got 1i"):
-        integrate_real(zoo.get("p2").ring.class_vector(2, [I]))
+    with pytest.raises(ValueError, match="non-real value 1i"):
+        zoo.get("p2").ring.class_vector(2, [I])
 
 
 # -- ring identity ------------------------------------------------------------------
@@ -207,7 +211,7 @@ def test_int_paths_build_no_gaussian_rational():
         assert _constructions(fn)[1] == {}, name
 
     setup = random_strict_setup(ring, 2, 9, seed=4, index=0)
-    alpha = sample_random_class(ring, 2, 9, seed=4, index=0) + ring.class_vector(2, [I, 0])
+    alpha = sample_random_class(ring, 2, 9, seed=4, index=0) + ring.class_vector(2, [half, 0])
     boundary = _boundary_setup(ring, 2)
     setup.volume, setup.omega_power, boundary.volume, boundary.omega_power  # cached per setup
     calls = {
@@ -223,8 +227,8 @@ def test_int_paths_build_no_gaussian_rational():
     seen = _constructions(lambda: compute_g_direct(alpha, setup))[1]
     assert seen["__new__"] + seen["_from_coprime_ints"] == 1
 
-    # The decomposition builds one Gaussian rational: the lambda it returns.
+    # The decomposition builds no Gaussian rational: the lambda it returns is a Fraction.
     decomposer = LefschetzDecomposer(setup)
     dec, seen = _constructions(lambda: decomposer.decompose(alpha))
-    assert seen["__init__"] == 1
+    assert seen["__init__"] == 0 and type(dec.lam) is Fraction
     assert dec.lam * setup.volume == integrate(wedge(alpha, power(setup.omega, 2)))

@@ -17,7 +17,6 @@ import pytest
 
 from hodgecs import zoo
 from hodgecs.errors import DegreeError
-from hodgecs.gaussian import GaussianRational
 from hodgecs.inequalities import compute_g_decomposed, compute_g_direct, verify_theorem
 from hodgecs.ring import (ClassVector, IntersectionRing, class_columns, form_matrix,
                           multiplication_matrix, wedge)
@@ -46,8 +45,8 @@ def test_degree_zero_acts_as_in_wedge_on_a_ring_that_fails_validation():
     # degree-0 element multiplies to zero, as wedge reads only re[0].
     ring = IntersectionRing("two-units", 2, (2, 2, 1), [["u", "v"], ["a", "b"], ["t"]],
                             {(1, 0, 1, 0): [1], (1, 1, 1, 1): [Fraction(1, 2)]}, [3])
-    for by in (ClassVector(ring, 0, [3, 5], None, 2), ClassVector(ring, 1, [1, 4], None, 3),
-               ClassVector(ring, 2, [7], None, 1)):
+    for by in (ClassVector(ring, 0, [3, 5], 2), ClassVector(ring, 1, [1, 4], 3),
+               ClassVector(ring, 2, [7], 1)):
         for p in range(ring.n - by.degree + 1):
             columns = [wedge(ring.basis_class(p, i), by) for i in range(ring.dim(p))]
             assert multiplication_matrix(ring, p, by) == class_columns(
@@ -56,14 +55,13 @@ def test_degree_zero_acts_as_in_wedge_on_a_ring_that_fails_validation():
 
 def test_decomposition_and_g_on_rings_with_fractional_constants():
     # The scalings are positive, so the Kahler samples stay Kahler.
-    i = GaussianRational(0, 1)
     for ring in (_scaled(zoo.get("flag3").ring), _scaled(zoo.get("quadric4").ring),
                  _scaled(_p1_fifth())):
         assert ring._den != 1
         for p in range(1, ring.n // 2 + 1):
             setup = random_strict_setup(ring, p, 7, seed=13, index=p)
-            real = sample_random_class(ring, p, 7, seed=14, index=p)
-            for alpha in (real, real + sample_random_class(ring, p, 7, seed=15, index=p).scaled(i)):
+            for alpha in (sample_random_class(ring, p, 7, seed=14, index=p),
+                          sample_random_class(ring, p, 7, seed=15, index=p)):
                 dec = compute_g_decomposed(alpha, setup)
                 assert dec.decomposition.reconstruct() == alpha, (ring.name, p)
                 assert all(c.is_zero for c in dec.decomposition.certificates)

@@ -5,7 +5,7 @@ import pytest
 from hodgecs import zoo
 from hodgecs.errors import UnknownRingError
 from hodgecs.lefschetz import hr_check
-from hodgecs.ring import integrate_real, power, sanity_check_kahler, validate_ring
+from hodgecs.ring import integrate, power, sanity_check_kahler, validate_ring
 from hodgecs.sampling import random_strict_setup
 
 
@@ -13,17 +13,17 @@ def test_projective_space_gradings():
     assert zoo.get("p1").ring.hodge == (1, 1)
     p4 = zoo.get("p4").ring
     assert p4.hodge == (1, 1, 1, 1, 1)
-    assert integrate_real(power(p4.sample("h"), 4)) == 1
+    assert integrate(power(p4.sample("h"), 4)) == 1
 
 
 def test_blowup_data():
     b2 = zoo.get("blp2").ring
-    assert integrate_real(power(b2.class_vector(1, [1, 0]), 2)) == 1
-    assert integrate_real(power(b2.class_vector(1, [0, 1]), 2)) == -1
+    assert integrate(power(b2.class_vector(1, [1, 0]), 2)) == 1
+    assert integrate(power(b2.class_vector(1, [0, 1]), 2)) == -1
     b4 = zoo.get("blp4").ring
     assert b4.hodge == (1, 2, 2, 2, 1)
-    assert integrate_real(power(b4.class_vector(1, [0, 1]), 4)) == -1
-    assert integrate_real(power(b4.sample("omega"), 4)) == 15
+    assert integrate(power(b4.class_vector(1, [0, 1]), 4)) == -1
+    assert integrate(power(b4.sample("omega"), 4)) == 15
     assert not sanity_check_kahler(b4, b4.class_vector(1, [0, 1])).passed
 
 
@@ -65,7 +65,7 @@ def test_product_composes():
 def test_bundled_quadric4():
     ring = zoo.get("quadric4").ring
     assert ring.hodge == (1, 1, 2, 1, 1)
-    assert integrate_real(power(ring.sample("h"), 4)) == 2
+    assert integrate(power(ring.sample("h"), 4)) == 2
     from hodgecs.inequalities import hodge_condition
     assert hodge_condition(ring, 2, "cs").holds
 
@@ -74,7 +74,7 @@ def test_bundled_flag3():
     ring = zoo.get("flag3").ring
     assert ring.hodge == (1, 2, 2, 1)
     assert ring.dim(1) == ring.dim(2) == 2
-    assert integrate_real(power(ring.sample("rho"), 3)) == 6
+    assert integrate(power(ring.sample("rho"), 3)) == 6
 
 
 def test_unknown_names_error():
