@@ -90,11 +90,11 @@ def _g(alpha: ClassVector, data: tuple) -> Fraction:
     """
     ring, p, x = alpha.ring, alpha.degree, alpha.re
     _, (o, o_den), (t, t_den), (v, v_den) = data
-    b = x if o is None else _product_ints(ring, p, x, ring.n - 2 * p, o)
+    b = _product_ints(ring, ring.n - 2 * p, o, p, x)
     aa, m = _pair_ints(ring, p, x, b), _pair_ints(ring, p, x, t)
     # aa and m are numerators over d^2 * a and d * c; a pairing adds k = D * scale.
     k = ring._den * ring._weights[1]
-    a, c = (k if o is None else k * o_den * ring._den), k * t_den
+    a, c = k * o_den * ring._den, k * t_den
     return Fraction(aa * v * c * c - m * m * a * v_den, alpha.den ** 2 * a * v_den * c * c)
 
 

@@ -46,7 +46,7 @@ from .ring import (
     IntersectionRing,
     MixedSetup,
     MODE_STRICT,
-    _integral,
+    _pair_ints,
     _product_ints,
     class_columns,
     form_matrix,
@@ -317,9 +317,12 @@ class LefschetzDecomposer:
             current, den = rest, rest_den
 
         # The recursion remainder lam = current must match the closed form
-        # lam = (int a * w^p * Omega_p) / (int w^(2p) * Omega_p).
+        # lam = (int a * T) / (int w^(2p) * Omega_p), T = w^p * Omega_p the tower's
+        # rung p: one pairing over alpha.den * T.den * D * scale.
         lam = Fraction(current[0], den)
-        if lam * setup.volume != Fraction(*_integral(wedge(alpha, setup.tower[setup.p]))):
+        t = setup.tower[setup.p]
+        m = _pair_ints(ring, setup.p, alpha.re, t.re)
+        if lam * setup.volume != Fraction(m, alpha.den * t.den * big_d * ring._weights[1]):
             raise SingularSplitError(
                 "recursion remainder disagrees with the closed-form coefficient; "
                 "the reference classes are not Kahler"

@@ -6,14 +6,16 @@ structure constants for the cup product, and a linear integration functional
 on the top degree. The classes are rational, as the ring is the rational
 (p,p)-part of the cohomology: a :class:`ClassVector` holds real int
 numerators over one denominator, and a non-real coefficient or scalar is
-refused where it enters (``class_vector``, ``scaled``). Products are int
-contractions over sparse structure tables, and integrals of products are int
-pairing matrices; each ring builds both once. An operator matrix scatters a
-class's numerators through the table into int rows, a form matrix is the
-pairing times an operator, and every integral of a class is the int
-``_integral``; g's setup data and per-class integrals contract bare
-numerators (``_setup_ints``, ``_pair_ints``). Fractions are built only where
-values leave (``coeffs``, ``integrate``).
+refused where it enters (``class_vector``, ``scaled``). Every product reads
+one sparse structure table per ordered degree pair, degree 0 included (the
+unit row is the identity), built once per ring: ``wedge`` and ``_product_ints``
+contract numerators over it, an operator matrix scatters a class's numerators
+through it into int rows, and ``validate_ring`` and the int pairing matrices
+read it. A form matrix is the pairing times an operator, and every integral of
+a class is the int ``_integral``; g's setup data and per-class integrals
+contract bare numerators (``_setup_ints``, ``_pair_ints``), with the empty
+Omega_p as the unit. Fractions are built only where values leave
+(``coeffs``, ``integrate``).
 
 The ring data cannot certify that a degree-1 class is Kahler; positivity is a
 user-declared flag. :func:`sanity_check_kahler` enforces the checkable
@@ -27,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
@@ -191,36 +193,39 @@ class IntersectionRing:
             raise KeyError(f"no basis element {label!r} in degree {p}") from None
 
     def _table(self, da: int, db: int) -> tuple:
-        """Sparse products of degrees da x db: i -> ((j, ((k, D * c_k), ...)), ...).
+        """The products of degrees da x db, for any ordered pair: i -> {j: ((k, D * c_k), ...)}.
 
-        Built on first use; the pairs with a zero product are left out. In
-        degree 0 the unit, basis element 0, acts as the identity, and any other
-        element (in a ring that fails validation) as zero, as in ``wedge``.
+        The one product view of the ring, built once per ordered pair on first
+        use; the pairs with a zero product are left out. A table with da > db is
+        the transpose of the (db, da) one and shares its entries. In degree 0
+        the unit, basis element 0, acts as the identity, and any other element
+        (in a ring that fails validation) as zero.
         """
-        if da == 0 and (0, db) not in self._tables:
-            unit = tuple((j, ((j, self._den),)) for j in range(self.hodge[db]))
-            self._tables[0, db] = tuple(() if i else unit for i in range(self.hodge[0]))
         if (da, db) not in self._tables:
-            self._tables[da, db] = tuple(tuple(
-                (j, tuple((k, c) for k, c in enumerate(_cleared(out, self._den)) if c))
-                for j in range(self.hodge[db])
-                if (out := self.products.get(canonical_product_key(da, i, db, j)))
-            ) for i in range(self.hodge[da]))
+            if da > db:
+                rows = [{} for _ in range(self.hodge[da])]
+                for j, row in enumerate(self._table(db, da)):
+                    for i, out in row.items():
+                        rows[i][j] = out
+            elif da == 0:
+                unit = {j: ((j, self._den),) for j in range(self.hodge[db])}
+                rows = [{} if i else unit for i in range(self.hodge[0])]
+            else:
+                rows = [{j: tuple((k, c) for k, c in enumerate(_cleared(out, self._den)) if c)
+                         for j in range(self.hodge[db])
+                         if (out := self.products.get(canonical_product_key(da, i, db, j)))}
+                        for i in range(self.hodge[da])]
+            self._tables[da, db] = tuple(rows)
         return self._tables[da, db]
 
     def _pairing(self, p: int) -> Matrix:
         """The pairing (a, b) -> integral of a * b of degrees p x (n - p), built once:
-        the integral's int weights dotted with the products (degrees 0 and n: the weights).
-        """
+        the integral's int weights dotted with the products of the (p, n - p) table."""
         if p not in self._pairings:
             n, (w, scale) = self.n, self._weights
-            if 0 < p < n:
-                rows = [[sum(w[k] * c for k, c in row.get(j, ())) for j in range(self.hodge[n - p])]
-                        for row in _product_rows(self, p, n - p)]
-                scale *= self._den
-            else:
-                rows = [w] if p == 0 else [[x] for x in w]
-            self._pairings[p] = Matrix._of(rows, scale, self.hodge[n - p])
+            rows = [[sum(w[k] * c for k, c in row.get(j, ())) for j in range(self.hodge[n - p])]
+                    for row in self._table(p, n - p)]
+            self._pairings[p] = Matrix._of(rows, scale * self._den, self.hodge[n - p])
         return self._pairings[p]
 
     # -- class construction ------------------------------------------------
@@ -242,30 +247,33 @@ class IntersectionRing:
     def zero_class(self, p: int) -> "ClassVector":
         return ClassVector(self, p, (0,) * self.dim(p))
 
-    def _sample_ints(self, flag: Optional[str] = None) -> tuple[tuple, ...]:
-        """Each declared sample of ``flag`` (any flag for None) as (re, den, flag); a
-        sample is cleared on its first read and kept, so gating the Kahler samples
-        clears no nef one.
+    def _sample_row(self, k: int) -> tuple:
+        """Declared sample k as (re, den, flag), cleared on its first read and kept,
+        so reading one sample clears no other.
 
         The ring keeps ints, not classes: a class points back at its ring, and
         the cycle would leave every ring that read its samples to the cycle
         collector instead of freeing it when its last reference goes.
         """
-        if self._sample_rows is None:
-            object.__setattr__(self, "_sample_rows", [None] * len(self.samples))
-        rows, out = self._sample_rows, []
-        for k, s in enumerate(self.samples):
-            if flag is None or s.flag == flag:
-                if rows[k] is None:
-                    c = self.class_vector(1, s.coeffs, s.flag)
-                    rows[k] = (c.re, c.den, c.flag)
-                out.append(rows[k])
-        return tuple(out)
+        rows = self._sample_rows
+        if rows is None:
+            rows = [None] * len(self.samples)
+            object.__setattr__(self, "_sample_rows", rows)
+        if rows[k] is None:
+            s = self.samples[k]
+            c = self.class_vector(1, s.coeffs, s.flag)
+            rows[k] = (c.re, c.den, c.flag)
+        return rows[k]
+
+    def _sample_ints(self, flag: Optional[str] = None) -> tuple[tuple, ...]:
+        """Each declared sample of ``flag`` (any flag for None) as (re, den, flag)."""
+        return tuple(self._sample_row(k) for k, s in enumerate(self.samples)
+                     if flag is None or s.flag == flag)
 
     def sample(self, name: str) -> "ClassVector":
-        for s, (re, den, flag) in zip(self.samples, self._sample_ints()):
+        for k, s in enumerate(self.samples):
             if s.name == name:
-                return ClassVector(self, 1, re, den, flag)
+                return ClassVector(self, 1, *self._sample_row(k))
         raise KeyError(f"ring {self.name!r} has no sample {name!r}")
 
     def sample_classes(self, flag: Optional[str] = None) -> tuple["ClassVector", ...]:
@@ -440,10 +448,10 @@ def _check_same_ring(a: ClassVector, b: ClassVector,
 
 
 def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
-    """Product of two classes; degree overflow past n is an error.
+    """Product of two classes, unflagged; degree overflow past n is an error.
 
-    A degree-0 factor scales the other, unflagged; otherwise the numerators contract
-    once over the ring's table, over a.den * b.den * D.
+    The numerators contract once over the ring's (a.degree, b.degree) table,
+    over a.den * b.den * D; a degree-0 factor goes through its unit row.
     """
     _check_same_ring(a, b)
     ring = a.ring
@@ -452,10 +460,6 @@ def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
         raise DegreeError(
             f"wedge of degrees {a.degree} and {b.degree} exceeds top degree {ring.n}"
         )
-    if a.degree > b.degree:
-        a, b = b, a
-    if a.degree == 0:
-        return b._times(a.re[0], a.den)
     return ClassVector(ring, total, _product_ints(ring, a.degree, a.re, b.degree, b.re),
                        a.den * b.den * ring._den)
 
@@ -464,7 +468,7 @@ def _contract(acc: list[int], table: tuple, x: Sequence[int], y: Sequence[int]) 
     """acc[k] += x_i * y_j * (D * c_ijk), summed over the table's entries."""
     for i, xi in enumerate(x):
         if xi:
-            for j, out in table[i]:
+            for j, out in table[i].items():
                 yj = y[j]
                 if yj:
                     f = xi * yj
@@ -474,37 +478,33 @@ def _contract(acc: list[int], table: tuple, x: Sequence[int], y: Sequence[int]) 
 
 def _product_ints(ring: IntersectionRing, da: int, x: Sequence[int], db: int,
                   y: Sequence[int]) -> list[int]:
-    """x * y for int numerators x of degree da and y of degree db: the numerators
-    over den_x * den_y * D, one contraction over the ring's table."""
-    if da > db:
-        da, x, db, y = db, y, da, x
+    """x * y for int numerators x of degree da and y of degree db, in either order
+    and degree 0 included: the numerators over den_x * den_y * D, one contraction
+    over the ring's (da, db) table."""
     acc = [0] * ring.hodge[da + db]
     _contract(acc, ring._table(da, db), x, y)
     return acc
 
 
 def _pair_ints(ring: IntersectionRing, da: int, x: Sequence[int], y: Sequence[int]) -> int:
-    """The integral of x * y for int numerators x of degree da and y of degree n - da,
-    both at least 1: the numerator over den_x * den_y * D * scale (``ring._weights``)."""
+    """The integral of x * y for int numerators x of degree da and y of degree n - da:
+    the numerator over den_x * den_y * D * scale (``ring._weights``)."""
     return sum(map(mul, ring._weights[0], _product_ints(ring, da, x, ring.n - da, y)))
 
 
-def _omega_ints(ring: IntersectionRing, omegas: Sequence[ClassVector]) -> Optional[tuple]:
+def _omega_ints(ring: IntersectionRing, omegas: Sequence[ClassVector]) -> tuple:
     """The product of the degree-1 ``omegas`` as (numerators, den), not reduced;
-    None for the empty product (the unit)."""
-    if not omegas:
-        return None
-    o, o_den = omegas[0].re, omegas[0].den
-    for k, c in enumerate(omegas[1:], 1):
-        o, o_den = _product_ints(ring, 1, c.re, k, o), o_den * c.den * ring._den
+    the empty product is the degree-0 unit ((1,), 1)."""
+    o, o_den = (1,), 1
+    for k, c in enumerate(omegas):
+        o, o_den = _product_ints(ring, k, o, 1, c.re), o_den * c.den * ring._den
     return o, o_den
 
 
-def _setup_ints(ring: IntersectionRing, p: int, omega: ClassVector,
-                omega_p: Optional[tuple]) -> tuple:
+def _setup_ints(ring: IntersectionRing, p: int, omega: ClassVector, omega_p: tuple) -> tuple:
     """The setup data of g on ints, each (numerators, den) and not reduced:
-    W = w^p, Omega = ``omega_p`` ((numerators, den) of degree n - 2p, None for
-    the unit), T = W * Omega (W itself for the unit) and V = integral of W * T.
+    W = w^p, Omega = ``omega_p`` ((numerators, den) of degree n - 2p, the unit
+    when n = 2p), T = W * Omega and V = integral of W * T.
 
     Every product is one contraction and every integral one dot product with the
     ring's weights; no class is built and no gcd is taken.
@@ -513,11 +513,10 @@ def _setup_ints(ring: IntersectionRing, p: int, omega: ClassVector,
     w, w_den = omega.re, omega.den
     for k in range(1, p):
         w, w_den = _product_ints(ring, 1, omega.re, k, w), w_den * omega.den * d
-    if omega_p is None:
-        o, o_den, t, t_den = None, 1, w, w_den
-    else:
-        o, o_den = omega_p
-        t, t_den = _product_ints(ring, p, w, ring.n - 2 * p, o), w_den * o_den * d
+    # Omega leads its products (here and in _g): the contraction loops over the
+    # first factor's rows, and the unit has one.
+    o, o_den = omega_p
+    t, t_den = _product_ints(ring, ring.n - 2 * p, o, p, w), w_den * o_den * d
     v_den = w_den * t_den * d * ring._weights[1]
     return (w, w_den), (o, o_den), (t, t_den), (_pair_ints(ring, p, w, t), v_den)
 
@@ -648,13 +647,12 @@ def validate_ring(ring: IntersectionRing) -> ValidationReport:
     # has to be checked on every basis triple that stays within the grading.
     # For each (ia, ib), both sides are formed for every ic at once as int rows
     # over D^2: left (e_a e_b) e_c, right e_a (e_b e_c).
-    rows = cache(partial(_product_rows, ring))
-    h = ring.hodge
+    table, h = ring._table, ring.hodge
     for da in range(1, n + 1):
         for db in range(1, n - da + 1):
-            ab = rows(da, db)
+            ab = table(da, db)
             for dc in range(1, n - da - db + 1):
-                ab_c, b_c, a_bc = rows(da + db, dc), rows(db, dc), rows(da, db + dc)
+                ab_c, b_c, a_bc = table(da + db, dc), table(db, dc), table(da, db + dc)
                 hc, ht = h[dc], h[da + db + dc]
                 for ia in range(h[da]):
                     for ib in range(h[db]):
@@ -686,21 +684,6 @@ def validate_ring(ring: IntersectionRing) -> ValidationReport:
             )
 
     return report
-
-
-def _product_rows(ring: IntersectionRing, da: int, db: int) -> list[dict]:
-    """Products of degrees da x db (both >= 1): i -> {j: ((k, D * c_k), ...)}.
-
-    Read through the ring's table with the lower degree first, so validation
-    builds no table that ``wedge`` would not.
-    """
-    if da <= db:
-        return [dict(row) for row in ring._table(da, db)]
-    rows = [{} for _ in range(ring.hodge[da])]
-    for j, row in enumerate(ring._table(db, da)):
-        for i, out in row:
-            rows[i][j] = out
-    return rows
 
 
 # -- Kahler sanity gate ------------------------------------------------------
@@ -740,8 +723,8 @@ def class_columns(classes: Sequence[ClassVector], rows: int) -> Matrix:
 def multiplication_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Matrix:
     """Matrix of the map (wedge with the class ``by``) from degree p, in the ring bases.
 
-    ``by``'s numerators are scattered through the ring's table, lower degree
-    first, into int rows over by.den * D.
+    ``by``'s numerators are scattered through the ring's (p, deg(by)) table into
+    int rows over by.den * D.
     """
     if by.ring is not ring and by.ring != ring:
         raise RingMismatchError("classes live in different rings")
@@ -749,18 +732,11 @@ def multiplication_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Ma
     if p + d > ring.n:
         raise DegreeError(f"wedge of degrees {p} and {d} exceeds top degree {ring.n}")
     rows = [[0] * cols for _ in range(ring.hodge[p + d])]
-    if p <= d:
-        for i, row in enumerate(ring._table(p, d)):
-            for j, out in row:
-                if yj := by.re[j]:
-                    for k, c in out:
-                        rows[k][i] += yj * c
-    else:
-        for j, row in enumerate(ring._table(d, p)):
+    for i, row in enumerate(ring._table(p, d)):
+        for j, out in row.items():
             if yj := by.re[j]:
-                for i, out in row:
-                    for k, c in out:
-                        rows[k][i] += yj * c
+                for k, c in out:
+                    rows[k][i] += yj * c
     return Matrix._of(rows, by.den * ring._den, cols)
 
 
@@ -877,7 +853,7 @@ class MixedSetup:
         """W = w^p, Omega_p, T = W * Omega_p and V on ints (:func:`_setup_ints`), built once
         from ``omega_p``."""
         o = self.omega_p
-        return _setup_ints(self.ring, self.p, self.omega, (o.re, o.den) if o.degree else None)
+        return _setup_ints(self.ring, self.p, self.omega, (o.re, o.den))
 
     @cached_property
     def omega_power(self) -> ClassVector:

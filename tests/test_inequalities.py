@@ -467,22 +467,21 @@ def test_counterexample_kernel_comes_from_the_tower(monkeypatch):
     calls = _count_wedges(monkeypatch)
     ce = construct_counterexample(ring, 2, setup, "cs")
     assert (ce.witness, ce.theta) == (witness, theta)
-    # Theta takes 2 wedges and the decomposition in check_cs 1, its closed-form
-    # check; the kernel operator is filled from the ring's table, the
-    # decomposition's levels run on ints, and w^2 and g come from the int setup data.
-    assert len(calls) == 3
+    # Theta takes 2 wedges; the kernel operator is filled from the ring's table,
+    # the decomposition's levels and its closed-form check run on ints, and w^2
+    # and g come from the int setup data.
+    assert len(calls) == 2
 
 
 def test_verdicts_take_w_to_the_p_from_the_setup(monkeypatch):
     # On blp8 at p = 4, no sample verdict forms a class: g and proportionality
-    # read w^4 and the integrals from the int setup data. All 13 wedges are the
-    # counterexample's: the tower (8), theta (4) and the decomposition's
-    # closed-form check (1); the kernel operator and the decomposition's levels
-    # form no class.
+    # read w^4 and the integrals from the int setup data. All 12 wedges are the
+    # counterexample's: the tower (8) and theta (4); the kernel operator, the
+    # decomposition's levels and its closed-form check form no class.
     ring = zoo.blowup_pn(8).ring
     calls = _count_wedges(monkeypatch)
     report = verify_theorem(ring, 4, 20, seed=0)
-    assert len(calls) == 13
+    assert len(calls) == 12
     monkeypatch.undo()
     # Oracle: every verdict recomputed with w^4 formed on its own.
     for record in report.records:
@@ -519,11 +518,12 @@ def test_verify_builds_pinned_class_counts():
     ring.kahler_samples()  # clears the sample ints, once per ring, before counting
     seen = _class_constructions(lambda: verify_theorem(ring, 1, 50, seed=1))
     # Per sample: three cone draws and one class draw; nothing else, as g and
-    # proportionality run on ints. The cs counterexample adds 13: its setup
+    # proportionality run on ints. The cs counterexample adds 12: its setup
     # (Omega_p = w_1 * w_2, from the unit) and tower, the witness, w^p and
     # theta (w^0 is the unit), and per decomposition level a component and a
-    # certificate; the remainder and its closed-form check are Fractions.
-    assert seen == {"constructions": 4 * 50 + 13}
+    # certificate; the remainder is a Fraction and its closed-form check one
+    # int pairing.
+    assert seen == {"constructions": 4 * 50 + 12}
 
 
 def test_setup_draws_do_not_build_the_sample_classes(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from hodgecs import zoo
 from hodgecs.bundle import parse_ring_bundle, serialize_ring_bundle
+from hodgecs.cli import main
 from hodgecs.errors import DegreeError
 from hodgecs.ring import FLAG_KAHLER, FLAG_NEF, IntersectionRing, RingSample
 from hodgecs.sampling import (
@@ -209,6 +210,27 @@ def test_sample_coefficients_are_cleared_lazily_once_per_ring(monkeypatch):
     assert [c.flag for c in kahler] == [FLAG_KAHLER] * 3
     assert sorted((repr(c), c.flag) for c in ring.nef_samples()) == \
         sorted((repr(c), c.flag) for c in everything)
+
+
+def test_sample_by_name_clears_only_that_sample(tmp_path, capsys, monkeypatch):
+    text = serialize_ring_bundle(zoo.get("p1xp1").ring)
+    ring = parse_ring_bundle(text)
+    cleared = []
+    real = IntersectionRing.class_vector
+    monkeypatch.setattr(IntersectionRing, "class_vector",
+                        lambda self, *args: cleared.append(args[1]) or real(self, *args))
+    # On a fresh ring, each sample(name) clears that sample alone, once.
+    for s in ring.samples:
+        before = len(cleared)
+        assert ring.sample(s.name) == ring.sample(s.name)
+        assert cleared[before:] == [s.coeffs], s.name
+    # info prints every sample, so it clears each sample of its freshly parsed ring once.
+    path = tmp_path / "p1xp1.json"
+    path.write_text(text, encoding="utf-8")
+    cleared.clear()
+    assert main(["info", str(path)]) == 0
+    assert cleared == [s.coeffs for s in ring.samples]
+    assert capsys.readouterr().out.count("sample '") == len(ring.samples)
 
 
 def test_ring_that_drew_is_freed_without_the_cycle_collector():

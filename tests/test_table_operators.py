@@ -2,9 +2,12 @@
 decomposition, at their edges.
 
 ``multiplication_matrix`` raises past the top degree, ``form_matrix`` builds
-its operator before it reads a pairing, and degree 0 acts through the table
-as it does in ``wedge``, even in a ring with two degree-0 basis elements,
-which fails validation. On rings whose structure constants are not integers
+its operator before it reads a pairing, and degree 0 acts through the table,
+even in a ring with two degree-0 basis elements, which fails validation.
+``wedge``, ``multiplication_matrix`` and the pairings all read the ring's one
+table per ordered degree pair, so the independent check is the ``Fraction``
+loop over ``ring.products`` (``_old_wedge``) in both factor orders, and the
+ring's ``integral`` vector for the pairings of degrees 0 and n. On rings whose structure constants are not integers
 (D != 1, unlike the zoo rings), every product of numerators adds a factor D
 to its denominator: in the decomposition's levels and in the setup data
 ``verify`` evaluates g from. Both are checked against routes that form
@@ -18,11 +21,13 @@ import pytest
 from hodgecs import zoo
 from hodgecs.errors import DegreeError
 from hodgecs.inequalities import compute_g_decomposed, compute_g_direct, verify_theorem
+from hodgecs.linalg import Matrix
 from hodgecs.ring import (ClassVector, IntersectionRing, class_columns, form_matrix,
                           multiplication_matrix, wedge)
 from hodgecs.sampling import random_strict_setup, sample_random_class
 from test_inequalities import _g_three_wedges
 from test_int_matrix import _p1_fifth, _scaled
+from test_ring_ints import _old_wedge
 
 
 def test_matrices_reject_degrees_past_the_top():
@@ -45,12 +50,32 @@ def test_degree_zero_acts_as_in_wedge_on_a_ring_that_fails_validation():
     # degree-0 element multiplies to zero, as wedge reads only re[0].
     ring = IntersectionRing("two-units", 2, (2, 2, 1), [["u", "v"], ["a", "b"], ["t"]],
                             {(1, 0, 1, 0): [1], (1, 1, 1, 1): [Fraction(1, 2)]}, [3])
-    for by in (ClassVector(ring, 0, [3, 5], 2), ClassVector(ring, 1, [1, 4], 3),
-               ClassVector(ring, 2, [7], 1)):
+    classes = (ClassVector(ring, 0, [3, 5], 2), ClassVector(ring, 0, [-1, 2], 1),
+               ClassVector(ring, 1, [1, 4], 3), ClassVector(ring, 1, [-2, 0], 5),
+               ClassVector(ring, 2, [7], 1))
+    for by in classes:
         for p in range(ring.n - by.degree + 1):
             columns = [wedge(ring.basis_class(p, i), by) for i in range(ring.dim(p))]
             assert multiplication_matrix(ring, p, by) == class_columns(
                 columns, ring.dim(p + by.degree)), (p, by)
+    # wedge against the Fraction loop, in both factor orders, for every ordered
+    # degree pair, degree 0 included; here and on rings that pass validation.
+    rings = [ring, zoo.get("blp4").ring, _scaled(zoo.get("flag3").ring)]
+    for r in rings:
+        cs = classes if r is ring else [
+            r.class_vector(d, [Fraction((s * i + d) % 7 - 3, 1 + i % 3) for i in range(r.dim(d))])
+            for d in range(r.n + 1) for s in (3, 5)]
+        for a in cs:
+            for b in cs:
+                if a.degree + b.degree <= r.n:
+                    assert wedge(a, b).coeffs == _old_wedge(a, b), (r.name, a, b)
+                    assert wedge(b, a).coeffs == _old_wedge(b, a), (r.name, a, b)
+    # The pairings of degrees 0 and n read the unit row: the integral, as a row
+    # and as a column.
+    for name in zoo.list_entries():
+        r = zoo.get(name).ring
+        assert r._pairing(0) == Matrix([list(r.integral)]), name
+        assert r._pairing(r.n) == Matrix([[c] for c in r.integral]), name
 
 
 def test_decomposition_and_g_on_rings_with_fractional_constants():
