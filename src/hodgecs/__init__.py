@@ -1,11 +1,11 @@
 """Exact verification of Cauchy-Schwarz-type intersection inequalities.
 
 The package models even cohomology rings of compact Kahler manifolds exactly
-(rational classes as int numerators over one denominator inside, Fractions
-for the values it returns) and checks, at desk scale: mixed hard-Lefschetz
-isomorphisms, signatures of mixed intersection forms, positivity on primitive
-subspaces, the mixed Lefschetz decomposition and its identities, both
-directions of the Cauchy-Schwarz-type inequality for g, the
+(rational classes and matrices as int numerators over one denominator
+inside, Fractions for every scalar it returns) and checks, at desk scale:
+mixed hard-Lefschetz isomorphisms, signatures of mixed intersection forms,
+positivity on primitive subspaces, the mixed Lefschetz decomposition and its
+identities, both directions of the Cauchy-Schwarz-type inequality for g, the
 Khovanskii-Teissier log-concavity chain, and the non-strict nef boundary
 versions of all of the above.
 """
@@ -23,7 +23,7 @@ from .errors import (
     UnknownRingError,
     ValidationLimitError,
 )
-from .gaussian import GaussianRational, rational_from_str, rational_to_str
+from .gaussian import rational_from_str, rational_to_str
 from .linalg import Matrix, inertia, nullspace, rank, solve
 from .ring import (
     ClassVector,

@@ -5,14 +5,13 @@ kernel bases and particular solutions are canonical and reproducible
 byte-for-byte. Inertia comes from congruence, never from eigenvalues.
 
 A matrix is int rows ``num`` over one positive ``den``, in lowest terms.
-Exact scalars enter through one reader, ``_gaussian_ints``, which ``ring``
-shares: ``Matrix(entries)`` and ``from_columns`` take ints, Fractions or real
-Gaussian rationals (a non-real entry raises ``ValueError``), and ``solve`` a
-complex right-hand side. Gaussian rationals leave through ``m[i, j]``,
-``row``, ``repr`` and the vectors of ``solve`` and ``nullspace``. Elimination
-runs on the int rows by one fraction-free Gauss-Jordan loop (Bareiss 1968),
-and inertia by integer congruence with 1x1 pivots (P^T A P diagonal). Empty
-matrices keep their shape.
+Exact scalars enter through one reader, ``_rational_ints``, which ``ring``
+shares: ``Matrix(entries)``, ``from_columns``, ``apply`` and ``solve`` take
+ints and Fractions, and any other value raises ``TypeError``. Fractions leave
+through ``m[i, j]``, ``row`` and the vectors of ``apply``, ``solve`` and
+``nullspace``. Elimination runs on the int rows by one fraction-free
+Gauss-Jordan loop (Bareiss 1968), and inertia by integer congruence with 1x1
+pivots (P^T A P diagonal). Empty matrices keep their shape.
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .gaussian import GQ_ZERO, GaussianRational
-
-Vector = tuple[GaussianRational, ...]
+Vector = tuple[Fraction, ...]
 
 
 class Matrix:
@@ -37,7 +34,7 @@ class Matrix:
 
     def __new__(cls, entries: Sequence[Sequence]) -> "Matrix":
         rows = [list(row) for row in entries]
-        ints, _, den = _gaussian_ints([x for row in rows for x in row], real=True)
+        ints, den = _rational_ints([x for row in rows for x in row])
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         cols = len(rows[0]) if rows else 0
@@ -73,18 +70,19 @@ class Matrix:
             raise ValueError("ragged columns")
         return cls(columns).transpose() if columns else cls.zeros(n, 0)
 
-    def __getitem__(self, key) -> GaussianRational:
+    def __getitem__(self, key) -> Fraction:
         i, j = key
-        return GaussianRational(Fraction(self.num[i][j], self.den))
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i: int) -> Vector:
-        return tuple(GaussianRational(Fraction(x, self.den)) for x in self.num[i])
+        return tuple(Fraction(x, self.den) for x in self.num[i])
 
     @property
-    def _e(self) -> tuple[Vector, ...]:
-        """The entries as Gaussian rationals, built on read (the benchmark's tracer
-        measures entry sizes through it)."""
-        return tuple(map(self.row, range(self.rows)))
+    def _e(self) -> tuple[tuple["_Entry", ...], ...]:
+        """The entries as (re, im) records, built on read. Its one reader is
+        ``perfbench/spans.py::_max_bits``, which measures entry bit lengths
+        through ``re`` and ``im``."""
+        return tuple(tuple(map(_Entry, row)) for row in map(self.row, range(self.rows)))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -116,11 +114,10 @@ class Matrix:
         return Matrix._of([[-x for x in row] for row in self.num], self.den, self.cols)
 
     def apply(self, vec: Sequence) -> Vector:
-        v = [GaussianRational.coerce(x) for x in vec]
+        v, s = _rational_ints(vec)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum((x * a for a, x in zip(row, v) if a), GQ_ZERO) / self.den
-                     for row in self.num)
+        return tuple(Fraction(sum(map(mul, row, v)), self.den * s) for row in self.num)
 
     def is_symmetric(self) -> bool:
         a = self.num
@@ -160,31 +157,28 @@ class Matrix:
         return Matrix._of(rows, red.den, c)
 
     def nullspace(self) -> list[Vector]:
-        """The rows of :meth:`kernel` as Gaussian-rational vectors."""
+        """The rows of :meth:`kernel` as Fraction vectors."""
         basis = self.kernel()
         return [basis.row(i) for i in range(basis.rows)]
 
     def solve(self, b: Sequence) -> Optional[Vector]:
         """Solve self @ x = b exactly, or return None if inconsistent.
 
-        ``b`` may be complex: one reduction of [A | Re b | Im b] gives
-        x = x_re + i*x_im. Free variables are set to zero, so pivot variables
-        carry the full right-hand side (the canonical "pivot-first" solution).
+        One reduction of [A | b]. Free variables are set to zero, so pivot
+        variables carry the full right-hand side (the canonical "pivot-first"
+        solution).
         """
-        re, im, s = _gaussian_ints(b)
-        m, n = self.rows, self.cols
-        if len(re) != m:
+        rhs, s = _rational_ints(b)
+        n = self.cols
+        if len(rhs) != self.rows:
             raise ValueError("right-hand side length does not match row count")
-        red, pivots = Matrix._of([
-            [s * x for x in row] + [self.den * re[i], self.den * im[i]]
-            for i, row in enumerate(self.num)
-        ], s * self.den, n + 2).rref()
+        red, pivots = Matrix._of([[s * x for x in row] + [self.den * y]
+                                  for row, y in zip(self.num, rhs)], s * self.den, n + 1).rref()
         if pivots and pivots[-1] >= n:
             return None
-        x = [GQ_ZERO] * n
+        x = [Fraction(0)] * n
         for r, c in enumerate(pivots):
-            x[c] = GaussianRational(Fraction(red.num[r][n], red.den),
-                                    Fraction(red.num[r][n + 1], red.den))
+            x[c] = Fraction(red.num[r][n], red.den)
         return tuple(x)
 
     def inverse(self) -> Optional["Matrix"]:
@@ -209,23 +203,21 @@ class Matrix:
         return _int_inertia([list(row) for row in self.num])
 
 
-def _gaussian_ints(values: Sequence, real: bool = False) -> tuple[list[int], list[int], int]:
-    """Ints, Fractions or Gaussian rationals as int real and imaginary numerators over
-    the lcm of their denominators, and that lcm. With ``real`` they are matrix entries."""
-    parts = []
+def _rational_ints(values: Iterable) -> tuple[list[int], int]:
+    """Ints and Fractions as int numerators over the lcm of their denominators, and
+    that lcm; any other value raises ``TypeError``."""
+    values = list(values)
     for x in values:
-        if isinstance(x, (int, Fraction)):
-            parts += (x, 0)
-        elif isinstance(x, GaussianRational) and not (real and x.im):
-            parts += (x.re, x.im)
-        elif isinstance(x, GaussianRational):
-            raise ValueError(f"matrix entries must be real, got {x}")
-        else:
-            what = "a rational matrix entry" if real else "a Gaussian rational"
-            raise TypeError(f"cannot interpret {x!r} as {what}")
-    den = lcm(*(x.denominator for x in parts))
-    ints = _cleared(parts, den)
-    return ints[::2], ints[1::2], den
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot interpret {x!r} as a rational")
+    den = lcm(*(x.denominator for x in values))
+    return _cleared(values, den), den
+
+
+class _Entry(NamedTuple):
+    """A matrix entry as ``Matrix._e`` gives it: the value and a zero imaginary part."""
+    re: Fraction
+    im: Fraction = Fraction(0)
 
 
 def _cleared(values: Sequence[int | Fraction], scale: int) -> list[int]:

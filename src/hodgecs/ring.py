@@ -4,18 +4,18 @@ An :class:`IntersectionRing` models the even part of the cohomology of a
 compact Kahler n-fold: one graded piece per degree p (the (p,p)-classes),
 structure constants for the cup product, and a linear integration functional
 on the top degree. The classes are rational, as the ring is the rational
-(p,p)-part of the cohomology: a :class:`ClassVector` holds real int
-numerators over one denominator, and a non-real coefficient or scalar is
-refused where it enters (``class_vector``, ``scaled``). Every product reads
-one sparse structure table per ordered degree pair, degree 0 included (the
-unit row is the identity), built once per ring: ``wedge`` and ``_product_ints``
-contract numerators over it, an operator matrix scatters a class's numerators
-through it into int rows, and ``validate_ring`` and the int pairing matrices
-read it. A form matrix is the pairing times an operator, and every integral of
-a class is the int ``_integral``; g's setup data and per-class integrals
-contract bare numerators (``_setup_ints``, ``_pair_ints``), with the empty
-Omega_p as the unit. Fractions are built only where values leave
-(``coeffs``, ``integrate``).
+(p,p)-part of the cohomology: a :class:`ClassVector` holds int numerators
+over one denominator, and a coefficient or scalar other than an int or a
+Fraction raises ``TypeError`` where it enters (``class_vector``, ``scaled``).
+Every product reads one sparse structure table per ordered degree pair,
+degree 0 included (the unit row is the identity), built once per ring:
+``wedge`` and ``_product_ints`` contract numerators over it, an operator
+matrix scatters a class's numerators through it into int rows, and
+``validate_ring`` and the int pairing matrices read it. A form matrix is the
+pairing times an operator, and every integral of a class is the int
+``_integral``; g's setup data and per-class integrals contract bare
+numerators (``_setup_ints``, ``_pair_ints``), with the empty Omega_p as the
+unit. Fractions are built only where values leave (``coeffs``, ``integrate``).
 
 The ring data cannot certify that a degree-1 class is Kahler; positivity is a
 user-declared flag. :func:`sanity_check_kahler` enforces the checkable
@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (DegreeError, FlagError, RingMismatchError, SingularSplitError,
                      ValidationLimitError)
 from .gaussian import int_from_str
-from .linalg import Matrix, _cleared, _gaussian_ints
+from .linalg import Matrix, _cleared, _rational_ints
 
 FLAG_NONE = "none"
 FLAG_KAHLER = "kahler"
@@ -166,7 +166,7 @@ class IntersectionRing:
             tuple({lab: i for i, lab in enumerate(row)} for row in labels),
         )
         # D, one denominator of every structure constant; the integral as int weights.
-        weights, _, scale = _gaussian_ints(integral)
+        weights, scale = _rational_ints(integral)
         object.__setattr__(self, "_den", lcm(*(c.denominator for out in table.values() for c in out)))
         object.__setattr__(self, "_weights", (weights, scale))
         object.__setattr__(self, "_tables", {})
@@ -231,7 +231,7 @@ class IntersectionRing:
     # -- class construction ------------------------------------------------
 
     def class_vector(self, p: int, coeffs: Sequence, flag: str = FLAG_NONE) -> "ClassVector":
-        re, den = _real_ints(coeffs)
+        re, den = _rational_ints(coeffs)
         return ClassVector(self, p, re, den, flag)
 
     def basis_class(self, p: int, i: int) -> "ClassVector":
@@ -383,7 +383,7 @@ class ClassVector:
         return ClassVector(self.ring, self.degree, [f * x for x in self.re], self.den * q)
 
     def scaled(self, factor) -> "ClassVector":
-        (f,), q = _real_ints([factor])
+        (f,), q = _rational_ints([factor])
         return self._times(f, q)
 
     def __mul__(self, other):
@@ -426,16 +426,6 @@ class ClassVector:
 
 _set_ring, _set_degree, _set_re, _set_den, _set_flag = (
     ClassVector.__dict__[name].__set__ for name in ClassVector.__slots__)
-
-
-def _real_ints(values: Sequence) -> tuple[list[int], int]:
-    """Ints, Fractions or real Gaussian rationals as int numerators over the lcm of
-    their denominators, and that lcm; a non-real value raises ``ValueError``."""
-    num, imag, den = _gaussian_ints(values)
-    if any(imag):
-        bad = next(x for x, y in zip(values, imag) if y)
-        raise ValueError(f"classes have rational coefficients; got the non-real value {bad}")
-    return num, den
 
 
 # -- ring operations -------------------------------------------------------

@@ -112,6 +112,25 @@ def test_bad_rational_diagnostic():
         assert "integral[0]" in err.value.path, bad
 
 
+def test_non_ascii_digits_fail_the_rational_constraint(tmp_path, capsys):
+    # int and Fraction read digits of every script; a literal takes ASCII digits only.
+    doc = json.loads(serialize_ring_bundle(zoo.get("p2").ring))
+    for bad in ("\uff11", "\u0661/\u0662"):
+        doc["integral"] = [bad]
+        with pytest.raises(BundleSemanticError) as err:
+            parse_ring_bundle(json.dumps(doc))
+        assert (err.value.constraint, err.value.path) == ("rational", "integral[0]"), bad
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(doc))
+        assert main(["info", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"invalid ring bundle: integral[0]: not a rational literal: {bad!r}\n"
+    # A full-width coefficient on the command line is refused, not read as 1.
+    argv = ["g", "zoo:blp4", "-p", "2", "--omega", "sample:omega", "--alpha"]
+    assert main([*argv, "\uff11*H^2+9*E^2"]) == 2
+    assert capsys.readouterr().err == "error: not a rational literal: '\uff11'\n"
+
+
 def _hodgecs(argv, digit_limit):
     """Run the CLI in a fresh interpreter with PYTHONINTMAXSTRDIGITS set."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,11 +1,11 @@
-"""Gaussian rational scalar arithmetic."""
+"""Exact scalar literals: rationals as "p/q" and integers, in ASCII digits only."""
 
 from fractions import Fraction
 
 import pytest
 
 import hodgecs.gaussian
-from hodgecs.gaussian import MAX_LITERAL_DIGITS, GaussianRational, rational_from_str, rational_to_str
+from hodgecs.gaussian import MAX_LITERAL_DIGITS, int_from_str, rational_from_str, rational_to_str
 
 
 def test_rational_strings():
@@ -36,51 +36,37 @@ def test_rational_literal_digit_limit(monkeypatch):
     assert converted == []  # refused before any int conversion
 
 
-def test_arithmetic():
-    z = GaussianRational(Fraction(1, 2), 3)
-    w = GaussianRational(2, -1)
-    assert z + w == GaussianRational(Fraction(5, 2), 2)
-    assert z - w == GaussianRational(Fraction(-3, 2), 4)
-    assert z * w == GaussianRational(4, Fraction(11, 2))
-    assert (z / w) * w == z
-    assert -z == GaussianRational(Fraction(-1, 2), -3)
-    assert 2 * z == GaussianRational(1, 6)
-    assert Fraction(1, 2) + z == GaussianRational(1, 3)
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        GaussianRational(1) / GaussianRational(0)
-
-
-def test_conjugation_involution_and_norm():
-    z = GaussianRational(Fraction(-2, 3), Fraction(5, 7))
-    assert z.conjugate().conjugate() == z
-    norm = z * z.conjugate()
-    assert norm.is_real and norm.re >= 0
-    assert norm.re == z.abs2()
-
-
-def test_equality_and_hash_with_plain_rationals():
-    assert GaussianRational(3) == 3
-    assert GaussianRational(3) == Fraction(3)
-    assert hash(GaussianRational(Fraction(3, 4))) == hash(Fraction(3, 4))
-    assert GaussianRational(3, 1) != 3
+def test_json_round_trip():
+    # A bundle stores each rational as its literal: writing then reading it gives
+    # the value back, and reading a literal then writing it gives lowest terms.
+    for q in (Fraction(0), Fraction(-7), Fraction(1, 3), Fraction(-2, 5), Fraction(10 ** 30, 7)):
+        assert rational_from_str(rational_to_str(q)) == q
+    assert rational_to_str(rational_from_str("4/6")) == "2/3"
+    assert rational_to_str(rational_from_str("-0/5")) == "0"
 
 
 def test_str_forms():
-    assert str(GaussianRational(3)) == "3"
-    assert str(GaussianRational(0, Fraction(1, 2))) == "1/2i"
-    assert str(GaussianRational(1, -2)) == "1-2i"
+    assert rational_to_str(Fraction(3)) == "3"
+    assert rational_to_str(Fraction(1, 2)) == "1/2"
+    assert rational_to_str(Fraction(-6, 4)) == "-3/2"
 
 
-def test_json_round_trip():
-    z = GaussianRational(Fraction(1, 3), Fraction(-2, 5))
-    assert GaussianRational.from_json(z.to_json()) == z
-    assert GaussianRational.from_json("4/6") == GaussianRational(Fraction(2, 3))
+# Digits of other scripts that str.isdigit, int and an unflagged \d accept:
+# full-width, Arabic-Indic, Devanagari and mathematical bold digits.
+NON_ASCII = ["\uff11\uff12", "\u0661/\u0662", "1/\u0662", "\u0967", "\U0001d7cf", "+\uff19"]
 
 
-def test_immutable():
-    z = GaussianRational(1)
-    with pytest.raises(AttributeError):
-        z.re = Fraction(2)
+@pytest.mark.parametrize("text", NON_ASCII)
+def test_literal_readers_take_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="not a rational literal"):
+        rational_from_str(text)
+    with pytest.raises(ValueError, match="invalid int value"):
+        int_from_str(text)
+
+
+def test_int_reader_keeps_the_ascii_forms_int_takes():
+    assert int_from_str("12") == 12
+    assert int_from_str(" -7 ") == -7
+    assert int_from_str("1_000") == 1000
+    with pytest.raises(ValueError, match="invalid int value"):
+        int_from_str("\u00a012")

@@ -6,12 +6,20 @@ lengths of their entries through ``Matrix._e``. A change to ``linalg`` that
 breaks one of these hooks would otherwise show only when the benchmark runs.
 One traced scaled-lefschetz op and one traced zoo-audit op run in a fresh
 process, since the tracer rebinds functions for the rest of its process.
+``spans._max_bits`` alone installs nothing, so it is loaded in this process.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+from hodgecs import zoo
+from hodgecs.lefschetz import gram_matrix_Q
+from hodgecs.linalg import Matrix
+from hodgecs.sampling import random_strict_setup
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,3 +75,27 @@ def test_traced_ops_record_elimination_spans_and_entry_sizes(tmp_path):
     for op in (signature, verify):
         assert op["max_bits"] > 0
         assert op["cells"] > 0
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_max_bits_is_the_largest_numerator_or_denominator_bit_length():
+    # _max_bits reads Matrix._e; the expected value comes from the matrix's
+    # Fraction entries, so an _e that drifts from num and den fails here.
+    max_bits = _spans()._max_bits
+    ring = zoo.get("flag3").ring
+    gram = gram_matrix_Q(ring, 1, random_strict_setup(ring, 1, 1000, seed=1, index=0).omegas).gram
+    wide = Matrix([[Fraction(1, 2 ** 70), 3], [-(2 ** 90), Fraction(5, 6)]])
+    cases = [(gram, None), (wide, 91), (Matrix.identity(3), 1), (Matrix.zeros(0, 4), 0)]
+    for m, pinned in cases:
+        entries = [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+        expected = max((x.bit_length() for q in entries for x in (q.numerator, q.denominator)),
+                       default=0)
+        assert max_bits(m) == expected, m
+        assert pinned is None or expected == pinned
+    assert max_bits(gram) > 10

@@ -4,9 +4,8 @@
 numerators and the ring's int pairing. They are checked entry by entry
 against the public route: ``wedge(...).coeffs`` and
 ``integrate(wedge(...))`` per basis pair. From these matrices to ranks, kernels,
-inverses, inertias and products no ``Fraction`` or ``GaussianRational`` is
-built: a profile hook sees no call of a constructor from ``fractions`` or
-``gaussian`` there.
+inverses, inertias and products no ``Fraction`` is built: a profile hook sees
+no call of a constructor from ``fractions`` there.
 """
 
 import fractions
@@ -14,8 +13,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from hodgecs import gaussian, zoo
-from hodgecs.gaussian import GaussianRational
+from hodgecs import zoo
 from hodgecs.lefschetz import gram_matrix_Q, primitive_basis
 from hodgecs.linalg import Matrix
 from hodgecs.ring import (
@@ -86,17 +84,15 @@ def test_matrices_match_the_gaussian_route():
             _check_matrices(ring, p, wedge(setup.omega, setup.omega_p))
 
 
-# Every Fraction is made by __new__ or, on Python 3.12+, by _from_coprime_ints;
-# every GaussianRational by __init__.
+# Every Fraction is made by __new__ or, on Python 3.12+, by _from_coprime_ints.
 CONSTRUCTORS = {
     (fractions.__file__, "__new__"),
     (fractions.__file__, "_from_coprime_ints"),
-    (gaussian.__file__, "__init__"),
 }
 
 
 def _constructions(fn):
-    """Run ``fn()``; count the Fraction and GaussianRational constructor calls."""
+    """Run ``fn()``; count the Fraction constructor calls."""
     seen = Counter()
 
     def hook(frame, event, arg):
@@ -140,7 +136,7 @@ def test_no_fraction_from_matrices_to_elimination_results():
     signed = record("negation", lambda: -form)
     assert {name: dict(seen) for name, seen in steps.items() if seen} == {}
     # The hook does see a construction where there is one.
-    assert _constructions(lambda: GaussianRational(1))[1]["__init__"] == 1
+    assert _constructions(lambda: Fraction(1, 2))[1]["__new__"] == 1
 
     # The results are what their callers rely on.
     assert rank + kernel.rows == ring.dim(p)

@@ -3,12 +3,10 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from hodgecs.gaussian import GaussianRational
 from hodgecs.linalg import Matrix, inertia, nullspace, rank, solve
 from hodgecs.sampling import Xoshiro256StarStar
-
-I = GaussianRational(0, 1)
 
 
 def _random_matrix(rng, rows, cols, bound=5):
@@ -25,7 +23,8 @@ def test_nullspace_full_rank_is_empty():
 
 def test_nullspace_sum_row():
     ns = nullspace(Matrix([[1, 1]]))
-    assert ns == [(GaussianRational(1), GaussianRational(-1))]
+    assert ns == [(1, -1)]
+    assert all(type(x) is Fraction for x in ns[0])
 
 
 def test_nullspace_blowup_pairing_row():
@@ -38,7 +37,7 @@ def test_nullspace_blowup_pairing_row():
     row = [h_coef, e_coef]
     assert row == [8, 1]
     ns = nullspace(Matrix([row]))
-    assert ns == [(GaussianRational(1), GaussianRational(-8))]
+    assert ns == [(1, -8)]
 
 
 def test_nullspace_is_canonical_echelon():
@@ -71,12 +70,13 @@ def test_rank_plus_nullity():
 
 def test_solve_identity():
     m = Matrix.identity(3)
-    assert solve(m, [5, -2, Fraction(1, 3)]) == (
-        GaussianRational(5), GaussianRational(-2), GaussianRational(Fraction(1, 3)))
+    x = solve(m, [5, -2, Fraction(1, 3)])
+    assert x == (5, -2, Fraction(1, 3))
+    assert all(type(v) is Fraction for v in x)
 
 
 def test_solve_pivot_first_convention():
-    assert solve(Matrix([[1, 1]]), [2]) == (GaussianRational(2), GaussianRational(0))
+    assert solve(Matrix([[1, 1]]), [2]) == (2, 0)
 
 
 def test_solve_inconsistent():
@@ -132,9 +132,10 @@ def test_inertia_rejects_nonsymmetric():
 
 
 def test_inertia_rejects_complex_without_flag():
-    # A non-real entry is refused when the matrix is built, before any inertia.
-    with pytest.raises(ValueError, match="real"):
-        inertia(Matrix([[GaussianRational(0), I], [I, GaussianRational(0)]]))
+    # A complex entry is refused when the matrix is built, before any inertia.
+    for i in (1j, sympy.I):
+        with pytest.raises(TypeError, match="as a rational"):
+            inertia(Matrix([[0, i], [i, 0]]))
 
 
 def test_inertia_congruence_invariant():

@@ -11,7 +11,7 @@ from hodgecs import zoo
 from hodgecs.bundle import _json_text
 from hodgecs.cli import _coeffs_json
 from hodgecs.errors import MissingSamplesError
-from hodgecs.gaussian import GaussianRational, rational_to_str
+from hodgecs.gaussian import rational_to_str
 from hodgecs.inequalities import (_g_verdict, _proportional_ints, compute_g_decomposed,
                                   compute_g_direct, proportional, verify_theorem)
 from hodgecs.linalg import Matrix
@@ -24,22 +24,6 @@ from test_inequalities import _g_three_wedges
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
-
-gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
-
-
-@settings(max_examples=60, deadline=None)
-@given(gaussians, gaussians, gaussians)
-def test_gaussian_field_laws(x, y, z):
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-    if y:
-        assert (x / y) * y == x
-
 
 small_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda rows: st.integers(min_value=1, max_value=4).flatmap(
@@ -109,14 +93,14 @@ def test_g_scale_equivariance(coeffs, t):
     assert g <= 0  # opposite direction holds unconditionally in degree 1
 
 
-# Entries (zero, negative, fractional, and real Gaussian rationals) in classes of
+# Entries (zero, negative, fractional, and ints) in classes of
 # 1 to 3 coefficients: degree 1 of p4, of blp4 and of P^1 x P^1 x P^1.
 _formatter_rings = {1: zoo.get("p4").ring, 2: zoo.get("blp4").ring,
                     3: zoo.product(zoo.get("p1xp1"), zoo.get("p1")).ring}
 _entries = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-60, max_value=60, max_denominator=24),
-    st.builds(GaussianRational, st.fractions(min_value=-9, max_value=9, max_denominator=12)),
+    st.integers(min_value=-9, max_value=9),
 )
 
 
@@ -125,7 +109,7 @@ _entries = st.one_of(
 @example([Fraction(0), Fraction(0)])
 @example([Fraction(1, 2), Fraction(1, 4)])
 @example([Fraction(-3, 6), Fraction(5)])
-@example([GaussianRational(Fraction(1, 2)), Fraction(2, 4)])
+@example([3, Fraction(2, 4)])
 @example([Fraction(-2, 3), Fraction(0), Fraction(-7, 9)])
 def test_int_coefficient_formatter_matches_scalar(coeffs):
     cls = _formatter_rings[len(coeffs)].class_vector(1, coeffs)

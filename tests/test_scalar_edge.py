@@ -1,27 +1,26 @@
 """Exact scalars at the package edge: one reader in, one int integral out.
 
-``linalg._gaussian_ints`` reads the ints, Fractions and Gaussian rationals of
-``class_vector``, ``scaled``, ``Matrix(entries)`` and ``solve``, and classes
-refuse a non-real value; ``ring._integral`` takes every integral as int
-numerators over one denominator. Here both are compared with the Fraction
-formulas they replaced: g by ``*`` and ``-`` of integrals, the decomposition's
-closed-form check on the returned lambda, and integrals formed from ``coeffs``
-and the ring's integral vector. A profile hook checks that the int paths build
-no Gaussian rational.
+``linalg._rational_ints`` reads the ints and Fractions of ``class_vector``,
+``scaled``, ``Matrix(entries)``, ``apply`` and ``solve``, and refuses any other
+value (a float, a Python complex, a sympy number) with ``TypeError``;
+``ring._integral`` takes every integral as int numerators over one
+denominator. Here both are compared with the Fraction formulas they replaced:
+g by ``*`` and ``-`` of integrals, the decomposition's closed-form check on the
+returned lambda, and integrals formed from ``coeffs`` and the ring's integral
+vector. A profile hook counts the Fractions the int paths build.
 """
 
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hodgecs import zoo
 from hodgecs.errors import DegreeError, RingMismatchError, SingularSplitError
-from hodgecs.gaussian import GaussianRational
 from hodgecs.inequalities import (
     check_cs,
     compute_g_decomposed,
     compute_g_direct,
-    kt_chain,
     proportional,
 )
 from hodgecs.lefschetz import LefschetzDecomposer
@@ -31,14 +30,11 @@ from hodgecs.ring import (
     integrate,
     mixed_setup,
     power,
-    sanity_check_kahler,
     wedge,
 )
 from hodgecs.sampling import random_strict_setup, sample_random_class
 from test_int_matrix import _constructions, _scaled
 from test_ring_ints import _old_integrate as _oracle_integral
-
-I = GaussianRational(0, 1)
 
 
 def _rings():
@@ -113,66 +109,72 @@ VALUES = [0, 3, Fraction(-2, 3), Fraction(5, 7)]
 
 
 def test_ints_fractions_and_gaussians_give_the_same_classes():
+    # Ints and Fractions are the only scalars; a complex number is refused.
     ring = zoo.get("blp4").ring
     for values in ([VALUES[0], VALUES[1]], [VALUES[2], VALUES[3]], [VALUES[1], VALUES[2]]):
-        as_gaussian = [GaussianRational(v) for v in values]
         a = ring.class_vector(1, values)
-        assert a == ring.class_vector(1, as_gaussian)
-        assert a.coeffs == tuple(as_gaussian)
+        assert a == ring.class_vector(1, [Fraction(v) for v in values])
+        assert a == ring.class_vector(1, iter(values))
+        assert a.coeffs == tuple(values)
         assert all(type(x) is Fraction for x in a.coeffs)
-    mixed = [GaussianRational(Fraction(1, 2)), Fraction(1, 6)]
-    c = ring.class_vector(1, mixed)
-    assert c.coeffs == tuple(map(GaussianRational.coerce, mixed))
+    c = ring.class_vector(1, [Fraction(1, 2), Fraction(1, 6)])
     assert (c.re, c.den) == ((3, 1), 6)
-    for factor in (*VALUES, GaussianRational(Fraction(2, 3))):
+    for factor in VALUES:
         expected = tuple(x * factor for x in c.coeffs)
         assert c.scaled(factor).coeffs == expected
         assert (c * factor).coeffs == (factor * c).coeffs == expected
-    for factor in (GaussianRational(Fraction(2, 3), 5), I):
-        with pytest.raises(ValueError, match="non-real"):
+    for factor in (complex(Fraction(2, 3), 5), 1j, sympy.I, sympy.Rational(2, 3)):
+        with pytest.raises(TypeError, match="as a rational"):
             c.scaled(factor)
+        with pytest.raises(TypeError):
+            c * factor
 
 
 def test_ints_fractions_and_gaussians_give_the_same_matrices():
     rows = [[0, 3], [Fraction(-2, 3), Fraction(5, 7)]]
     m = Matrix(rows)
-    assert m == Matrix([[GaussianRational(x) for x in row] for row in rows])
-    assert m == Matrix.from_columns([[0, Fraction(-2, 3)], [GaussianRational(3), Fraction(5, 7)]])
+    assert m == Matrix([[Fraction(x) for x in row] for row in rows])
+    assert m == Matrix.from_columns([[0, Fraction(-2, 3)], [3, Fraction(5, 7)]])
     assert (m.num, m.den) == (((0, 63), (-14, 15)), 21)
     assert [[m[i, j] for j in range(2)] for i in range(2)] == rows
-    b = [GaussianRational(1, Fraction(1, 2)), Fraction(2, 3)]
+    assert all(type(m[i, j]) is Fraction for i in range(2) for j in range(2))
+    b = [1, Fraction(2, 3)]
     x = m.solve(b)
-    assert m.apply(x) == tuple(map(GaussianRational.coerce, b))
+    assert m.apply(x) == tuple(b)
+    assert m.solve(iter(b)) == x and m.apply(iter(x)) == tuple(b)
+    assert all(type(v) is Fraction for v in (*x, *m.apply(x)))
 
 
 def test_floats_and_complex_entries_keep_their_errors():
     ring = zoo.get("p1xp1").ring
-    with pytest.raises(TypeError, match="cannot interpret 0.5 as a Gaussian rational"):
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
         ring.class_vector(1, [1, 0.5])
-    with pytest.raises(TypeError, match="cannot interpret 0.5 as a Gaussian rational"):
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
         ring.sample("omega").scaled(0.5)
     with pytest.raises(TypeError, match="unsupported operand"):
         ring.sample("omega") * 0.5
-    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational matrix entry"):
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
         Matrix([[1, 0.5]])
-    with pytest.raises(TypeError, match="cannot interpret 0.5 as a Gaussian rational"):
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
         Matrix([[1, 0], [0, 1]]).solve([1, 0.5])
-    with pytest.raises(ValueError, match=r"matrix entries must be real, got 1\+1i"):
-        Matrix([[1, GaussianRational(1, 1)]])
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
+        Matrix([[1, 0], [0, 1]]).apply([1, 0.5])
+    with pytest.raises(TypeError, match=r"cannot interpret \(1\+1j\) as a rational"):
+        Matrix([[1, 1 + 1j]])
     # Entries are read in order: the first bad one decides the error.
-    with pytest.raises(ValueError, match="must be real"):
-        Matrix([[I, 0.5]])
-    with pytest.raises(TypeError):
-        Matrix([[0.5, I]])
+    with pytest.raises(TypeError, match="cannot interpret 1j "):
+        Matrix([[1j, 0.5]])
+    with pytest.raises(TypeError, match="cannot interpret 0.5 "):
+        Matrix([[0.5, sympy.I]])
     with pytest.raises(ValueError, match="ragged rows"):
         Matrix([[1, 2], [3]])
     with pytest.raises(DegreeError, match="needs 2 coefficients, got 1"):
-        ring.class_vector(1, [GaussianRational(3)])
-    # A non-real value is refused before the shape is checked.
-    with pytest.raises(ValueError, match="non-real value 1i"):
-        ring.class_vector(1, [I])
-    with pytest.raises(ValueError, match="non-real value 1i"):
-        zoo.get("p2").ring.class_vector(2, [I])
+        ring.class_vector(1, [Fraction(3)])
+    # A complex value is refused before the shape is checked.
+    with pytest.raises(TypeError, match="cannot interpret 1j as a rational"):
+        ring.class_vector(1, [1j])
+    with pytest.raises(TypeError, match="cannot interpret I as a rational"):
+        zoo.get("p2").ring.class_vector(2, [sympy.I])
 
 
 # -- ring identity ------------------------------------------------------------------
@@ -195,9 +197,10 @@ def test_classes_of_different_rings_are_refused():
     assert proportional(twin.sample_classes()[0], _scaled(zoo.get("flag3").ring).sample_classes()[0])
 
 
-# -- no Gaussian rational on the int paths ------------------------------------------
+# -- Fractions only where values leave ----------------------------------------------
 
 def test_int_paths_build_no_gaussian_rational():
+    # Reading scalars builds no Fraction; g builds one, the value it reports.
     ring = zoo.get("blp4").ring
     w = ring.sample("omega")
     half, third = Fraction(1, 2), Fraction(-4, 3)
@@ -217,18 +220,13 @@ def test_int_paths_build_no_gaussian_rational():
     calls = {
         "compute_g_direct": lambda: compute_g_direct(alpha, setup),
         "check_cs boundary": lambda: check_cs(alpha, boundary),
-        "kt_chain": lambda: kt_chain(ring, ring.sample("hyperplane"), w),
-        "sanity_check_kahler": lambda: sanity_check_kahler(ring, w),
     }
-    for name, fn in calls.items():
-        assert _constructions(fn)[1]["__init__"] == 0, name
-
     # g is one Fraction once the setup's volume is cached.
-    seen = _constructions(lambda: compute_g_direct(alpha, setup))[1]
-    assert seen["__new__"] + seen["_from_coprime_ints"] == 1
+    for name, fn in calls.items():
+        seen = _constructions(fn)[1]
+        assert seen["__new__"] + seen["_from_coprime_ints"] == 1, name
 
-    # The decomposition builds no Gaussian rational: the lambda it returns is a Fraction.
-    decomposer = LefschetzDecomposer(setup)
-    dec, seen = _constructions(lambda: decomposer.decompose(alpha))
-    assert seen["__init__"] == 0 and type(dec.lam) is Fraction
+    # The lambda the decomposition returns is a Fraction.
+    dec = LefschetzDecomposer(setup).decompose(alpha)
+    assert type(dec.lam) is Fraction
     assert dec.lam * setup.volume == integrate(wedge(alpha, power(setup.omega, 2)))

@@ -86,7 +86,7 @@ def pairing_matrix(ring: IntersectionRing, p: int) -> Matrix:
     """The pairing of degrees p and n - p from ``integrate(wedge(...))`` per basis pair.
 
     ``form_matrix`` reads the ring's int pairing, as ``validate_ring`` does, so
-    the oracle forms every entry through the public Gaussian-rational route.
+    the oracle forms every entry through the public Fraction route.
     """
     return Matrix([[integrate(wedge(ring.basis_class(p, i), ring.basis_class(ring.n - p, j)))
                     for j in range(ring.dim(ring.n - p))] for i in range(ring.dim(p))])
