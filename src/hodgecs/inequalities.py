@@ -50,11 +50,10 @@ from .ring import (
     _setup_ints,
     integrate,
     mixed_setup,
-    multiplication_matrix,
     power,
     wedge,
 )
-from .lefschetz import DecompositionResult, mixed_lefschetz_decompose
+from .lefschetz import DecompositionResult, _primitive_classes, mixed_lefschetz_decompose
 
 DIRECTION_CS = "cs"
 DIRECTION_OPPOSITE = "opposite"
@@ -300,11 +299,10 @@ def construct_counterexample(
         return None
     i0, deg = jump
 
-    # Primitive classes of degree deg: the kernel of a -> a * w^(2(p-deg)+1) * Omega_p.
-    kernel = multiplication_matrix(ring, deg, setup.tower[2 * (p - deg) + 1]).kernel()
-    if not kernel.rows:
+    primitive = _primitive_classes(setup, deg)
+    if not primitive:
         return None
-    witness = ClassVector(ring, deg, kernel.num[0], kernel.den)
+    witness = primitive[0]
     theta = setup.omega_power + wedge(witness, power(setup.omega, p - deg))
     verdict = check_cs(theta, setup, kind)
     if verdict.satisfied:

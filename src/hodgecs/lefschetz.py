@@ -14,6 +14,11 @@ Both the signed form above and the unsigned variant (without the (-1)^p
 prefactor, the usual convention in degree 1) are reported side by side, since
 they differ by a sign exactly when p is odd.
 
+Omega comes from ``ring._omega_class``, which checks the list: the list functions
+call it once each, and ``hr_check`` reads Omega and w^k * Omega from one
+``mixed_setup``. Primitive in degree i for a setup means in the kernel of its
+tower's rung w^(2(p-i)+1) * Omega (``_primitive_classes``).
+
 The mixed Lefschetz decomposition writes a degree-p class a as
 
     a = lam * w^p + sum_i a_i * w^(p-i),    a_i primitive in degree i
@@ -38,22 +43,22 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import DegreeError, FlagError, SingularSplitError
+from .errors import FlagError, SingularSplitError
 from .linalg import Matrix
 from .ring import (
-    FLAG_KAHLER,
     ClassVector,
     IntersectionRing,
     MixedSetup,
     MODE_STRICT,
+    _omega_class,
     _pair_ints,
     _product_ints,
     class_columns,
     form_matrix,
     integrate,
+    mixed_setup,
     multiplication_matrix,
     wedge,
-    wedge_all,
 )
 
 
@@ -73,8 +78,7 @@ class PrimitiveSubspace:
     @property
     def expected_dim(self) -> int:
         ring = self.omega.ring
-        lower = ring.dim(self.p - 1) if self.p >= 1 else 0
-        return ring.dim(self.p) - lower
+        return ring.dim(self.p) - ring.dim(self.p - 1)
 
 
 @dataclass(frozen=True)
@@ -93,57 +97,52 @@ class SymmetricFormReport:
         return self.inertia[2] == 0
 
 
-def _omega_product(
-    ring: IntersectionRing, p: int, classes: Sequence[ClassVector]
-) -> ClassVector:
-    """Omega, the product of the n-2p degree-1 classes that pair degree p."""
-    classes = tuple(classes)
-    if len(classes) != ring.n - 2 * p:
-        raise DegreeError(
-            f"expected {ring.n - 2 * p} classes for degree {p}, got {len(classes)}"
-        )
-    return wedge_all(classes, ring)
-
-
-def lefschetz_operator(
-    ring: IntersectionRing, p: int, classes: Sequence[ClassVector]
-) -> tuple[Matrix, bool]:
+def lefschetz_operator(ring: IntersectionRing, p: int,
+                       classes: Sequence[ClassVector]) -> tuple[Matrix, bool]:
     """Matrix of a -> a * Omega from degree p to degree n-p, plus an iso flag.
 
     Omega is the product of the given n-2p degree-1 classes; the flag records
     whether the map is an isomorphism (square of full rank).
     """
-    m = multiplication_matrix(ring, p, _omega_product(ring, p, classes))
+    m = multiplication_matrix(ring, p, _omega_class(ring, p, classes))
     iso = m.rows == m.cols and m.rank() == ring.dim(p)
     return m, iso
 
 
-def primitive_basis(
-    ring: IntersectionRing, p: int, omega: ClassVector, omegas: Sequence[ClassVector]
-) -> PrimitiveSubspace:
-    """Kernel of a -> a * w * Omega in degree p, in canonical echelon form."""
+def _kernel_classes(ring: IntersectionRing, p: int, by: ClassVector) -> tuple[ClassVector, ...]:
+    """The kernel of a -> a * ``by`` on degree p, as classes in canonical echelon form."""
+    kernel = multiplication_matrix(ring, p, by).kernel()
+    return tuple(ClassVector(ring, p, row, kernel.den) for row in kernel.num)
+
+
+def _primitive_classes(setup: MixedSetup, i: int) -> tuple[ClassVector, ...]:
+    """The primitive classes of degree i: the kernel of the rung w^(2(p-i)+1) * Omega_p."""
+    return _kernel_classes(setup.ring, i, setup.tower[2 * (setup.p - i) + 1])
+
+
+def primitive_basis(ring: IntersectionRing, p: int, omega: ClassVector,
+                    omegas: Sequence[ClassVector]) -> PrimitiveSubspace:
+    """Kernel of a -> a * w * Omega in degree p, in canonical echelon form, from the list."""
     omegas = tuple(omegas)
-    if omega.degree != 1 or any(w.degree != 1 for w in omegas):
-        raise DegreeError("reference classes must have degree 1")
-    multiplier = wedge(omega, wedge_all(omegas, ring))
-    if p + multiplier.degree > ring.n:
-        raise DegreeError("reference product leaves the grading")
-    kernel = multiplication_matrix(ring, p, multiplier).kernel()
-    basis = tuple(ClassVector(ring, p, row, kernel.den) for row in kernel.num)
-    return PrimitiveSubspace(p, omega, omegas, basis)
+    multiplier = wedge(omega, _omega_class(ring, p, omegas, omega))
+    return PrimitiveSubspace(p, omega, omegas, _kernel_classes(ring, p, multiplier))
 
 
-def gram_matrix_Q(
-    ring: IntersectionRing, p: int, omegas: Sequence[ClassVector]
-) -> SymmetricFormReport:
-    """Gram matrix of the degree-p form against the product of ``omegas``."""
-    unsigned = form_matrix(ring, p, _omega_product(ring, p, omegas))
+def _form_report(ring: IntersectionRing, p: int, omega_p: ClassVector) -> SymmetricFormReport:
+    """Gram data of the degree-p form against the class ``omega_p``."""
+    unsigned = form_matrix(ring, p, omega_p)
     ui = unsigned.inertia()
     if p % 2 == 0:
         return SymmetricFormReport(p, 1, unsigned, ui, unsigned, ui)
     # Negating a form swaps its positive and negative index.
     signed_inertia = (ui[1], ui[0], ui[2])
     return SymmetricFormReport(p, -1, -unsigned, signed_inertia, unsigned, ui)
+
+
+def gram_matrix_Q(ring: IntersectionRing, p: int,
+                  omegas: Sequence[ClassVector]) -> SymmetricFormReport:
+    """Gram matrix of the degree-p form against the product of ``omegas``."""
+    return _form_report(ring, p, _omega_class(ring, p, omegas))
 
 
 def restrict_form(report: SymmetricFormReport, basis: Sequence[ClassVector]) -> Matrix:
@@ -188,59 +187,39 @@ class HrReport:
         return head + "\n" + "\n".join(f"  {v}" for v in self.violations)
 
 
-def hr_check(
-    ring: IntersectionRing,
-    p: int,
-    omega: ClassVector,
-    omegas: Sequence[ClassVector],
-) -> HrReport:
+def hr_check(ring: IntersectionRing, p: int, omega: ClassVector,
+             omegas: Sequence[ClassVector]) -> HrReport:
     """Verify positive-definiteness of the signed form on the primitive basis.
 
     Also audits the dimension of the primitive subspace, nondegeneracy of the
     full-space form, and the degree-1 unsigned signature (1, h^(1,1)-1, 0)
     evaluated against w^(2p-2) * Omega. A violation indicts the positivity
-    flags of the input classes, not the underlying theory.
+    flags of the input classes, not the underlying theory. The reference is read
+    by one :func:`mixed_setup`, which must be strict.
     """
-    omegas = tuple(omegas)
-    for w in (omega, *omegas):
-        if w.flag != FLAG_KAHLER:
-            raise FlagError("hr_check needs strictly Kahler reference classes")
-    prim = primitive_basis(ring, p, omega, omegas)
-    form = gram_matrix_Q(ring, p, omegas)
-    violations: list[HrViolation] = []
-
-    if prim.dim != prim.expected_dim:
-        violations.append(HrViolation(
-            "dimension",
-            f"primitive dim {prim.dim} != h^({p},{p}) - h^({p - 1},{p - 1}) = {prim.expected_dim}",
-        ))
-
+    setup = mixed_setup(p, omega, omegas)
+    if setup.mode != MODE_STRICT:
+        raise FlagError("hr_check needs strictly Kahler reference classes")
+    # The form reads ``ring``, so a reference of another ring raises here.
+    form = _form_report(ring, p, setup.omega_p)
+    prim = PrimitiveSubspace(p, omega, setup.omegas, _primitive_classes(setup, p))
     restricted = restrict_form(form, prim.basis)
     ri = restricted.inertia()
-    if ri != (prim.dim, 0, 0):
-        violations.append(HrViolation(
-            "positivity",
-            f"restricted inertia {ri}, expected ({prim.dim}, 0, 0)",
-        ))
-
-    if form.inertia[2] != 0:
-        violations.append(HrViolation(
-            "nondegeneracy",
-            f"full-space form has radical of dimension {form.inertia[2]}",
-        ))
-
     # Degree-1 claim in the unsigned convention, against w^(2(p-1)) * Omega.
-    deg1 = gram_matrix_Q(ring, 1, [omega] * (2 * (p - 1)) + list(omegas))
+    deg1 = form_matrix(ring, 1, setup.tower[2 * p - 2]).inertia()
     h1 = ring.dim(1)
-    if deg1.unsigned_inertia != (1, h1 - 1, 0):
-        violations.append(HrViolation(
-            "degree1-signature",
-            f"unsigned degree-1 inertia {deg1.unsigned_inertia}, expected (1, {h1 - 1}, 0)",
-        ))
-
-    return HrReport(
-        ring.name, p, prim, form, restricted, ri, deg1.unsigned_inertia, violations
-    )
+    checks = [
+        ("dimension", prim.dim != prim.expected_dim,
+         f"primitive dim {prim.dim} != h^({p},{p}) - h^({p - 1},{p - 1}) = {prim.expected_dim}"),
+        ("positivity", ri != (prim.dim, 0, 0),
+         f"restricted inertia {ri}, expected ({prim.dim}, 0, 0)"),
+        ("nondegeneracy", not form.nondegenerate,
+         f"full-space form has radical of dimension {form.inertia[2]}"),
+        ("degree1-signature", deg1 != (1, h1 - 1, 0),
+         f"unsigned degree-1 inertia {deg1}, expected (1, {h1 - 1}, 0)"),
+    ]
+    violations = [HrViolation(check, message) for check, failed, message in checks if failed]
+    return HrReport(ring.name, p, prim, form, restricted, ri, deg1, violations)
 
 
 @dataclass(frozen=True)

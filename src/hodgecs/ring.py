@@ -17,6 +17,9 @@ pairing times an operator, and every integral of a class is the int
 numerators (``_setup_ints``, ``_pair_ints``), with the empty Omega_p as the
 unit. Fractions are built only where values leave (``coeffs``, ``integrate``).
 
+Omega_p, the product of a reference list, is formed and the list checked in one
+place, ``_omega_class``: once per ``mixed_setup``, once per list function call.
+
 The ring data cannot certify that a degree-1 class is Kahler; positivity is a
 user-declared flag. :func:`sanity_check_kahler` enforces the checkable
 necessary conditions (positive volume, injective multiplication maps below
@@ -491,6 +494,29 @@ def _omega_ints(ring: IntersectionRing, omegas: Sequence[ClassVector]) -> tuple:
     return o, o_den
 
 
+def _omega_class(ring: IntersectionRing, p: int, classes: Sequence[ClassVector],
+                 omega: Optional[ClassVector] = None) -> ClassVector:
+    """Omega_p, the product of the n - 2p degree-1 ``classes`` that pair degree p, as
+    one class from its int product; the one reader of a reference list.
+
+    Raises :class:`DegreeError` unless 0 <= p <= n/2, there are n - 2p classes and
+    each has degree 1, :class:`RingMismatchError` for a class of another ring.
+    ``omega``, a reference's w, is checked with the list but not multiplied in.
+    """
+    n, classes = ring.n, tuple(classes)
+    if not 0 <= p <= n // 2:
+        raise DegreeError(f"p must satisfy 0 <= p <= {n // 2}, got {p}")
+    if len(classes) != n - 2 * p:
+        raise DegreeError(f"expected {n - 2 * p} reference classes for degree {p}, "
+                          f"got {len(classes)}")
+    for c in classes if omega is None else (omega, *classes):
+        if c.ring is not ring and c.ring != ring:
+            raise RingMismatchError("reference classes live in different rings")
+        if c.degree != 1:
+            raise DegreeError(f"reference classes must have degree 1, got degree {c.degree}")
+    return ClassVector(ring, n - 2 * p, *_omega_ints(ring, classes))
+
+
 def _setup_ints(ring: IntersectionRing, p: int, omega: ClassVector, omega_p: tuple) -> tuple:
     """The setup data of g on ints, each (numerators, den) and not reduced:
     W = w^p, Omega = ``omega_p`` ((numerators, den) of degree n - 2p, the unit
@@ -519,14 +545,9 @@ def power(a: ClassVector, k: int) -> ClassVector:
         raise DegreeError(
             f"power {k} of a degree-{a.degree} class exceeds top degree {a.ring.n}"
         )
-    return wedge_all([a] * k, a.ring)
-
-
-def wedge_all(classes: Sequence[ClassVector], ring: IntersectionRing) -> ClassVector:
-    """Product of a (possibly empty) list of classes; empty gives the unit."""
-    out = ring.unit()
-    for c in classes:
-        out = wedge(out, c)
+    out = a.ring.unit()
+    for _ in range(k):
+        out = wedge(out, a)
     return out
 
 
@@ -882,22 +903,18 @@ class MixedSetup:
 
 
 def mixed_setup(p: int, omega: ClassVector, omegas: Sequence[ClassVector]) -> MixedSetup:
-    ring = omega.ring
-    n = ring.n
-    if not (1 <= p <= n // 2):
-        raise DegreeError(f"p must satisfy 1 <= p <= {n // 2}, got {p}")
+    """The degree-p setup of w = ``omega`` and w_1 .. w_(n-2p) = ``omegas``; Omega_p is
+    formed here, once, by :func:`_omega_class`, which checks p <= n/2, the count,
+    the ring and degree 1. This adds p >= 1 (:class:`DegreeError`) and the flags:
+    each class kahler or nef (:class:`FlagError`); all kahler makes it strict.
+    """
+    if p < 1:
+        raise DegreeError(f"p must satisfy 1 <= p <= {omega.ring.n // 2}, got {p}")
     omegas = tuple(omegas)
-    if len(omegas) != n - 2 * p:
-        raise DegreeError(f"expected {n - 2 * p} auxiliary classes, got {len(omegas)}")
-    for w in (omega, *omegas):
-        _check_same_ring(omega, w, "reference classes live in different rings")
-        if w.degree != 1:
-            raise DegreeError("reference classes must have degree 1")
-        if w.flag not in POSITIVE_FLAGS:
-            raise FlagError(
-                "reference classes must be flagged kahler or nef "
-                "(see sanity_check_kahler / with_flag)"
-            )
-    strict = all(w.flag == FLAG_KAHLER for w in (omega, *omegas))
-    omega_p = wedge_all(omegas, ring)
-    return MixedSetup(p, omega, omegas, omega_p, MODE_STRICT if strict else MODE_BOUNDARY)
+    omega_p = _omega_class(omega.ring, p, omegas, omega)
+    flags = {w.flag for w in (omega, *omegas)}
+    if not flags <= set(POSITIVE_FLAGS):
+        raise FlagError("reference classes must be flagged kahler or nef "
+                        "(see sanity_check_kahler / with_flag)")
+    mode = MODE_STRICT if flags == {FLAG_KAHLER} else MODE_BOUNDARY
+    return MixedSetup(p, omega, omegas, omega_p, mode)

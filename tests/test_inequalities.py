@@ -520,12 +520,12 @@ def test_verify_builds_pinned_class_counts():
     ring.kahler_samples()  # clears the sample ints, once per ring, before counting
     seen = _class_constructions(lambda: verify_theorem(ring, 1, 50, seed=1))
     # Per sample: three cone draws and one class draw; nothing else, as g and
-    # proportionality run on ints. The cs counterexample adds 12: its setup
-    # (Omega_p = w_1 * w_2, from the unit) and tower, the witness, w^p and
-    # theta (w^0 is the unit), and per decomposition level a component and a
-    # certificate; the remainder is a Fraction and its closed-form check one
-    # int pairing.
-    assert seen == {"constructions": 4 * 50 + 12}
+    # proportionality run on ints. The cs counterexample adds 10: its setup's
+    # Omega_p = w_1 * w_2 (one class, built from its int product) and the two
+    # tower rungs, the witness, w^p, theta (w^0 is the unit, then a product and
+    # a sum), and per decomposition level a component and a certificate; the
+    # remainder is a Fraction and its closed-form check one int pairing.
+    assert seen == {"constructions": 4 * 50 + 10}
 
 
 def test_setup_draws_do_not_build_the_sample_classes(monkeypatch):

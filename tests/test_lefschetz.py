@@ -1,6 +1,7 @@
 """Lefschetz operators, primitive subspaces, signed forms, decompositions."""
 
 import gc
+import re
 import weakref
 from fractions import Fraction
 from functools import cached_property
@@ -8,7 +9,7 @@ from functools import cached_property
 import pytest
 
 from hodgecs import zoo
-from hodgecs.errors import FlagError, SingularSplitError
+from hodgecs.errors import DegreeError, FlagError, RingMismatchError, SingularSplitError
 from hodgecs.inequalities import check_cs, compute_g_decomposed, verify_theorem
 from hodgecs.lefschetz import (
     LefschetzDecomposer,
@@ -21,7 +22,9 @@ from hodgecs.lefschetz import (
 from hodgecs.linalg import Matrix
 from hodgecs.ring import (
     FLAG_KAHLER,
+    IntersectionRing,
     MixedSetup,
+    RingSample,
     as_kahler,
     integrate,
     mixed_setup,
@@ -54,11 +57,44 @@ def test_operator_blowup_middle():
     assert iso and m.rank() == 2
 
 
-def test_operator_wrong_class_count():
+def _blp4_reference():
     ring = zoo.get("blp4").ring
-    from hodgecs.errors import DegreeError
-    with pytest.raises(DegreeError):
-        lefschetz_operator(ring, 1, [ring.sample("omega")])
+    return ring, ring.sample("omega"), ring.class_vector(2, [1, 0])
+
+
+# Each bad reference list fails where it is read, with a message that names the
+# range, the count or the degree.
+@pytest.mark.parametrize("call, message", [
+    (lambda r, w, c2: lefschetz_operator(r, 1, [w]),
+     "expected 2 reference classes for degree 1, got 1"),
+    (lambda r, w, c2: primitive_basis(r, 1, w, [w]),
+     "expected 2 reference classes for degree 1, got 1"),
+    (lambda r, w, c2: gram_matrix_Q(r, 1, [c2, w]),
+     "reference classes must have degree 1, got degree 2"),
+    (lambda r, w, c2: lefschetz_operator(r, 1, [c2, w]),
+     "reference classes must have degree 1, got degree 2"),
+    (lambda r, w, c2: primitive_basis(r, 1, c2, [w, w]),
+     "reference classes must have degree 1, got degree 2"),
+    (lambda r, w, c2: hr_check(r, 3, w, []), "p must satisfy 0 <= p <= 2, got 3"),
+    (lambda r, w, c2: hr_check(r, 0, w, [w] * 4), "p must satisfy 1 <= p <= 2, got 0"),
+], ids=["operator count", "primitive count", "gram degree", "operator degree",
+        "primitive w degree", "hr p above half n", "hr p = 0"])
+def test_operator_wrong_class_count(call, message):
+    with pytest.raises(DegreeError, match=re.escape(message)):
+        call(*_blp4_reference())
+
+
+def test_reference_of_another_ring_is_refused():
+    ring, w, _ = _blp4_reference()
+    other = zoo.get("p1xp1").ring.sample("omega")
+    with pytest.raises(RingMismatchError, match="reference classes live in different rings"):
+        gram_matrix_Q(ring, 1, [w, other])
+    with pytest.raises(RingMismatchError, match="reference classes live in different rings"):
+        primitive_basis(ring, 1, other, [w, w])
+    with pytest.raises(RingMismatchError):
+        hr_check(ring, 1, w, [w, other])
+    with pytest.raises(RingMismatchError):
+        hr_check(zoo.get("p1xp1").ring, 1, w, [w, w])
 
 
 def test_operator_not_iso_for_nef_product():
@@ -189,6 +225,58 @@ def test_hr_detects_false_flag():
     fake = ring.class_vector(1, [0, 1], FLAG_KAHLER)  # E, deliberately mislabelled
     report = hr_check(ring, 1, fake, [fake, fake])
     assert not report.passed
+
+
+def _with_factor_samples(entry, factors):
+    """The product ring with Kahler sample j = (1, .., 2, .., 1), the 2 on factor j,
+    so that seeded setups are not all multiples of one class."""
+    r = entry.ring
+    width = r.dim(1) // factors
+    samples = [RingSample(f"k{j}", FLAG_KAHLER,
+                          tuple(Fraction(2 if f == j else 1) for f in range(factors) for _ in range(width)))
+               for j in range(factors)]
+    return IntersectionRing(r.name, r.n, r.hodge, r.basis_labels, r.products, r.integral, samples)
+
+
+def _setup_route_rings():
+    for name in zoo.list_entries():
+        yield zoo.get(name).ring
+    p1 = zoo.projective_space(1, "a")
+    for label in "bcde":
+        p1 = zoo.product(p1, zoo.projective_space(1, label))
+    yield _with_factor_samples(p1, 5)
+    p2 = zoo.product(zoo.product(zoo.projective_space(2, "x"), zoo.projective_space(2, "y")),
+                     zoo.projective_space(2, "z"))
+    yield _with_factor_samples(p2, 3)
+    yield zoo.blowup_pn(8).ring
+
+
+def test_hr_check_on_the_setup_matches_the_list_routes(monkeypatch):
+    # Oracle: hr_check reads one setup's Omega_p and tower; the list routes
+    # multiply the reference out on their own.
+    import hodgecs.lefschetz
+    import hodgecs.ring
+    real, calls = hodgecs.ring._omega_class, []
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    for module in (hodgecs.ring, hodgecs.lefschetz):
+        monkeypatch.setattr(module, "_omega_class", counting)
+    for ring in _setup_route_rings():
+        for p in range(1, ring.n // 2 + 1):
+            for k in range(2):
+                setup = random_strict_setup(ring, p, 6, seed=22, index=k)
+                w, omegas = setup.omega, setup.omegas
+                calls.clear()
+                report = hr_check(ring, p, w, omegas)
+                assert calls == [p], (ring.name, p)  # Omega_p is formed once
+                assert report.passed, (ring.name, p, str(report))
+                assert report.primitive.basis == primitive_basis(ring, p, w, omegas).basis
+                assert report.form == gram_matrix_Q(ring, p, omegas)
+                deg1 = gram_matrix_Q(ring, 1, [w] * (2 * p - 2) + list(omegas))
+                assert report.degree1_unsigned_inertia == deg1.unsigned_inertia
 
 
 # -- decomposition --------------------------------------------------------------------------
