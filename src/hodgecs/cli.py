@@ -61,6 +61,7 @@ from .ring import (
     MixedSetup,
     ValidationIssue,
     ValidationReport,
+    _check_setup_p,
     as_kahler,
     mixed_setup,
     sanity_check_kahler,
@@ -132,8 +133,7 @@ def _reference(ring: IntersectionRing, args) -> tuple[Callable[[], ClassVector],
     returned as a function and resolved on first use, once.
     """
     n, p = ring.n, args.p
-    if not 1 <= p <= n // 2:
-        raise DegreeError(f"p must satisfy 1 <= p <= {n // 2}, got {p}")
+    _check_setup_p(ring, p)
     nef = getattr(args, "nef", False)
 
     @functools.cache

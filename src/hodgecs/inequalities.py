@@ -10,11 +10,10 @@ the Cauchy-Schwarz defect of the form b(x, y) = int x*y*Omega_p at the pair
 (a, w^p): g = b(a, a) * b(w^p, w^p) - b(a, w^p)^2. Classes are rational; for a
 complex class a = x + iy the defect with conj(a) in place of one a is
 g(x) + g(y), as the setup is real (see :func:`compute_g_direct`). It is
-evaluated on ints: a setup gives w^p, Omega_p, w^p * Omega_p and
-int w^(2p)*Omega_p as int numerators once, and a class adds one contraction
-per product and one dot product per integral, with one ``Fraction`` for the
-result. :func:`compute_g_decomposed` is the independent route, through the
-Lefschetz decomposition.
+evaluated on (numerators, den) pairs: a setup gives w^p, Omega_p, w^p * Omega_p
+and int w^(2p)*Omega_p once, a class adds one product and two integrals, and
+one ``Fraction`` is built for the result. :func:`compute_g_decomposed` is the
+independent route, through the Lefschetz decomposition.
 
 Whether g >= 0 for every a ("Cauchy-Schwarz") or g <= 0 ("opposite
 Cauchy-Schwarz") is governed purely by equalities among the graded
@@ -44,6 +43,7 @@ from .ring import (
     MODE_STRICT,
     MixedSetup,
     _check_same_ring,
+    _check_setup_p,
     _omega_ints,
     _pair_ints,
     _product_ints,
@@ -76,25 +76,24 @@ def proportional(a: ClassVector, b: ClassVector) -> bool:
 
     Classes of different rings raise RingMismatchError.
     """
-    _check_same_ring(a, b)
+    _check_same_ring(a.ring, b.ring)
     if a.degree != b.degree:
         raise DegreeError("proportionality needs classes of equal degree")
     return _proportional_ints(a.re, b.re)
 
 
 def _g(alpha: ClassVector, data: tuple) -> Fraction:
-    """g of the degree-p class alpha = x / d from its setup's int data.
+    """g of the degree-p class alpha from its setup's int data (:func:`_setup_ints`).
 
-    With B = x * Omega, aa = int x * B and m = int x * T, so g = aa * V - m^2.
+    With the pairs aa = int alpha * (Omega * alpha) and m = int alpha * T, each
+    (num, den) from :func:`_pair_ints`, g = aa * V - m^2, one ``Fraction``.
     """
-    ring, p, x = alpha.ring, alpha.degree, alpha.re
-    _, (o, o_den), (t, t_den), (v, v_den) = data
-    b = _product_ints(ring, ring.n - 2 * p, o, p, x)
-    aa, m = _pair_ints(ring, p, x, b), _pair_ints(ring, p, x, t)
-    # aa and m are numerators over d^2 * a and d * c; a pairing adds k = D * scale.
-    k = ring._den * ring._weights[1]
-    a, c = k * o_den * ring._den, k * t_den
-    return Fraction(aa * v * c * c - m * m * a * v_den, alpha.den ** 2 * a * v_den * c * c)
+    ring, p, x = alpha.ring, alpha.degree, (alpha.re, alpha.den)
+    _, o, t, (v, v_den) = data
+    aa, aa_den = _pair_ints(ring, p, x, _product_ints(ring, ring.n - 2 * p, o, p, x))
+    m, m_den = _pair_ints(ring, p, x, t)
+    return Fraction(aa * v * m_den * m_den - m * m * aa_den * v_den,
+                    aa_den * v_den * m_den * m_den)
 
 
 def compute_g_direct(alpha: ClassVector, setup: MixedSetup) -> Fraction:
@@ -238,8 +237,7 @@ def hodge_condition(ring: IntersectionRing, p: int, kind: str) -> HodgeCondition
     """
     if kind not in DIRECTIONS:
         raise ValueError(f"kind must be one of {DIRECTIONS}")
-    if not (1 <= p <= ring.n // 2):
-        raise DegreeError(f"p must satisfy 1 <= p <= {ring.n // 2}")
+    _check_setup_p(ring, p)
     pairs = []
     failing = []
     if kind == DIRECTION_CS:
@@ -278,8 +276,9 @@ def construct_counterexample(
     supplies a nonzero primitive class a(i0) in degree 2i0+1 with respect to
     (w, w^(2(p-(2i0+1))) * Omega_p); then theta = w^p + a(i0) * w^(p-(2i0+1))
     has g < 0. For kind="opposite" the even-degree analogue gives g > 0.
-    Returns None when the condition holds (no counterexample exists).
+    Returns None when the condition holds; a setup of another ring raises RingMismatchError.
     """
+    _check_same_ring(setup.ring, ring, "setup belongs to a different ring")
     if setup.mode != MODE_STRICT:
         raise FlagError("counterexample construction needs a strict Kahler setup")
     if setup.p != p:

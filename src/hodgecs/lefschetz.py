@@ -32,7 +32,7 @@ map is an isomorphism, so r and a_i = c - w * r are unique; a singular map is
 reported as evidence of wrong flags. The products w^k * Omega_p come from
 ``MixedSetup.tower`` and each level's C_i and map inverse from
 ``MixedSetup.levels``: one build per setup, read by all its decomposers. The
-levels run on int numerators; classes are built only for what is returned.
+levels run on (numerators, den) pairs; classes are built only for what is returned.
 """
 
 from __future__ import annotations
@@ -255,9 +255,9 @@ class LefschetzDecomposer:
     Per level i = p .. 1 it reads C_i = w^(2(p-i)+1) * Omega_p and the int
     inverse of the mixed hard Lefschetz map r -> r * w * C_i on degree i-1
     from ``setup.levels``, which raises on a singular map. Decomposing a
-    class then runs on int numerators: per level, contractions over the ring's
-    table, one int matrix-vector product and one gcd. Classes are built only
-    for the components and the certificates.
+    class then runs on the (numerators, den) pairs of ``_product_ints``: per
+    level, three products, one int matrix-vector product and one gcd, then one
+    ``_pair_ints`` for lam. Classes are built only for what is returned.
     """
 
     def __init__(self, setup: MixedSetup):
@@ -268,40 +268,37 @@ class LefschetzDecomposer:
 
     def decompose(self, alpha: ClassVector) -> DecompositionResult:
         setup = self.setup
-        ring, w, big_d = setup.ring, setup.omega, setup.ring._den
+        ring, w = setup.ring, (setup.omega.re, setup.omega.den)
         setup.check_class(alpha)
 
         components: list[ClassVector] = []      # levels p .. 1
         certificates: list[ClassVector] = []
-        # The current class as int numerators over den.
-        current, den = alpha.re, alpha.den
+        # The current class as a (numerators, den) pair.
+        current = alpha.re, alpha.den
         for i, c, inverse, d in self._levels:
-            k = ring.n - 2 * i + 1                # the degree of C_i
+            k, c = ring.n - 2 * i + 1, (c.re, c.den)    # the degree of C_i, and C_i
             # rest = L^-1 (current * C_i), with L^-1 = inverse / d, in lowest terms.
-            v = _product_ints(ring, i, current, k, c.re)
-            rest = [sum(map(mul, row, v)) for row in inverse]
-            rest_den = den * c.den * big_d * d
+            v, v_den = _product_ints(ring, i, current, k, c)
+            rest, rest_den = [sum(map(mul, row, v)) for row in inverse], v_den * d
             g = gcd(rest_den, *rest)
-            rest, rest_den = [x // g for x in rest], rest_den // g
+            rest = [x // g for x in rest], rest_den // g
             # a_i = current - rest * w.
-            rw = _product_ints(ring, i - 1, rest, 1, w.re)
-            rw_den = rest_den * w.den * big_d
-            m = lcm(den, rw_den)
-            s, t = m // den, m // rw_den
-            a = ClassVector(ring, i, [s * x - t * y for x, y in zip(current, rw)], m)
+            (x, x_den), (y, y_den) = current, _product_ints(ring, i - 1, rest, 1, w)
+            m = lcm(x_den, y_den)
+            s, t = m // x_den, m // y_den
+            a = ClassVector(ring, i, [s * xi - t * yi for xi, yi in zip(x, y)], m)
             components.append(a)
             certificates.append(ClassVector(ring, ring.n - i + 1,
-                                            _product_ints(ring, i, a.re, k, c.re),
-                                            a.den * c.den * big_d))
-            current, den = rest, rest_den
+                                            *_product_ints(ring, i, (a.re, a.den), k, c)))
+            current = rest
 
         # The recursion remainder lam = current must match the closed form
         # lam = (int a * T) / (int w^(2p) * Omega_p), T = w^p * Omega_p the tower's
-        # rung p: one pairing over alpha.den * T.den * D * scale.
-        lam = Fraction(current[0], den)
+        # rung p: one pairing.
+        lam = Fraction(current[0][0], current[1])
         t = setup.tower[setup.p]
-        m = _pair_ints(ring, setup.p, alpha.re, t.re)
-        if lam * setup.volume != Fraction(m, alpha.den * t.den * big_d * ring._weights[1]):
+        if lam * setup.volume != Fraction(*_pair_ints(ring, setup.p, (alpha.re, alpha.den),
+                                                      (t.re, t.den))):
             raise SingularSplitError(
                 "recursion remainder disagrees with the closed-form coefficient; "
                 "the reference classes are not Kahler"

@@ -13,9 +13,10 @@ degree 0 included (the unit row is the identity), built once per ring:
 matrix scatters a class's numerators through it into int rows, and
 ``validate_ring`` and the int pairing matrices read it. A form matrix is the
 pairing times an operator, and every integral of a class is the int
-``_integral``; g's setup data and per-class integrals contract bare
-numerators (``_setup_ints``, ``_pair_ints``), with the empty Omega_p as the
-unit. Fractions are built only where values leave (``coeffs``, ``integrate``).
+``_integral``. Int products and integrals carry their denominator as
+(numerators, den) pairs, not reduced (``_product_ints``, ``_pair_ints``), so
+only this module reads D (``_den``) and the integral's scale (``_weights``).
+Fractions are built only where values leave (``coeffs``, ``integrate``).
 
 Omega_p, the product of a reference list, is formed and the list checked in one
 place, ``_omega_class``: once per ``mixed_setup``, once per list function call.
@@ -300,7 +301,7 @@ class IntersectionRing:
     def __eq__(self, other):
         if not isinstance(other, IntersectionRing):
             return NotImplemented
-        return (
+        return self is other or (
             self.name == other.name
             and self.n == other.n
             and self.hodge == other.hodge
@@ -367,7 +368,7 @@ class ClassVector:
     def __add__(self, other, sign: int = 1):
         if not isinstance(other, ClassVector):
             return NotImplemented
-        _check_same_ring(self, other)
+        _check_same_ring(self.ring, other.ring)
         if self.degree != other.degree:
             raise DegreeError(f"degree mismatch: {self.degree} vs {other.degree}")
         den = lcm(self.den, other.den)
@@ -412,9 +413,8 @@ class ClassVector:
         # Positivity flags are advisory metadata and do not affect identity.
         if not isinstance(other, ClassVector):
             return NotImplemented
-        if self.ring is not other.ring and self.ring != other.ring:
-            return False
-        return (self.degree, self.re, self.den) == (other.degree, other.re, other.den)
+        return (self.ring == other.ring
+                and (self.degree, self.re, self.den) == (other.degree, other.re, other.den))
 
     def __hash__(self):
         return hash((self.degree, self.re, self.den))
@@ -433,10 +433,11 @@ _set_ring, _set_degree, _set_re, _set_den, _set_flag = (
 
 # -- ring operations -------------------------------------------------------
 
-def _check_same_ring(a: ClassVector, b: ClassVector,
+def _check_same_ring(a: IntersectionRing, b: IntersectionRing,
                      message: str = "classes live in different rings") -> None:
-    """Raise RingMismatchError unless ``a`` and ``b`` live in one ring (or equal rings)."""
-    if a.ring is not b.ring and a.ring != b.ring:
+    """Raise RingMismatchError unless ``a`` and ``b`` are one ring (or equal rings);
+    the identity test spares the hot paths a call to ``IntersectionRing.__eq__``."""
+    if a is not b and a != b:
         raise RingMismatchError(message)
 
 
@@ -446,15 +447,15 @@ def wedge(a: ClassVector, b: ClassVector) -> ClassVector:
     The numerators contract once over the ring's (a.degree, b.degree) table,
     over a.den * b.den * D; a degree-0 factor goes through its unit row.
     """
-    _check_same_ring(a, b)
+    _check_same_ring(a.ring, b.ring)
     ring = a.ring
     total = a.degree + b.degree
     if total > ring.n:
         raise DegreeError(
             f"wedge of degrees {a.degree} and {b.degree} exceeds top degree {ring.n}"
         )
-    return ClassVector(ring, total, _product_ints(ring, a.degree, a.re, b.degree, b.re),
-                       a.den * b.den * ring._den)
+    return ClassVector(ring, total, *_product_ints(ring, a.degree, (a.re, a.den),
+                                                   b.degree, (b.re, b.den)))
 
 
 def _contract(acc: list[int], table: tuple, x: Sequence[int], y: Sequence[int]) -> None:
@@ -469,29 +470,30 @@ def _contract(acc: list[int], table: tuple, x: Sequence[int], y: Sequence[int]) 
                         acc[k] += f * c
 
 
-def _product_ints(ring: IntersectionRing, da: int, x: Sequence[int], db: int,
-                  y: Sequence[int]) -> list[int]:
-    """x * y for int numerators x of degree da and y of degree db, in either order
-    and degree 0 included: the numerators over den_x * den_y * D, one contraction
-    over the ring's (da, db) table."""
+def _product_ints(ring: IntersectionRing, da: int, x: tuple, db: int, y: tuple) -> tuple:
+    """x * y for (numerators, den) pairs x of degree da and y of degree db, in either
+    order and degree 0 included: (numerators, den_x * den_y * D), not reduced, from
+    one contraction over the ring's (da, db) table."""
     acc = [0] * ring.hodge[da + db]
-    _contract(acc, ring._table(da, db), x, y)
-    return acc
+    _contract(acc, ring._table(da, db), x[0], y[0])
+    return acc, x[1] * y[1] * ring._den
 
 
-def _pair_ints(ring: IntersectionRing, da: int, x: Sequence[int], y: Sequence[int]) -> int:
-    """The integral of x * y for int numerators x of degree da and y of degree n - da:
-    the numerator over den_x * den_y * D * scale (``ring._weights``)."""
-    return sum(map(mul, ring._weights[0], _product_ints(ring, da, x, ring.n - da, y)))
+def _pair_ints(ring: IntersectionRing, da: int, x: tuple, y: tuple) -> tuple[int, int]:
+    """The integral of x * y for (numerators, den) pairs x of degree da and y of degree
+    n - da, as (num, den), not reduced: the product dotted with the integral's int
+    weights, over the product's den times their scale."""
+    (v, den), (weights, scale) = _product_ints(ring, da, x, ring.n - da, y), ring._weights
+    return sum(map(mul, weights, v)), den * scale
 
 
 def _omega_ints(ring: IntersectionRing, omegas: Sequence[ClassVector]) -> tuple:
     """The product of the degree-1 ``omegas`` as (numerators, den), not reduced;
     the empty product is the degree-0 unit ((1,), 1)."""
-    o, o_den = (1,), 1
+    o = (1,), 1
     for k, c in enumerate(omegas):
-        o, o_den = _product_ints(ring, k, o, 1, c.re), o_den * c.den * ring._den
-    return o, o_den
+        o = _product_ints(ring, k, o, 1, (c.re, c.den))
+    return o
 
 
 def _omega_class(ring: IntersectionRing, p: int, classes: Sequence[ClassVector],
@@ -510,31 +512,27 @@ def _omega_class(ring: IntersectionRing, p: int, classes: Sequence[ClassVector],
         raise DegreeError(f"expected {n - 2 * p} reference classes for degree {p}, "
                           f"got {len(classes)}")
     for c in classes if omega is None else (omega, *classes):
-        if c.ring is not ring and c.ring != ring:
-            raise RingMismatchError("reference classes live in different rings")
+        _check_same_ring(c.ring, ring, "reference classes live in different rings")
         if c.degree != 1:
             raise DegreeError(f"reference classes must have degree 1, got degree {c.degree}")
     return ClassVector(ring, n - 2 * p, *_omega_ints(ring, classes))
 
 
 def _setup_ints(ring: IntersectionRing, p: int, omega: ClassVector, omega_p: tuple) -> tuple:
-    """The setup data of g on ints, each (numerators, den) and not reduced:
-    W = w^p, Omega = ``omega_p`` ((numerators, den) of degree n - 2p, the unit
-    when n = 2p), T = W * Omega and V = integral of W * T.
+    """The setup data of g as pairs from :func:`_product_ints` and :func:`_pair_ints`,
+    none reduced: W = w^p, Omega = ``omega_p`` (a pair of degree n - 2p, the unit
+    when n = 2p), T = W * Omega and V = integral of W * T, as (num, den).
 
     Every product is one contraction and every integral one dot product with the
     ring's weights; no class is built and no gcd is taken.
     """
-    d = ring._den
-    w, w_den = omega.re, omega.den
+    w = w1 = omega.re, omega.den
     for k in range(1, p):
-        w, w_den = _product_ints(ring, 1, omega.re, k, w), w_den * omega.den * d
+        w = _product_ints(ring, 1, w1, k, w)
     # Omega leads its products (here and in _g): the contraction loops over the
     # first factor's rows, and the unit has one.
-    o, o_den = omega_p
-    t, t_den = _product_ints(ring, ring.n - 2 * p, o, p, w), w_den * o_den * d
-    v_den = w_den * t_den * d * ring._weights[1]
-    return (w, w_den), (o, o_den), (t, t_den), (_pair_ints(ring, p, w, t), v_den)
+    t = _product_ints(ring, ring.n - 2 * p, omega_p, p, w)
+    return w, omega_p, t, _pair_ints(ring, p, w, t)
 
 
 def power(a: ClassVector, k: int) -> ClassVector:
@@ -737,8 +735,7 @@ def multiplication_matrix(ring: IntersectionRing, p: int, by: ClassVector) -> Ma
     ``by``'s numerators are scattered through the ring's (p, deg(by)) table into
     int rows over by.den * D.
     """
-    if by.ring is not ring and by.ring != ring:
-        raise RingMismatchError("classes live in different rings")
+    _check_same_ring(by.ring, ring)
     d, cols = by.degree, ring.dim(p)
     if p + d > ring.n:
         raise DegreeError(f"wedge of degrees {p} and {d} exceeds top degree {ring.n}")
@@ -893,7 +890,7 @@ class MixedSetup:
 
     def check_class(self, alpha: ClassVector) -> None:
         """Raise unless ``alpha`` is a degree-p class of the setup's ring."""
-        _check_same_ring(self.omega, alpha, "class belongs to a different ring")
+        _check_same_ring(self.ring, alpha.ring, "class belongs to a different ring")
         if alpha.degree != self.p:
             raise DegreeError(f"expected a degree-{self.p} class, got degree {alpha.degree}")
 
@@ -902,14 +899,19 @@ class MixedSetup:
         return f"p={self.p}, w={self.omega}, reference=[{ws}], mode={self.mode}"
 
 
+def _check_setup_p(ring: IntersectionRing, p: int) -> None:
+    """Raise DegreeError unless 1 <= p <= n/2: the one range check of a setup's p."""
+    if not 1 <= p <= ring.n // 2:
+        raise DegreeError(f"p must satisfy 1 <= p <= {ring.n // 2}, got {p}")
+
+
 def mixed_setup(p: int, omega: ClassVector, omegas: Sequence[ClassVector]) -> MixedSetup:
     """The degree-p setup of w = ``omega`` and w_1 .. w_(n-2p) = ``omegas``; Omega_p is
-    formed here, once, by :func:`_omega_class`, which checks p <= n/2, the count,
-    the ring and degree 1. This adds p >= 1 (:class:`DegreeError`) and the flags:
-    each class kahler or nef (:class:`FlagError`); all kahler makes it strict.
+    formed here, once, by :func:`_omega_class`, which checks the count, the ring and
+    degree 1. This checks 1 <= p <= n/2 first (:func:`_check_setup_p`) and the flags
+    after: each class kahler or nef (:class:`FlagError`); all kahler makes it strict.
     """
-    if p < 1:
-        raise DegreeError(f"p must satisfy 1 <= p <= {omega.ring.n // 2}, got {p}")
+    _check_setup_p(omega.ring, p)
     omegas = tuple(omegas)
     omega_p = _omega_class(omega.ring, p, omegas, omega)
     flags = {w.flag for w in (omega, *omegas)}

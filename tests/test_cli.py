@@ -237,10 +237,15 @@ def _bundle_without_samples(tmp_path, capsys):
     return str(path)
 
 
-def test_signature_checks_p_range_first(capsys):
-    code, out, err = run(capsys, "signature", "zoo:p4", "-p", "3")
+# signature checks p before it resolves any class; verify reads p through
+# hodge_condition. Both share the one range check of a setup's p.
+@pytest.mark.parametrize("argv", [("signature", "zoo:p4", "-p", "3"),
+                                  ("verify", "zoo:blp4", "-p", "3", "--samples", "1")],
+                         ids=["signature", "verify"])
+def test_p_range_is_checked_with_its_value(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert "p must satisfy 1 <= p <= 2, got 3" in err
+    assert err == "error: p must satisfy 1 <= p <= 2, got 3\n"
 
 
 def test_counterexample_uses_omegas_without_omega(capsys):

@@ -11,7 +11,7 @@ import hodgecs.ring
 from hodgecs import zoo
 from hodgecs.bundle import serialize_ring_bundle
 from hodgecs.cli import main
-from hodgecs.errors import DegreeError, FlagError
+from hodgecs.errors import DegreeError, FlagError, RingMismatchError
 from hodgecs.inequalities import (
     check_cs,
     compute_g_decomposed,
@@ -270,6 +270,17 @@ def test_counterexample_none_when_condition_holds():
     assert construct_counterexample(p4, 2, _setup(p4, 2, "h"), "cs") is None
     q4 = zoo.get("quadric4").ring
     assert construct_counterexample(q4, 2, _setup(q4, 2, "h"), "cs") is None
+
+
+@pytest.mark.parametrize("name", ["blp3", "p1xp2"])
+def test_counterexample_refuses_a_setup_of_another_ring(name, monkeypatch):
+    # Both rings fail the cs condition at p = 1, so a blp4 setup used to yield a
+    # counterexample with i0 from their dimensions and classes of blp4. The ring
+    # is checked before any work: the dimension condition is never read.
+    setup = random_strict_setup(zoo.get("blp4").ring, 1, 10, 0, 0)
+    monkeypatch.setattr(hodgecs.inequalities, "hodge_condition", None)
+    with pytest.raises(RingMismatchError, match="setup belongs to a different ring"):
+        construct_counterexample(zoo.get(name).ring, 1, setup, "cs")
 
 
 def test_counterexamples_in_both_directions():

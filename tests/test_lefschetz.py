@@ -75,7 +75,7 @@ def _blp4_reference():
      "reference classes must have degree 1, got degree 2"),
     (lambda r, w, c2: primitive_basis(r, 1, c2, [w, w]),
      "reference classes must have degree 1, got degree 2"),
-    (lambda r, w, c2: hr_check(r, 3, w, []), "p must satisfy 0 <= p <= 2, got 3"),
+    (lambda r, w, c2: hr_check(r, 3, w, []), "p must satisfy 1 <= p <= 2, got 3"),
     (lambda r, w, c2: hr_check(r, 0, w, [w] * 4), "p must satisfy 1 <= p <= 2, got 0"),
 ], ids=["operator count", "primitive count", "gram degree", "operator degree",
         "primitive w degree", "hr p above half n", "hr p = 0"])

@@ -9,6 +9,10 @@ oracle: they multiply ``Fraction`` coefficients against the ring's
 a rescaled basis (e -> e/2, f -> 3f/2, ...) supplies rings with D != 1 and a
 non-unit integral.
 
+The pair layer (``_product_ints``, ``_pair_ints``), which ``wedge`` and g
+read, is checked against ``wedge`` and ``integrate`` in the same loop: each
+(numerators, den) pair, unreduced, must be the Fraction they give.
+
 The representation properties check that the int fields are canonical:
 equal classes have equal fields and hashes, and arithmetic round trips.
 """
@@ -23,6 +27,8 @@ from hypothesis import given, settings, strategies as st
 from hodgecs import zoo
 from hodgecs.ring import (
     IntersectionRing,
+    _pair_ints,
+    _product_ints,
     canonical_product_key,
     integrate,
     validate_ring,
@@ -109,6 +115,9 @@ def test_rescaled_rings_exercise_the_common_denominator():
 def _scalar(rng, kind):
     if kind == "zero" or (kind == "sparse" and rng.random() < 0.2):
         return Fraction(0)
+    if kind == "fractional":
+        # An odd numerator over an even denominator: every class has den > 1.
+        return Fraction(rng.choice([-3, -1, 1, 3, 5]), rng.choice([2, 4, 6]))
     return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
 
@@ -123,7 +132,8 @@ def _check_canonical(c):
 
 
 KINDS = [("dense", "dense"), ("sparse", "sparse"), ("dense", "sparse"),
-         ("sparse", "dense"), ("zero", "sparse"), ("dense", "zero")]
+         ("sparse", "dense"), ("zero", "sparse"), ("dense", "zero"),
+         ("fractional", "fractional")]
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -140,8 +150,13 @@ def test_wedge_and_integrate_match_the_gaussian_loop(name):
                 assert ab.degree == da + db
                 assert ab.coeffs == _old_wedge(a, b), (name, da, db, kind_a, kind_b)
                 _check_canonical(ab)
+                x, y = (a.re, a.den), (b.re, b.den)
+                nums, den = _product_ints(ring, da, x, db, y)
+                assert den == a.den * b.den * ring._den
+                assert tuple(Fraction(v, den) for v in nums) == ab.coeffs
                 if da + db == n:
                     assert integrate(ab) == _old_integrate(ab)
+                    assert Fraction(*_pair_ints(ring, da, x, y)) == integrate(ab)
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
