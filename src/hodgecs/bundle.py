@@ -23,6 +23,7 @@ canonicalizes any valid document and round-trips canonical ones byte-exactly.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -39,7 +40,6 @@ from .ring import (
 )
 
 _REQUIRED_FIELDS = ("name", "n", "hodge", "basis", "products", "integral")
-_ALLOWED_FIELDS = _REQUIRED_FIELDS + ("samples",)
 # Every digit to "0": a run of digits becomes a run of zeros of its length.
 _DIGITS_TO_ZERO = str.maketrans("123456789", "0" * 9)
 
@@ -57,15 +57,28 @@ def _want(value, typ, path: str):
     return value
 
 
-def _rational(value, path: str, memo: dict[str, Fraction]) -> Fraction:
-    """Parse a rational string; ``memo`` caches successful parses per document."""
-    _want(value, str, path)
-    if value not in memo:
-        try:
-            memo[value] = rational_from_str(value)
-        except ValueError as exc:
-            raise _semantic(str(exc), path, "rational") from None
-    return memo[value]
+def _check_fields(value, path: str, required: tuple, allowed: tuple = ()) -> None:
+    """Refuse a ``value`` that is not an object, lacks a ``required`` field or has a
+    field that is neither required nor ``allowed``."""
+    _want(value, dict, path)
+    for key in required:
+        if key not in value:
+            raise _semantic(f"missing field {key!r}", path, "required-field")
+    # Every required field is present, so only a longer object has another field.
+    for key in value if len(value) > len(required) else ():
+        if key not in required and key not in allowed:
+            raise _semantic(f"unknown field {key!r}", path, "unknown-field")
+
+
+def _rational_list(value, path: str, memo: dict[str, Fraction]) -> tuple[Fraction, ...]:
+    """Parse a list of rational strings; ``memo`` caches successful parses per document."""
+    for i, c in enumerate(_want(value, list, path)):
+        if _want(c, str, f"{path}[{i}]") not in memo:
+            try:
+                memo[c] = rational_from_str(c)
+            except ValueError as exc:
+                raise _semantic(str(exc), f"{path}[{i}]", "rational") from None
+    return tuple(map(memo.__getitem__, value))
 
 
 def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
@@ -73,7 +86,10 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
 
     Syntax problems raise :class:`BundleSyntaxError` with line/column;
     constraint violations raise :class:`BundleSemanticError` carrying the
-    field path and the name of the first failing constraint.
+    field path and the name of the first failing constraint. The document and
+    each product and sample record take exactly their fields: a missing one is
+    a ``required-field`` error and any other an ``unknown-field`` error at the
+    object's path. ``samples``, when present, is a list like every list field.
     :func:`validate_ring` raises :class:`ValidationLimitError` beyond its limit.
     JSON integers go through :func:`int_from_str` when the text holds a run of
     more digits than a literal may have, so none is converted past the bound.
@@ -86,13 +102,7 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
     except ValueError as exc:
         raise _semantic(str(exc), "$", "integer") from None
 
-    _want(doc, dict, "$")
-    for key in _REQUIRED_FIELDS:
-        if key not in doc:
-            raise _semantic(f"missing field {key!r}", "$", "required-field")
-    for key in doc:
-        if key not in _ALLOWED_FIELDS:
-            raise _semantic(f"unknown field {key!r}", "$", "unknown-field")
+    _check_fields(doc, "$", _REQUIRED_FIELDS, ("samples",))
 
     name = _want(doc["name"], str, "name")
     n = _want(doc["n"], int, "n")
@@ -109,18 +119,12 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
     seen: dict[tuple[int, int, int, int], tuple[int, tuple[Fraction, ...]]] = {}
     for r, rec in enumerate(_want(doc["products"], list, "products")):
         path = f"products[{r}]"
-        _want(rec, dict, path)
-        for fieldname in ("da", "ia", "db", "ib", "out"):
-            if fieldname not in rec:
-                raise _semantic(f"missing field {fieldname!r}", path, "required-field")
+        _check_fields(rec, path, ("da", "ia", "db", "ib", "out"))
         da = _want(rec["da"], int, f"{path}.da")
         ia = _want(rec["ia"], int, f"{path}.ia")
         db = _want(rec["db"], int, f"{path}.db")
         ib = _want(rec["ib"], int, f"{path}.ib")
-        out = tuple(
-            _rational(c, f"{path}.out[{i}]", literals)
-            for i, c in enumerate(_want(rec["out"], list, f"{path}.out"))
-        )
+        out = _rational_list(rec["out"], f"{path}.out", literals)
         key = canonical_product_key(da, ia, db, ib)
         if key in seen:
             prev_record, prev_out = seen[key]
@@ -133,25 +137,16 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
         seen[key] = (r, out)
         products[(da, ia, db, ib)] = out
 
-    integral = [
-        _rational(c, f"integral[{i}]", literals)
-        for i, c in enumerate(_want(doc["integral"], list, "integral"))
-    ]
+    integral = _rational_list(doc["integral"], "integral", literals)
 
     samples = []
-    for s, rec in enumerate(doc.get("samples", [])):
+    for s, rec in enumerate(_want(doc.get("samples", []), list, "samples")):
         path = f"samples[{s}]"
-        _want(rec, dict, path)
-        for fieldname in ("name", "flag", "coeffs"):
-            if fieldname not in rec:
-                raise _semantic(f"missing field {fieldname!r}", path, "required-field")
+        _check_fields(rec, path, ("name", "flag", "coeffs"))
         flag = _want(rec["flag"], str, f"{path}.flag")
         if flag not in POSITIVE_FLAGS:
             raise _semantic(f"flag must be kahler or nef, got {flag!r}", f"{path}.flag", "flag")
-        coeffs = tuple(
-            _rational(c, f"{path}.coeffs[{i}]", literals)
-            for i, c in enumerate(_want(rec["coeffs"], list, f"{path}.coeffs"))
-        )
+        coeffs = _rational_list(rec["coeffs"], f"{path}.coeffs", literals)
         sample = _want(rec["name"], str, f"{path}.name")
         if any(x.name == sample for x in samples):
             raise _semantic(f"sample name {sample!r} is already declared", f"{path}.name", "duplicate-sample")
@@ -254,46 +249,31 @@ def _write_json(value, out: list[str], newline: str) -> None:
 def parse_class_literal(ring: IntersectionRing, degree: int, text: str) -> ClassVector:
     """Parse a human-written class like "3*H - 1/2*E" in the given degree.
 
-    Terms are separated by + or -; each term is an optional rational
-    coefficient, a '*', and a basis label of that degree (a bare label means
-    coefficient 1). Coefficients are real rationals.
+    Spaces are dropped and the text is split once at every + and -, after an
+    implied leading +, into signs and terms. A term is a rational coefficient,
+    a '*' and a basis label of that degree, or a bare label (coefficient 1).
+    An empty term is a dangling sign when it ends the text and a misplaced
+    sign otherwise. Coefficients are real rationals.
     """
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty class literal")
     coeffs = [Fraction(0)] * ring.dim(degree)
-    pos = 0
-    sign = 1
-    if compact[0] in "+-":
-        sign = -1 if compact[0] == "-" else 1
-        pos = 1
-    if pos == len(compact):
-        raise ValueError(f"dangling sign in class literal {text!r}")
-    while pos < len(compact):
-        end = pos
-        while end < len(compact) and compact[end] not in "+-":
-            end += 1
-        term = compact[pos:end]
+    parts = re.split(r"([+-])", compact if compact[0] in "+-" else "+" + compact)
+    for k in range(1, len(parts), 2):
+        term = parts[k + 1]
         if not term:
-            raise ValueError(f"misplaced sign in class literal {text!r}")
-        if "*" in term:
-            coef_text, label = term.split("*", 1)
-            coef = rational_from_str(coef_text)
-        else:
-            coef, label = Fraction(1), term
+            where = "dangling" if k + 2 == len(parts) else "misplaced"
+            raise ValueError(f"{where} sign in class literal {text!r}")
+        coef_text, label = term.split("*", 1) if "*" in term else ("1", term)
+        coef = rational_from_str(coef_text)
         try:
             idx = ring.label_index(degree, label)
         except KeyError:
             raise ValueError(
                 f"unknown degree-{degree} basis label {label!r} in {text!r}"
             ) from None
-        coeffs[idx] += sign * coef
-        if end == len(compact):
-            break
-        sign = -1 if compact[end] == "-" else 1
-        pos = end + 1
-        if pos == len(compact):
-            raise ValueError(f"dangling sign in class literal {text!r}")
+        coeffs[idx] += -coef if parts[k] == "-" else coef
     return ring.class_vector(degree, coeffs, FLAG_NONE)
 
 

@@ -50,6 +50,7 @@ from .ring import (
     IntersectionRing,
     MixedSetup,
     MODE_STRICT,
+    _check_setup_p,
     _omega_class,
     _pair_ints,
     _product_ints,
@@ -122,7 +123,9 @@ def _primitive_classes(setup: MixedSetup, i: int) -> tuple[ClassVector, ...]:
 
 def primitive_basis(ring: IntersectionRing, p: int, omega: ClassVector,
                     omegas: Sequence[ClassVector]) -> PrimitiveSubspace:
-    """Kernel of a -> a * w * Omega in degree p, in canonical echelon form, from the list."""
+    """Kernel of a -> a * w * Omega in degree p, in canonical echelon form, from the list;
+    p is checked first against 1 <= p <= n/2, as a setup's is."""
+    _check_setup_p(ring, p)
     omegas = tuple(omegas)
     multiplier = wedge(omega, _omega_class(ring, p, omegas, omega))
     return PrimitiveSubspace(p, omega, omegas, _kernel_classes(ring, p, multiplier))

@@ -7,7 +7,8 @@ byte-for-byte. Inertia comes from congruence, never from eigenvalues.
 A matrix is int rows ``num`` over one positive ``den``, in lowest terms.
 Exact scalars enter through one reader, ``_rational_ints``, which ``ring``
 shares: ``Matrix(entries)``, ``from_columns``, ``apply`` and ``solve`` take
-ints and Fractions, and any other value raises ``TypeError``. Fractions leave
+ints and Fractions, and any other value raises ``TypeError`` (``_rationals``,
+the rule that the ring constructor applies too). Fractions leave
 through ``m[i, j]``, ``row`` and the vectors of ``apply``, ``solve`` and
 ``nullspace``. Elimination runs on the int rows by one fraction-free
 Gauss-Jordan loop (Bareiss 1968), and inertia by integer congruence with 1x1
@@ -206,12 +207,19 @@ class Matrix:
 def _rational_ints(values: Iterable) -> tuple[list[int], int]:
     """Ints and Fractions as int numerators over the lcm of their denominators, and
     that lcm; any other value raises ``TypeError``."""
+    values = _rationals(values)
+    den = lcm(*(x.denominator for x in values))
+    return _cleared(values, den), den
+
+
+def _rationals(values: Iterable) -> list:
+    """``values`` as a list, when each is an int or a Fraction; any other value
+    raises ``TypeError``. The one scalar rule of the package."""
     values = list(values)
     for x in values:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"cannot interpret {x!r} as a rational")
-    den = lcm(*(x.denominator for x in values))
-    return _cleared(values, den), den
+    return values
 
 
 class _Entry(NamedTuple):

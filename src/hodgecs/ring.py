@@ -6,7 +6,8 @@ structure constants for the cup product, and a linear integration functional
 on the top degree. The classes are rational, as the ring is the rational
 (p,p)-part of the cohomology: a :class:`ClassVector` holds int numerators
 over one denominator, and a coefficient or scalar other than an int or a
-Fraction raises ``TypeError`` where it enters (``class_vector``, ``scaled``).
+Fraction raises ``TypeError`` where it enters (``class_vector``, ``scaled``,
+and the constructor for structure constants, integral and sample coefficients).
 Every product reads one sparse structure table per ordered degree pair,
 degree 0 included (the unit row is the identity), built once per ring:
 ``wedge`` and ``_product_ints`` contract numerators over it, an operator
@@ -36,13 +37,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (DegreeError, FlagError, RingMismatchError, SingularSplitError,
                      ValidationLimitError)
 from .gaussian import int_from_str
-from .linalg import Matrix, _cleared, _rational_ints
+from .linalg import Matrix, _cleared, _rational_ints, _rationals
 
 FLAG_NONE = "none"
 FLAG_KAHLER = "kahler"
@@ -101,7 +102,7 @@ class IntersectionRing:
     ):
         if n < 1:
             raise ValueError("complex dimension must be at least 1")
-        hodge = tuple(int(h) for h in hodge)
+        hodge = tuple(map(index, hodge))
         if len(hodge) != n + 1:
             raise ValueError(f"hodge vector must have length {n + 1}")
         if any(h < 0 for h in hodge):
@@ -116,11 +117,11 @@ class IntersectionRing:
         items = products.items() if isinstance(products, Mapping) else products
         table: dict[ProductKey, tuple[Fraction, ...]] = {}
         for key, out in items:
-            da, ia, db, ib = (int(x) for x in key)
+            da, ia, db, ib = map(index, key)
             for d, i in ((da, ia), (db, ib)):
                 if not (0 <= d <= n) or not (0 <= i < hodge[d]):
                     raise ValueError(f"product key {key}: index out of range")
-            out = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in out)
+            out = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in _rationals(out))
             if da + db > n:
                 if any(out):
                     raise ValueError(f"product key {key}: degree {da + db} exceeds n")
@@ -147,12 +148,13 @@ class IntersectionRing:
             if any(out):
                 table[ckey] = out
 
-        integral = tuple(Fraction(c) for c in integral)
+        integral = tuple(map(Fraction, _rationals(integral)))
         if len(integral) != hodge[n]:
             raise ValueError(f"integral vector must have length {hodge[n]}")
 
         samples = tuple(samples)
         for s in samples:
+            _rationals(s.coeffs)
             if s.flag not in POSITIVE_FLAGS:
                 raise ValueError(f"sample {s.name!r}: flag must be kahler or nef")
             if len(s.coeffs) != hodge[1]:

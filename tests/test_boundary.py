@@ -43,6 +43,14 @@ def without(key, record=None):
     return change
 
 
+def extra_field(record, key):
+    """Give the first ``record`` entry a field ``key`` (set to 1) it does not take."""
+    def change(doc):
+        doc[record][0][key] = 1
+        return doc
+    return change
+
+
 def extra_product(da, ia, db, ib, out):
     def change(doc):
         doc["products"].append({"da": da, "ia": ia, "db": db, "ib": ib, "out": out})
@@ -100,6 +108,15 @@ BOUNDARY = {
                               "products[0]", "missing field 'out'"),
     "missing sample field": (BUNDLE, without("coeffs", "samples"), INFO, 2, "required-field",
                              "samples[0]", "missing field 'coeffs'"),
+    # parse_ring_bundle: record fields and the samples list
+    "unknown product field": (BUNDLE, extra_field("products", "note"), INFO, 2, "unknown-field",
+                              "products[0]", "unknown field 'note'"),
+    "unknown sample field": (BUNDLE, extra_field("samples", "note"), INFO, 2, "unknown-field",
+                             "samples[0]", "unknown field 'note'"),
+    "samples null": (BUNDLE, replaced(samples=None), INFO, 2, "type", "samples",
+                     "expected list, got NoneType"),
+    "samples a number": (BUNDLE, replaced(samples=3), INFO, 2, "type", "samples",
+                         "expected list, got int"),
     # the command line
     "sample of the wrong degree": (CLI, None, ("g", "zoo:blp4", "-p", "2", "--alpha",
                                                "sample:omega", "--omega", "sample:omega"),

@@ -277,11 +277,30 @@ def test_literal_bare_label():
     assert parse_class_literal(ring, 2, "H^2") == ring.basis_class(2, 0)
 
 
-@pytest.mark.parametrize("bad", ["", "3*", "3*q", "a+", "1.5*a", "+", "a++b"])
-def test_literal_errors(bad):
+LITERAL_ERRORS = [
+    ("", "empty class literal"),
+    ("  ", "empty class literal"),
+    ("+", "dangling sign in class literal '+'"),
+    ("-", "dangling sign in class literal '-'"),
+    ("a+", "dangling sign in class literal 'a+'"),
+    ("a++b", "misplaced sign in class literal 'a++b'"),
+    ("a+-b", "misplaced sign in class literal 'a+-b'"),
+    ("-+a", "misplaced sign in class literal '-+a'"),
+    ("3*q", "unknown degree-1 basis label 'q' in '3*q'"),
+    ("3*", "unknown degree-1 basis label '' in '3*'"),
+    ("q+", "unknown degree-1 basis label 'q' in 'q+'"),
+    ("*a", "not a rational literal: ''"),
+    ("1.5*a", "not a rational literal: '1.5'"),
+    ("1/0*a", "zero denominator in rational literal '1/0'"),
+]
+
+
+@pytest.mark.parametrize("bad, message", LITERAL_ERRORS, ids=[bad for bad, _ in LITERAL_ERRORS])
+def test_literal_errors(bad, message):
     ring = zoo.get("p1xp1").ring
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         parse_class_literal(ring, 1, bad)
+    assert str(err.value) == message
 
 
 def test_resolve_sample_reference():

@@ -77,8 +77,11 @@ def _blp4_reference():
      "reference classes must have degree 1, got degree 2"),
     (lambda r, w, c2: hr_check(r, 3, w, []), "p must satisfy 1 <= p <= 2, got 3"),
     (lambda r, w, c2: hr_check(r, 0, w, [w] * 4), "p must satisfy 1 <= p <= 2, got 0"),
+    (lambda r, w, c2: primitive_basis(r, 3, w, []), "p must satisfy 1 <= p <= 2, got 3"),
+    (lambda r, w, c2: primitive_basis(r, 0, w, [w] * 4), "p must satisfy 1 <= p <= 2, got 0"),
 ], ids=["operator count", "primitive count", "gram degree", "operator degree",
-        "primitive w degree", "hr p above half n", "hr p = 0"])
+        "primitive w degree", "hr p above half n", "hr p = 0", "primitive p above half n",
+        "primitive p = 0"])
 def test_operator_wrong_class_count(call, message):
     with pytest.raises(DegreeError, match=re.escape(message)):
         call(*_blp4_reference())

@@ -2,7 +2,8 @@
 
 ``linalg._rational_ints`` reads the ints and Fractions of ``class_vector``,
 ``scaled``, ``Matrix(entries)``, ``apply`` and ``solve``, and refuses any other
-value (a float, a Python complex, a sympy number) with ``TypeError``;
+value (a float, a Python complex, a sympy number) with ``TypeError``, as the
+ring constructor does for its structure constants, integral and samples;
 ``ring._integral`` takes every integral as int numerators over one
 denominator. Here both are compared with the Fraction formulas they replaced:
 g by ``*`` and ``-`` of integrals, the decomposition's closed-form check on the
@@ -26,7 +27,10 @@ from hodgecs.inequalities import (
 from hodgecs.lefschetz import LefschetzDecomposer
 from hodgecs.linalg import Matrix
 from hodgecs.ring import (
+    FLAG_KAHLER,
     FLAG_NEF,
+    IntersectionRing,
+    RingSample,
     integrate,
     mixed_setup,
     power,
@@ -175,6 +179,26 @@ def test_floats_and_complex_entries_keep_their_errors():
         ring.class_vector(1, [1j])
     with pytest.raises(TypeError, match="cannot interpret I as a rational"):
         zoo.get("p2").ring.class_vector(2, [sympy.I])
+    # The ring constructor reads its scalars by the same rule, and its graded
+    # dimensions and product indices as ints.
+    r = zoo.get("p1xp1").ring
+    args = {"name": r.name, "n": r.n, "hodge": r.hodge, "basis_labels": r.basis_labels,
+            "products": r.products, "integral": r.integral, "samples": r.samples}
+    for change, message in [
+        ({"products": {**r.products, (1, 0, 1, 0): (0.1,)}}, "cannot interpret 0.1 as a rational"),
+        ({"products": {**r.products, (1, 0, 1, 0): ("1/2",)}},
+         "cannot interpret '1/2' as a rational"),
+        ({"integral": [0.5]}, "cannot interpret 0.5 as a rational"),
+        ({"samples": [RingSample("s", FLAG_KAHLER, (1, 0.5))]}, "cannot interpret 0.5 as a rational"),
+        ({"hodge": [1, 2.7, 1]}, "'float' object cannot be interpreted as an integer"),
+        ({"products": {(1, 0, 1.0, 1): (Fraction(1),)}},
+         "'float' object cannot be interpreted as an integer"),
+        ({"products": {(1, "0", 1, 1): (Fraction(1),)}},
+         "'str' object cannot be interpreted as an integer"),
+    ]:
+        with pytest.raises(TypeError) as err:
+            IntersectionRing(**{**args, **change})
+        assert str(err.value) == message
 
 
 # -- ring identity ------------------------------------------------------------------
