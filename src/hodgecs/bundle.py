@@ -249,13 +249,14 @@ def _write_json(value, out: list[str], newline: str) -> None:
 def parse_class_literal(ring: IntersectionRing, degree: int, text: str) -> ClassVector:
     """Parse a human-written class like "3*H - 1/2*E" in the given degree.
 
-    Spaces are dropped and the text is split once at every + and -, after an
-    implied leading +, into signs and terms. A term is a rational coefficient,
-    a '*' and a basis label of that degree, or a bare label (coefficient 1).
+    Whitespace (every character for which ``str.isspace`` holds) is dropped and
+    the text is split once at every + and -, after an implied leading +, into
+    signs and terms. A term is a rational coefficient, a '*' and a basis label
+    of that degree, or a bare label (coefficient 1).
     An empty term is a dangling sign when it ends the text and a misplaced
     sign otherwise. Coefficients are real rationals.
     """
-    compact = text.replace(" ", "")
+    compact = "".join(text.split())
     if not compact:
         raise ValueError("empty class literal")
     coeffs = [Fraction(0)] * ring.dim(degree)

@@ -17,9 +17,11 @@ independent route, through the Lefschetz decomposition.
 
 Whether g >= 0 for every a ("Cauchy-Schwarz") or g <= 0 ("opposite
 Cauchy-Schwarz") is governed purely by equalities among the graded
-dimensions; when the relevant equality fails there is an explicit class
-violating the inequality, built from a primitive class in the first degree
-where the dimensions jump. Both directions, the equality case (g = 0 exactly
+dimensions: the level-d term of g has the sign (-1)^d, and level d has no
+primitive classes when h^(d-1,d-1) = h^(d,d) (see :func:`hodge_condition`).
+When the relevant equality fails there is an explicit class violating the
+inequality, built from a primitive class at the first level where the
+dimension rises. Both directions, the equality case (g = 0 exactly
 when a is proportional to w^p), and the decomposition identity expressing g
 through primitive components are implemented here.
 
@@ -169,12 +171,6 @@ def _verdict(alpha: ClassVector, data: tuple) -> tuple[Fraction, str, bool]:
     return g, relation, prop
 
 
-def _g_verdict(alpha: ClassVector, setup: MixedSetup) -> tuple[Fraction, str, bool]:
-    """:func:`_verdict` for a class of the setup."""
-    setup.check_class(alpha)
-    return _verdict(alpha, setup._ints)
-
-
 def check_cs(alpha: ClassVector, setup: MixedSetup, direction: str = DIRECTION_CS) -> CsVerdict:
     """Check one direction of the inequality for ``alpha`` in ``setup``.
 
@@ -184,7 +180,8 @@ def check_cs(alpha: ClassVector, setup: MixedSetup, direction: str = DIRECTION_C
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    g, relation, prop = _g_verdict(alpha, setup)
+    setup.check_class(alpha)
+    g, relation, prop = _verdict(alpha, setup._ints)
     satisfied = g >= 0 if direction == DIRECTION_CS else g <= 0
 
     odd_vanish = even_vanish = None
@@ -212,13 +209,19 @@ def check_cs(alpha: ClassVector, setup: MixedSetup, direction: str = DIRECTION_C
 
 @dataclass(frozen=True)
 class HodgeCondition:
-    """Result of testing the graded-dimension equalities for one direction."""
+    """Result of testing the graded-dimension equalities for one direction.
+
+    Each compared pair is (d // 2, d - 1, d) for a level d the direction
+    forbids: the equality h^(d-1,d-1) = h^(d,d) says level d has no primitive
+    classes. ``failing`` lists d // 2 for the pairs whose equality fails, and
+    ``unconditional`` marks a direction with no level to compare.
+    """
 
     kind: str
     p: int
     holds: bool
-    failing: tuple[int, ...]            # indices i whose equality fails
-    pairs: tuple[tuple[int, int, int], ...]  # (i, degree_a, degree_b) compared
+    failing: tuple[int, ...]            # d // 2 for each failing pair
+    pairs: tuple[tuple[int, int, int], ...]  # (d // 2, d - 1, d) compared
     unconditional: bool = False
 
     def __str__(self):
@@ -231,28 +234,19 @@ class HodgeCondition:
 def hodge_condition(ring: IntersectionRing, p: int, kind: str) -> HodgeCondition:
     """Evaluate the dimension equalities that govern the direction ``kind``.
 
-    kind="cs" needs h^(2i,2i) = h^(2i+1,2i+1) for 0 <= i <= ceil((p+1)/2)-1;
-    kind="opposite" needs h^(2i-1,2i-1) = h^(2i,2i) for 1 <= i <= floor(p/2),
-    and is unconditionally true at p = 1.
+    By the mixed Hodge-Riemann relations the level-d term of g has the sign
+    (-1)^d, so g >= 0 for every class ("cs") exactly when no odd level d <= p
+    has primitive classes, and g <= 0 ("opposite") exactly when no even level
+    2 <= d <= p has them. Level d has none when h^(d-1,d-1) = h^(d,d). The
+    opposite direction has no such level at p = 1 and holds unconditionally.
     """
     if kind not in DIRECTIONS:
         raise ValueError(f"kind must be one of {DIRECTIONS}")
     _check_setup_p(ring, p)
-    pairs = []
-    failing = []
-    if kind == DIRECTION_CS:
-        for i in range((p + 1) // 2):
-            pairs.append((i, 2 * i, 2 * i + 1))
-            if ring.dim(2 * i) != ring.dim(2 * i + 1):
-                failing.append(i)
-    else:
-        if p == 1:
-            return HodgeCondition(kind, p, True, (), (), unconditional=True)
-        for i in range(1, p // 2 + 1):
-            pairs.append((i, 2 * i - 1, 2 * i))
-            if ring.dim(2 * i - 1) != ring.dim(2 * i):
-                failing.append(i)
-    return HodgeCondition(kind, p, not failing, tuple(failing), tuple(pairs))
+    h = ring.hodge
+    pairs = tuple((d // 2, d - 1, d) for d in range(1 if kind == DIRECTION_CS else 2, p + 1, 2))
+    failing = tuple(i for i, da, db in pairs if h[da] != h[db])
+    return HodgeCondition(kind, p, not failing, failing, pairs, not pairs)
 
 
 @dataclass(frozen=True)
@@ -260,9 +254,9 @@ class Counterexample:
     """An explicit class violating the requested inequality direction."""
 
     kind: str
-    i0: int
-    witness: ClassVector        # nonzero primitive class at the jump degree
-    theta: ClassVector          # w^p + witness * w^(p - jump)
+    i0: int                     # d // 2 for the jump level d
+    witness: ClassVector        # nonzero primitive class at the jump level
+    theta: ClassVector          # w^p + witness * w^(p - d)
     g_value: Fraction
     verdict: CsVerdict
 
@@ -272,11 +266,14 @@ def construct_counterexample(
 ) -> Optional[Counterexample]:
     """Build a violating class when the dimension condition fails.
 
-    For kind="cs" the first index i0 with h^(2i0+1,2i0+1) > h^(2i0,2i0)
-    supplies a nonzero primitive class a(i0) in degree 2i0+1 with respect to
-    (w, w^(2(p-(2i0+1))) * Omega_p); then theta = w^p + a(i0) * w^(p-(2i0+1))
-    has g < 0. For kind="opposite" the even-degree analogue gives g > 0.
-    Returns None when the condition holds; a setup of another ring raises RingMismatchError.
+    The jump level d is the first level of :func:`hodge_condition`'s pairs with
+    h^(d,d) > h^(d-1,d-1): odd for kind="cs", even for kind="opposite". It
+    supplies a nonzero primitive class a in degree d with respect to
+    (w, w^(2(p-d)) * Omega_p). Then theta = w^p + a * w^(p-d) has its one nonzero
+    term at level d, so g has the sign (-1)^d: g < 0 for "cs", g > 0 for
+    "opposite". i0 = d // 2. Returns None when no level's dimension rises, in
+    particular when the condition holds; a setup of another ring raises
+    RingMismatchError.
     """
     _check_same_ring(setup.ring, ring, "setup belongs to a different ring")
     if setup.mode != MODE_STRICT:
@@ -284,19 +281,12 @@ def construct_counterexample(
     if setup.p != p:
         raise DegreeError("setup degree does not match p")
     condition = hodge_condition(ring, p, kind)
-    if condition.holds:
+    # A level whose dimension drops fails the equality but has no primitive
+    # witness; nothing can be built from it.
+    h = ring.hodge
+    deg = next((d for _, da, d in condition.pairs if h[d] > h[da]), None)
+    if deg is None:
         return None
-
-    jump = None
-    for i, da, db in condition.pairs:
-        if i in condition.failing and ring.dim(db) > ring.dim(da):
-            jump = (i, db)
-            break
-    if jump is None:
-        # Dimensions fail the equality in the direction that admits no
-        # primitive witness; nothing can be built from this ring.
-        return None
-    i0, deg = jump
 
     primitive = _primitive_classes(setup, deg)
     if not primitive:
@@ -308,7 +298,7 @@ def construct_counterexample(
         raise ArithmeticError(
             "constructed class fails to violate the inequality; ring data is inconsistent"
         )
-    return Counterexample(kind, i0, witness, theta, verdict.g_value, verdict)
+    return Counterexample(kind, deg // 2, witness, theta, verdict.g_value, verdict)
 
 
 @dataclass

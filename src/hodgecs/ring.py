@@ -100,6 +100,7 @@ class IntersectionRing:
         integral: Sequence[Fraction],
         samples: Sequence[RingSample] = (),
     ):
+        n = index(n)
         if n < 1:
             raise ValueError("complex dimension must be at least 1")
         hodge = tuple(map(index, hodge))

@@ -268,8 +268,10 @@ def test_literal_basic():
 
 def test_literal_signs_and_fractions():
     ring = zoo.get("blp4").ring
-    cls = parse_class_literal(ring, 1, "-H + 1/2*E - 3*H")
-    assert cls == ring.class_vector(1, [-4, Fraction(1, 2)])
+    expected = ring.class_vector(1, [-4, Fraction(1, 2)])
+    # Any whitespace is dropped, before or after a label or a sign.
+    for text in ["-H + 1/2*E - 3*H", "-H\t+ 1/2*E\t- 3*H\t", "\t-H\n+\n1/2 *E -3*H\n"]:
+        assert parse_class_literal(ring, 1, text) == expected, text
 
 
 def test_literal_bare_label():
@@ -280,6 +282,7 @@ def test_literal_bare_label():
 LITERAL_ERRORS = [
     ("", "empty class literal"),
     ("  ", "empty class literal"),
+    ("\t", "empty class literal"),
     ("+", "dangling sign in class literal '+'"),
     ("-", "dangling sign in class literal '-'"),
     ("a+", "dangling sign in class literal 'a+'"),

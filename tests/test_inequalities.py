@@ -1,5 +1,6 @@
 """g evaluation, inequality verdicts, counterexamples, and the KT chain."""
 
+import itertools
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hodgecs.bundle import serialize_ring_bundle
 from hodgecs.cli import main
 from hodgecs.errors import DegreeError, FlagError, RingMismatchError
 from hodgecs.inequalities import (
+    HodgeCondition,
     check_cs,
     compute_g_decomposed,
     compute_g_direct,
@@ -22,7 +24,7 @@ from hodgecs.inequalities import (
     proportional,
     verify_theorem,
 )
-from hodgecs.lefschetz import primitive_basis
+from hodgecs.lefschetz import hr_check, primitive_basis
 from hodgecs.ring import (
     FLAG_KAHLER,
     FLAG_NEF,
@@ -252,6 +254,43 @@ def test_hodge_condition_p1_opposite_unconditional():
     assert cond.holds and cond.unconditional
 
 
+def _two_loop_hodge_condition(ring, p, kind):
+    """Oracle: the condition as one hand-run loop per direction, with the
+    opposite direction returning early at p = 1."""
+    pairs = []
+    failing = []
+    if kind == "cs":
+        for i in range((p + 1) // 2):
+            pairs.append((i, 2 * i, 2 * i + 1))
+            if ring.dim(2 * i) != ring.dim(2 * i + 1):
+                failing.append(i)
+    else:
+        if p == 1:
+            return HodgeCondition(kind, p, True, (), (), unconditional=True)
+        for i in range(1, p // 2 + 1):
+            pairs.append((i, 2 * i - 1, 2 * i))
+            if ring.dim(2 * i - 1) != ring.dim(2 * i):
+                failing.append(i)
+    return HodgeCondition(kind, p, not failing, tuple(failing), tuple(pairs))
+
+
+def test_hodge_condition_equals_the_two_loop_oracle():
+    # Every grading with h^0 = 1 and entries 0..3 for n = 2..6; the condition
+    # reads only the dimensions, so a ring without products serves.
+    compared = 0
+    for n in range(2, 7):
+        for tail in itertools.product(range(4), repeat=n):
+            hodge = (1, *tail)
+            labels = [[f"e{d}_{i}" for i in range(h)] for d, h in enumerate(hodge)]
+            ring = IntersectionRing("grading", n, hodge, labels, {}, [0] * hodge[n])
+            for p in range(1, n // 2 + 1):
+                for kind in ("cs", "opposite"):
+                    want = _two_loop_hodge_condition(ring, p, kind)
+                    assert hodge_condition(ring, p, kind) == want, (hodge, p, kind)
+                    compared += 1
+    assert compared == 2 * sum(4 ** n * (n // 2) for n in range(2, 7))
+
+
 # -- counterexamples --------------------------------------------------------------------
 
 def test_counterexample_blowup():
@@ -270,6 +309,27 @@ def test_counterexample_none_when_condition_holds():
     assert construct_counterexample(p4, 2, _setup(p4, 2, "h"), "cs") is None
     q4 = zoo.get("quadric4").ring
     assert construct_counterexample(q4, 2, _setup(q4, 2, "h"), "cs") is None
+
+
+def test_counterexample_jumps_at_the_first_level_whose_dimension_rises():
+    # The quadric sixfold, h = (1, 1, 1, 2, 1, 1, 1): at p = 3 the cs levels
+    # are 1 and 3, and level 1 has no primitive classes (h^1 = h^0), so the
+    # witness is a - b at level 3, with a^2 = b^2 = 0 and a*b = pt.
+    ring = IntersectionRing(
+        "quadric6", 6, (1, 1, 1, 2, 1, 1, 1),
+        [["1"], ["H"], ["H2"], ["a", "b"], ["l4"], ["l5"], ["pt"]],
+        {(1, 0, 1, 0): [1], (1, 0, 2, 0): [1, 1], (1, 0, 3, 0): [1], (1, 0, 3, 1): [1],
+         (1, 0, 4, 0): [1], (1, 0, 5, 0): [1], (2, 0, 2, 0): [2], (2, 0, 3, 0): [1],
+         (2, 0, 3, 1): [1], (2, 0, 4, 0): [1], (3, 0, 3, 1): [1]},
+        [1], [RingSample("H", FLAG_KAHLER, (Fraction(1),))],
+    )
+    assert validate_ring(ring).ok
+    cond = hodge_condition(ring, 3, "cs")
+    assert cond.pairs == ((0, 0, 1), (1, 2, 3)) and cond.failing == (1,)
+    ce = construct_counterexample(ring, 3, mixed_setup(3, ring.sample("H"), []), "cs")
+    assert ce.i0 == 1
+    assert ce.witness == ring.class_vector(3, [1, -1])
+    assert ce.theta == ring.class_vector(3, [2, 0]) and ce.g_value == -4
 
 
 @pytest.mark.parametrize("name", ["blp3", "p1xp2"])
@@ -430,6 +490,43 @@ def test_verify_reports_violations_when_a_sample_fails_the_kahler_gate(
     path.write_text(serialize_ring_bundle(ring), encoding="utf-8")
     assert main(["verify", str(path), "-p", "1", "--samples", "20", "--seed", "3"]) == 1
     assert capsys.readouterr().out == str(report) + "\n"
+
+
+def _fake_hr_ring():
+    """n = 4, h = (1, 1, 2, 1, 1): h^2 = a, h*a = h3, h*h3 = pt, a^2 = pt and
+    b^2 = -pt, integral 1 and sample h flagged kahler. b is primitive at p = 2
+    with a negative square, against the Hodge-Riemann sign there."""
+    return IntersectionRing(
+        "fakehr", 4, (1, 1, 2, 1, 1), [["1"], ["h"], ["a", "b"], ["h3"], ["pt"]],
+        {(1, 0, 1, 0): [1, 0], (1, 0, 2, 0): [1], (1, 0, 3, 0): [1], (2, 0, 2, 0): [1],
+         (2, 1, 2, 1): [-1]}, [1],
+        [RingSample("h", FLAG_KAHLER, (Fraction(1),))],
+    )
+
+
+def test_a_ring_that_breaks_hodge_riemann_in_degree_2_is_blamed(tmp_path, capsys):
+    # Every gate passes, so only the primitive form and the opposite
+    # counterexample can see the fault.
+    ring = _fake_hr_ring()
+    h = ring.sample("h")
+    assert validate_ring(ring).ok
+    assert sanity_check_kahler(ring, h).passed
+    assert hodge_condition(ring, 2, "cs").holds
+    assert str(hodge_condition(ring, 2, "opposite")) == "opposite at p=2: fails at i=[1]"
+    assert str(hr_check(ring, 2, h, [])) == (
+        "ring 'fakehr' p=2: primitive dim 1, restricted inertia (0, 1, 0)\n"
+        "  positivity: restricted inertia (0, 1, 0), expected (1, 0, 0)"
+    )
+    with pytest.raises(ArithmeticError, match="constructed class fails to violate"):
+        construct_counterexample(ring, 2, mixed_setup(2, h, []), "opposite")
+
+    path = tmp_path / "fakehr.json"
+    path.write_text(serialize_ring_bundle(ring), encoding="utf-8")
+    assert main(["verify", str(path), "-p", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "assertion failed: constructed class fails to violate the inequality; "
+        "ring data is inconsistent\n"
+    )
 
 
 def _count_wedges(monkeypatch):

@@ -12,7 +12,7 @@ from hodgecs.bundle import _json_text
 from hodgecs.cli import _coeffs_json
 from hodgecs.errors import MissingSamplesError
 from hodgecs.gaussian import rational_to_str
-from hodgecs.inequalities import (_g_verdict, _proportional_ints, compute_g_decomposed,
+from hodgecs.inequalities import (_proportional_ints, _verdict, compute_g_decomposed,
                                   compute_g_direct, proportional, verify_theorem)
 from hodgecs.linalg import Matrix
 from hodgecs.ring import (FLAG_KAHLER, FLAGS, POSITIVE_FLAGS, ClassVector, IntersectionRing,
@@ -243,7 +243,7 @@ def test_g_direct_equals_the_three_wedge_oracle_and_the_decomposition(case, seed
         alpha = w_p + alpha
     g = compute_g_direct(alpha, setup)
     assert g == _g_three_wedges(alpha, setup) == compute_g_decomposed(alpha, setup).value
-    g_verdict, _, prop = _g_verdict(alpha, setup)
+    g_verdict, _, prop = _verdict(alpha, setup._ints)
     assert (g_verdict, prop) == (g, proportional(alpha, w_p))
 
 
@@ -291,7 +291,7 @@ def test_verify_records_equal_the_verdict_on_the_drawn_setup(case, seed, height)
     for r in report.records:
         setup = random_strict_setup(ring, p, height, seed, r.index)
         assert r.omega == setup.omega
-        assert (r.g_value, r.relation, r.proportional) == _g_verdict(r.alpha, setup)
+        assert (r.g_value, r.relation, r.proportional) == _verdict(r.alpha, setup._ints)
         assert r.g_value == _g_three_wedges(r.alpha, setup)
         assert r.proportional == proportional(r.alpha, power(setup.omega, p))
 

@@ -184,6 +184,18 @@ def test_constructor_rejects_commutativity_conflict():
         )
 
 
+def test_constructor_tolerates_consistent_redundant_entries():
+    # A zero product past the top degree, a degree-0 entry acting as the
+    # identity and a mirrored duplicate with an equal output are each skipped.
+    plain = zoo.get("p1xp1").ring
+    redundant = {(1, 0, 2, 0): (0,), (0, 0, 1, 1): (0, 1), (1, 1, 1, 0): (1,)}
+    ring = IntersectionRing(plain.name, plain.n, plain.hodge, plain.basis_labels,
+                            {**plain.products, **redundant}, plain.integral, plain.samples)
+    assert ring == plain
+    assert ring.products == plain.products
+    assert validate_ring(ring).ok
+
+
 def test_validate_broken_associativity():
     # (x*x)*y = u*y = pt while x*(x*y) = x*0 = 0.
     ring = IntersectionRing(

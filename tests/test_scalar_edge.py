@@ -179,8 +179,8 @@ def test_floats_and_complex_entries_keep_their_errors():
         ring.class_vector(1, [1j])
     with pytest.raises(TypeError, match="cannot interpret I as a rational"):
         zoo.get("p2").ring.class_vector(2, [sympy.I])
-    # The ring constructor reads its scalars by the same rule, and its graded
-    # dimensions and product indices as ints.
+    # The ring constructor reads its scalars by the same rule, and its
+    # dimension, graded dimensions and product indices as ints.
     r = zoo.get("p1xp1").ring
     args = {"name": r.name, "n": r.n, "hodge": r.hodge, "basis_labels": r.basis_labels,
             "products": r.products, "integral": r.integral, "samples": r.samples}
@@ -190,6 +190,8 @@ def test_floats_and_complex_entries_keep_their_errors():
          "cannot interpret '1/2' as a rational"),
         ({"integral": [0.5]}, "cannot interpret 0.5 as a rational"),
         ({"samples": [RingSample("s", FLAG_KAHLER, (1, 0.5))]}, "cannot interpret 0.5 as a rational"),
+        ({"n": 2.0}, "'float' object cannot be interpreted as an integer"),
+        ({"n": "2"}, "'str' object cannot be interpreted as an integer"),
         ({"hodge": [1, 2.7, 1]}, "'float' object cannot be interpreted as an integer"),
         ({"products": {(1, 0, 1.0, 1): (Fraction(1),)}},
          "'float' object cannot be interpreted as an integer"),
