@@ -128,9 +128,9 @@ def _setup_class(ring: IntersectionRing, text: str, nef: bool) -> ClassVector:
 def _reference(ring: IntersectionRing, args) -> tuple[Callable[[], ClassVector], list[ClassVector]]:
     """Resolve w and the slots w_1 .. w_(n-2p), checking the range of p first.
 
-    --omegas must name exactly n-2p classes, which fill the slots; otherwise
-    every slot holds w: --omega, else the first declared Kahler sample. w is
-    returned as a function and resolved on first use, once.
+    When --omegas is given, it names exactly n-2p classes (zero is a wrong
+    count), which fill the slots; otherwise every slot holds w: --omega, else the
+    first declared Kahler sample. w is a function, resolved on first use, once.
     """
     n, p = ring.n, args.p
     _check_setup_p(ring, p)
@@ -146,9 +146,9 @@ def _reference(ring: IntersectionRing, args) -> tuple[Callable[[], ClassVector],
         return samples[0]
 
     count = n - 2 * p
-    texts = [t for chunk in args.omegas or [] for t in chunk.split(";") if t.strip()]
-    if not texts:
+    if args.omegas is None:
         return omega, [omega()] * count if count else []
+    texts = [t for chunk in args.omegas for t in chunk.split(";") if t.strip()]
     if len(texts) != count:
         raise DegreeError(f"--omegas needs exactly {count} classes, got {len(texts)}")
     return omega, [_setup_class(ring, t, nef) for t in texts]

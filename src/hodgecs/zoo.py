@@ -23,7 +23,6 @@ from .ring import (
     FLAG_NEF,
     IntersectionRing,
     RingSample,
-    canonical_product_key,
 )
 
 DATA_ENV_VAR = "HODGECS_DATA_DIR"
@@ -103,11 +102,17 @@ def _join_label(u: str, v: str) -> str:
     return f"{u}.{v}"
 
 
-def _basis_product(r: IntersectionRing, a: int, i: int, b: int, j: int) -> Sequence:
-    """The coefficients of e_(a,i) * e_(b,j), read off the ring's products; degree 0 is the unit."""
-    if a == 0 or b == 0:
-        return [int(k == (j if a == 0 else i)) for k in range(r.hodge[a + b])]
-    return r.products.get(canonical_product_key(a, i, b, j), ())
+def _nonzero_products(r: IntersectionRing) -> list:
+    """Every nonzero product e_(a,i) * e_(b,j) of r as (a, i, b, j, ((k, c_k), ...)):
+    the unit e_(0,0) times each basis element, and the ring's products, in both orders."""
+    unit = [(0, 0, d, k, ((k, Fraction(1)),)) for d in range(r.n + 1) for k in range(r.hodge[d])]
+    out = unit + [(d, k, 0, 0, v) for _, _, d, k, v in unit[1:]]
+    for (da, ia, db, ib), v in r.products.items():
+        terms = tuple((k, c) for k, c in enumerate(v) if c)
+        out.append((da, ia, db, ib, terms))
+        if (da, ia) != (db, ib):
+            out.append((db, ib, da, ia, terms))
+    return out
 
 
 def product(e1: ZooEntry, e2: ZooEntry, name: str | None = None) -> ZooEntry:
@@ -116,7 +121,9 @@ def product(e1: ZooEntry, e2: ZooEntry, name: str | None = None) -> ZooEntry:
     Valid because both factors carry only diagonal (p,p) classes: the
     degree-p basis is the union over a of (degree a of the first factor)
     tensor (degree p-a of the second), products act factorwise, and the
-    integral is the product of the factor integrals.
+    integral is the product of the factor integrals. As (x (x) x') * (y (x) y')
+    = (x * y) (x) (x' * y'), the table takes one step per pair of nonzero factor
+    products: its cost grows with the number of nonzero products.
     """
     r1, r2 = e1.ring, e2.ring
     n = r1.n + r2.n
@@ -143,24 +150,17 @@ def product(e1: ZooEntry, e2: ZooEntry, name: str | None = None) -> ZooEntry:
                 f"label collision in degree {p} of {name}; relabel a factor first"
             )
 
-    products_table = {}
-    flat = [(p, k) for p in range(1, n + 1) for k in range(hodge[p])]
-    for x, (da, ka) in enumerate(flat):
-        a1, i1, j1 = triples[da][ka]
-        for db, kb in flat[x:]:
-            if da + db > n:
-                continue
-            a2, i2, j2 = triples[db][kb]
-            if a1 + a2 > r1.n or (da - a1) + (db - a2) > r2.n:
-                continue
-            v1 = _basis_product(r1, a1, i1, a2, i2)
-            v2 = _basis_product(r2, da - a1, j1, db - a2, j2)
-            out = [Fraction(0)] * hodge[da + db]
-            for (i, c1), (j, c2) in itertools.product(enumerate(v1), enumerate(v2)):
-                if c1 and c2:
-                    out[index[da + db][(a1 + a2, i, j)]] += c1 * c2
-            if any(out):
-                products_table[(da, ka, db, kb)] = tuple(out)
+    products_table = []
+    second = _nonzero_products(r2)
+    for a1, i1, a2, i2, v1 in _nonzero_products(r1):
+        for b1, j1, b2, j2, v2 in second:
+            da, db = a1 + b1, a2 + b2
+            key = (da, index[da][a1, i1, j1], db, index[db][a2, i2, j2])
+            if da and db and key[:2] <= key[2:]:
+                out = [Fraction(0)] * hodge[da + db]
+                for (k1, c1), (k2, c2) in itertools.product(v1, v2):
+                    out[index[da + db][a1 + a2, k1, k2]] = c1 * c2
+                products_table.append((key, tuple(out)))
 
     integral = [r1.integral[0] * r2.integral[0]]
 
@@ -179,7 +179,7 @@ def product(e1: ZooEntry, e2: ZooEntry, name: str | None = None) -> ZooEntry:
     for t in r2.samples:
         samples.append(RingSample(f"{t.name}@2", FLAG_NEF, zeros1 + t.coeffs))
 
-    ring = IntersectionRing(name, n, hodge, labels, products_table, integral, samples)
+    ring = IntersectionRing(name, n, hodge, labels, sorted(products_table), integral, samples)
     return ZooEntry(name, ring, f"product of {r1.name} and {r2.name} (Kunneth)")
 
 

@@ -273,6 +273,23 @@ def test_signature_middle_degree_needs_no_declared_samples(tmp_path, capsys):
     assert "inertia" in out
 
 
+# A given --omegas is counted even when it names no class: zero is a wrong count
+# for the two slots at p = 1, and the right one at p = n/2.
+@pytest.mark.parametrize("omegas", ["", " ; "], ids=["empty", "separator only"])
+def test_empty_omegas_is_a_wrong_count(capsys, omegas):
+    code, out, err = run(capsys, "signature", "zoo:blp4", "-p", "1", "--omegas", omegas)
+    assert (code, out, err) == (2, "", "error: --omegas needs exactly 2 classes, got 0\n")
+    code, out, _ = run(capsys, "signature", "zoo:blp4", "-p", "2", "--omegas", omegas)
+    assert code == 0 and "inertia" in out
+
+
+def test_check_tags_a_boundary_equality_uncharacterized(capsys):
+    code, out, err = run(capsys, "check", "zoo:p1xp1", "-p", "1", "--alpha", "a",
+                         "--omega", "sample:a")
+    assert (code, out, err) == (
+        0, "g = 0 (zero); cs satisfied [proportional, equality uncharacterized (boundary)]\n", "")
+
+
 def test_signature_omegas_override_omega(capsys):
     base = ("signature", "zoo:blp4", "-p", "1", "--omegas", "sample:omega;sample:omega2")
     _, expected, _ = run(capsys, *base)

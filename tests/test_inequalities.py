@@ -343,6 +343,32 @@ def test_counterexample_refuses_a_setup_of_another_ring(name, monkeypatch):
         construct_counterexample(zoo.get(name).ring, 1, setup, "cs")
 
 
+def _blp4_classes():
+    ring = zoo.get("blp4").ring
+    return ring, ring.sample("omega"), ring.sample("hyperplane"), ring.class_vector(2, [1, 0])
+
+
+# Each refusal names what is wrong, with its exact type and message.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda r, w, h, c2: construct_counterexample(r, 2, mixed_setup(2, h, []), "cs"),
+     FlagError, "counterexample construction needs a strict Kahler setup"),
+    (lambda r, w, h, c2: construct_counterexample(r, 1, mixed_setup(2, w, []), "cs"),
+     DegreeError, "setup degree does not match p"),
+    (lambda r, w, h, c2: check_cs(c2, mixed_setup(2, w, []), "both"),
+     ValueError, "direction must be one of ('cs', 'opposite')"),
+    (lambda r, w, h, c2: hodge_condition(r, 2, "both"),
+     ValueError, "kind must be one of ('cs', 'opposite')"),
+    (lambda r, w, h, c2: proportional(w, c2),
+     DegreeError, "proportionality needs classes of equal degree"),
+    (lambda r, w, h, c2: kt_chain(r, c2, w), DegreeError, "divisor classes must have degree 1"),
+], ids=["counterexample boundary setup", "counterexample setup p", "check_cs direction",
+        "hodge_condition kind", "proportional degrees", "kt degree"])
+def test_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error) as err:
+        call(*_blp4_classes())
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
 def test_counterexamples_in_both_directions():
     # On (P1)^4 at p = 2 the grading (1, 4, 6, 4, 1) breaks both dimension
     # conditions, so violating classes exist for each direction.

@@ -121,6 +121,8 @@ def test_partly_degenerate_pairing_ranks():
     broken = replaced(ring, products={k: v for k, v in ring.products.items() if k != x_y})
     report = validate_ring(broken)
     assert report.issues == oracle_validate(broken).issues
+    assert str(report) == ("ring 'p1xp1': 1 problem(s)\n"
+                           "  [poincare-duality] pairing p=1: rank 0 < 2: pairing is degenerate")
     assert [broken._pairing(p).rank() for p in range(3)] == [1, 0, 1]
     assert_same_ranks(broken)
 
@@ -260,6 +262,20 @@ def test_work_limit_override_reaches_bundled_zoo_entries(tmp_path, capsys, monke
     monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", "5377")
     assert main(["info", "zoo:flag3"]) == 2
     assert capsys.readouterr().err.startswith("invalid ring bundle: pairing p=1: ")
+
+
+# A limit that is all decimal digits is still read by the one int reader, which
+# refuses full-width digits and a literal longer than 640 digits.
+@pytest.mark.parametrize("limit, message", [
+    ("１２", "invalid int value: '１２'"),
+    ("9" * 641, "integer literal with 641 digits exceeds the limit of 640 digits"),
+], ids=["full-width digits", "641 digits"])
+def test_malformed_work_limit_refuses_bundled_zoo_entries(limit, message, capsys, monkeypatch):
+    monkeypatch.delenv("HODGECS_DATA_DIR", raising=False)
+    monkeypatch.setattr(zoo, "_CACHE", {})
+    monkeypatch.setenv("HODGECS_VALIDATE_LIMIT", limit)
+    assert main(["info", "zoo:flag3"]) == 2
+    assert capsys.readouterr() == ("", f"error: HODGECS_VALIDATE_LIMIT: {message}\n")
 
 
 # -- error lines and closed pipes --------------------------------------------------
