@@ -23,8 +23,7 @@ from .errors import (
     UnknownRingError,
     ValidationLimitError,
 )
-from .gaussian import rational_from_str, rational_to_str
-from .linalg import Matrix, inertia, nullspace, rank, solve
+from .linalg import Matrix, inertia, nullspace, rank, rational_from_str, rational_to_str, solve
 from .ring import (
     ClassVector,
     IntersectionRing,

@@ -28,7 +28,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import BundleSemanticError, BundleSyntaxError
-from .gaussian import MAX_LITERAL_DIGITS, int_from_str, rational_from_str, rational_to_str
+from .linalg import MAX_LITERAL_DIGITS, int_from_str, rational_from_str, rational_to_str
 from .ring import (
     FLAG_NONE,
     POSITIVE_FLAGS,

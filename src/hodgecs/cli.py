@@ -22,7 +22,6 @@ import argparse
 import functools
 import os
 import sys
-from math import gcd
 from typing import Callable, Optional, Sequence
 
 from . import zoo
@@ -37,7 +36,6 @@ from .errors import (
     UnknownRingError,
     ValidationLimitError,
 )
-from .gaussian import int_from_str, rational_to_str
 from .inequalities import (
     DIRECTION_CS,
     DIRECTIONS,
@@ -50,7 +48,7 @@ from .inequalities import (
     verify_theorem,
 )
 from .lefschetz import gram_matrix_Q, mixed_lefschetz_decompose
-from .linalg import Matrix
+from .linalg import Matrix, _ratios, int_from_str, rational_to_str
 from .ring import (
     FLAG_KAHLER,
     FLAG_NEF,
@@ -70,16 +68,6 @@ from .ring import (
 
 
 # -- serialization helpers ---------------------------------------------------
-
-def _ratios(nums, den: int) -> list[str]:
-    """Int numerators over ``den`` > 0 as exact rational strings, as ``rational_to_str``
-    writes them: "p/q" in lowest terms, "p" when q is 1."""
-    out = []
-    for x in nums:
-        g = gcd(x, den)
-        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
-    return out
-
 
 def _coeffs_json(c: ClassVector) -> list:
     return _ratios(c.re, c.den)

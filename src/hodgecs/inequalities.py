@@ -42,6 +42,7 @@ from .ring import (
     POSITIVE_FLAGS,
     ClassVector,
     IntersectionRing,
+    MODE_BOUNDARY,
     MODE_STRICT,
     MixedSetup,
     _check_same_ring,
@@ -485,5 +486,5 @@ def kt_chain(ring: IntersectionRing, d1: ClassVector, d2: ClassVector) -> KtRepo
         lhs = numbers[k]
         square, rhs = lhs * lhs, numbers[k - 1] * numbers[k + 1]
         steps.append(KtStep(k, lhs, square, rhs, square - rhs))
-    mode = MODE_STRICT if d1.flag == FLAG_KAHLER and d2.flag == FLAG_KAHLER else "boundary"
+    mode = MODE_STRICT if d1.flag == FLAG_KAHLER and d2.flag == FLAG_KAHLER else MODE_BOUNDARY
     return KtReport(ring.name, mode, proportional(d1, d2), tuple(steps))

@@ -17,7 +17,7 @@ they differ by a sign exactly when p is odd.
 Omega comes from ``ring._omega_class``, which checks the list: the list functions
 call it once each, and ``hr_check`` reads Omega and w^k * Omega from one
 ``mixed_setup``. Primitive in degree i for a setup means in the kernel of its
-tower's rung w^(2(p-i)+1) * Omega (``_primitive_classes``).
+rung w^(2(p-i)+1) * Omega (``_primitive_classes``).
 
 The mixed Lefschetz decomposition writes a degree-p class a as
 
@@ -30,7 +30,7 @@ C_i = w^(2(p-i)+1) * Omega_p kills a_i, so r solves the mixed hard Lefschetz
 system r * w * C_i = c * C_i in degree i-1. For genuine Kahler references that
 map is an isomorphism, so r and a_i = c - w * r are unique; a singular map is
 reported as evidence of wrong flags. The products w^k * Omega_p come from
-``MixedSetup.tower`` and each level's C_i and map inverse from
+``MixedSetup.rung`` and each level's C_i and map inverse from
 ``MixedSetup.levels``: one build per setup, read by all its decomposers. The
 levels run on (numerators, den) pairs; classes are built only for what is returned.
 """
@@ -118,7 +118,7 @@ def _kernel_classes(ring: IntersectionRing, p: int, by: ClassVector) -> tuple[Cl
 
 def _primitive_classes(setup: MixedSetup, i: int) -> tuple[ClassVector, ...]:
     """The primitive classes of degree i: the kernel of the rung w^(2(p-i)+1) * Omega_p."""
-    return _kernel_classes(setup.ring, i, setup.tower[2 * (setup.p - i) + 1])
+    return _kernel_classes(setup.ring, i, setup.rung(2 * (setup.p - i) + 1))
 
 
 def primitive_basis(ring: IntersectionRing, p: int, omega: ClassVector,
@@ -209,7 +209,7 @@ def hr_check(ring: IntersectionRing, p: int, omega: ClassVector,
     restricted = restrict_form(form, prim.basis)
     ri = restricted.inertia()
     # Degree-1 claim in the unsigned convention, against w^(2(p-1)) * Omega.
-    deg1 = form_matrix(ring, 1, setup.tower[2 * p - 2]).inertia()
+    deg1 = form_matrix(ring, 1, setup.rung(2 * p - 2)).inertia()
     h1 = ring.dim(1)
     checks = [
         ("dimension", prim.dim != prim.expected_dim,
@@ -247,7 +247,7 @@ class DecompositionResult:
         """The rationals t_i = integral of a_i * a_i * w^(2(p-i)) * Omega_p."""
         s = self.setup
         return tuple(
-            integrate(wedge(wedge(comp, comp), s.tower[2 * (s.p - i)]))
+            integrate(wedge(wedge(comp, comp), s.rung(2 * (s.p - i))))
             for i, comp in enumerate(self.components, start=1)
         )
 
@@ -296,10 +296,10 @@ class LefschetzDecomposer:
             current = rest
 
         # The recursion remainder lam = current must match the closed form
-        # lam = (int a * T) / (int w^(2p) * Omega_p), T = w^p * Omega_p the tower's
+        # lam = (int a * T) / (int w^(2p) * Omega_p), T = w^p * Omega_p the setup's
         # rung p: one pairing.
         lam = Fraction(current[0][0], current[1])
-        t = setup.tower[setup.p]
+        t = setup.rung(setup.p)
         if lam * setup.volume != Fraction(*_pair_ints(ring, setup.p, (alpha.re, alpha.den),
                                                       (t.re, t.den))):
             raise SingularSplitError(

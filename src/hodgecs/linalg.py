@@ -13,10 +13,17 @@ through ``m[i, j]``, ``row`` and the vectors of ``apply``, ``solve`` and
 ``nullspace``. Elimination runs on the int rows by one fraction-free
 Gauss-Jordan loop (Bareiss 1968), and inertia by integer congruence with 1x1
 pivots (P^T A P diagonal). Empty matrices keep their shape.
+
+Exact scalar literals are read and written here as well: "p/q" or "p" for
+rationals (``rational_from_str``, ``rational_to_str``, ``_ratios``) and ASCII
+integers as ``int`` reads them (``int_from_str``). Only ASCII digits count:
+``str.isdigit`` and an unflagged ``\\d`` also take other scripts' digits,
+which ``int`` and ``Fraction`` would convert.
 """
 
 from __future__ import annotations
 
+import re as _re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -220,6 +227,55 @@ def _rationals(values: Iterable) -> list:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"cannot interpret {x!r} as a rational")
     return values
+
+
+_RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$", _re.ASCII)
+# The interpreter's str_digits_check_threshold: a literal within it converts under any limit.
+MAX_LITERAL_DIGITS = 640
+
+
+def rational_to_str(q: Fraction) -> str:
+    """Serialize a rational as "p/q", omitting the denominator when it is 1."""
+    return str(Fraction(q))
+
+
+def _ratios(nums, den: int) -> list[str]:
+    """Int numerators over ``den`` > 0 as exact rational strings, as ``rational_to_str``
+    writes them: "p/q" in lowest terms, "p" when q is 1."""
+    out = []
+    for x in nums:
+        g = gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
+
+
+def rational_from_str(text: str) -> Fraction:
+    """Parse "p/q" or "p". Decimal or exponent notation, q = 0 and overlong p or q are rejected."""
+    s = text.strip()
+    if not _RATIONAL_RE.match(s):
+        raise ValueError(f"not a rational literal: {text!r}")
+    if (digits := max(len(part.lstrip("+-")) for part in s.split("/"))) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"rational literal with {digits} digits exceeds the limit "
+                         f"of {MAX_LITERAL_DIGITS} digits per numerator or denominator")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal {text!r}") from None
+
+
+def int_from_str(text: str) -> int:
+    """Parse an ASCII integer as ``int`` does; more than ``MAX_LITERAL_DIGITS``
+    digits are refused before any conversion, so the interpreter's digit limit
+    is never reached."""
+    if not text.isascii():
+        raise ValueError(f"invalid int value: {text!r}")
+    if (digits := sum(map(str.isdigit, text))) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"integer literal with {digits} digits exceeds the limit "
+                         f"of {MAX_LITERAL_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 class _Entry(NamedTuple):

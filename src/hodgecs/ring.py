@@ -38,12 +38,11 @@ from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from operator import index, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import (DegreeError, FlagError, RingMismatchError, SingularSplitError,
                      ValidationLimitError)
-from .gaussian import int_from_str
-from .linalg import Matrix, _cleared, _rational_ints, _rationals
+from .linalg import Matrix, _cleared, _rational_ints, _rationals, int_from_str
 
 FLAG_NONE = "none"
 FLAG_KAHLER = "kahler"
@@ -96,7 +95,7 @@ class IntersectionRing:
         n: int,
         hodge: Sequence[int],
         basis_labels: Sequence[Sequence[str]],
-        products: Mapping[ProductKey, Sequence[Fraction]] | Iterable,
+        products: Mapping[ProductKey, Sequence[Fraction]],
         integral: Sequence[Fraction],
         samples: Sequence[RingSample] = (),
     ):
@@ -115,9 +114,8 @@ class IntersectionRing:
             if len(row) != hodge[p]:
                 raise ValueError(f"degree {p}: {len(row)} labels for dimension {hodge[p]}")
 
-        items = products.items() if isinstance(products, Mapping) else products
         table: dict[ProductKey, tuple[Fraction, ...]] = {}
-        for key, out in items:
+        for key, out in products.items():
             da, ia, db, ib = map(index, key)
             for d, i in ((da, ia), (db, ib)):
                 if not (0 <= d <= n) or not (0 <= i < hodge[d]):
@@ -154,12 +152,14 @@ class IntersectionRing:
             raise ValueError(f"integral vector must have length {hodge[n]}")
 
         samples = tuple(samples)
-        for s in samples:
+        for k, s in enumerate(samples):
             _rationals(s.coeffs)
             if s.flag not in POSITIVE_FLAGS:
                 raise ValueError(f"sample {s.name!r}: flag must be kahler or nef")
             if len(s.coeffs) != hodge[1]:
                 raise ValueError(f"sample {s.name!r}: coefficient length mismatch")
+            if any(t.name == s.name for t in samples[:k]):
+                raise ValueError(f"sample {s.name!r}: name is already declared")
 
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "n", n)
@@ -834,7 +834,7 @@ MODE_BOUNDARY = "boundary"
 class MixedSetup:
     """A target degree p with reference classes w, w_1 .. w_(n-2p).
 
-    ``omega_p`` is the product Omega_p of the w_i and ``tower[0]`` of the
+    ``omega_p`` is the product Omega_p of the w_i and ``rung(0)`` of the
     products w^k * Omega_p. The mode is strict when every reference class is
     Kahler-flagged and boundary when nef classes occur.
     """
@@ -844,20 +844,25 @@ class MixedSetup:
     omegas: tuple[ClassVector, ...]
     omega_p: ClassVector
     mode: str
+    _rungs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def ring(self) -> IntersectionRing:
         return self.omega.ring
 
-    @cached_property
-    def tower(self) -> tuple[ClassVector, ...]:
-        """w^k * Omega_p for k = 0 .. 2p, each one product from the last."""
-        return tuple(accumulate([self.omega] * (2 * self.p), wedge, initial=self.omega_p))
+    def rung(self, k: int) -> ClassVector:
+        """w^k * Omega_p for 0 <= k <= 2p, built on first read from the rung below, so
+        reading rung k builds none above it. Each rung is stored by ``setdefault``: of
+        two threads' builds of one rung the first is kept, at its own index."""
+        rungs = self._rungs
+        for j in range(len(rungs), k + 1):
+            rungs.setdefault(j, wedge(rungs[j - 1], self.omega) if j else self.omega_p)
+        return rungs[k]
 
     @cached_property
     def volume(self) -> Fraction:
-        """The integral of w^(2p) * Omega_p, the tower's top rung."""
-        return integrate(self.tower[2 * self.p])
+        """The integral of w^(2p) * Omega_p, the top rung."""
+        return integrate(self.rung(2 * self.p))
 
     @cached_property
     def _ints(self) -> tuple:
@@ -877,10 +882,10 @@ class MixedSetup:
         """Levels i = p .. 1 of the Lefschetz decomposition: (i, C_i, rows, den) with
         C_i = w^(2(p-i)+1) * Omega_p and rows / den the inverse of r -> r * w * C_i
         on degree i-1; built on first use, a singular map raises."""
-        p, tower = self.p, self.tower
+        p = self.p
         levels = []
         for i in range(p, 0, -1):
-            lower = multiplication_matrix(self.ring, i - 1, tower[2 * (p - i) + 2])
+            lower = multiplication_matrix(self.ring, i - 1, self.rung(2 * (p - i) + 2))
             inverse = lower.inverse()
             if inverse is None:
                 raise SingularSplitError(
@@ -888,7 +893,7 @@ class MixedSetup:
                     f"{lower.rows}x{lower.cols} of rank {lower.rank()}; "
                     f"the reference classes are not Kahler"
                 )
-            levels.append((i, tower[2 * (p - i) + 1], inverse.num, inverse.den))
+            levels.append((i, self.rung(2 * (p - i) + 1), inverse.num, inverse.den))
         return tuple(levels)
 
     def check_class(self, alpha: ClassVector) -> None:

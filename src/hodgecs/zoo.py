@@ -179,7 +179,7 @@ def product(e1: ZooEntry, e2: ZooEntry, name: str | None = None) -> ZooEntry:
     for t in r2.samples:
         samples.append(RingSample(f"{t.name}@2", FLAG_NEF, zeros1 + t.coeffs))
 
-    ring = IntersectionRing(name, n, hodge, labels, sorted(products_table), integral, samples)
+    ring = IntersectionRing(name, n, hodge, labels, dict(sorted(products_table)), integral, samples)
     return ZooEntry(name, ring, f"product of {r1.name} and {r2.name} (Kunneth)")
 
 

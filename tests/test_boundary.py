@@ -87,6 +87,10 @@ BOUNDARY = {
                         "integral vector must have length 1"),
     "sample flag": (RING, {"samples": [RingSample("s", "none", (Fraction(1), Fraction(1)))]},
                     None, None, None, None, "sample 's': flag must be kahler or nef"),
+    # One name, one sample, as in a bundle (duplicate-sample).
+    "sample name twice": (RING, {"samples": [RingSample("omega", "kahler", (Fraction(1),) * 2),
+                                             RingSample("omega", "kahler", (Fraction(2), Fraction(1)))]},
+                          None, None, None, None, "sample 'omega': name is already declared"),
     "sample length": (BUNDLE, replaced(samples=[{"name": "s", "flag": "kahler", "coeffs": ["1"]}]),
                       INFO, 2, "structure", "$", "sample 's': coefficient length mismatch"),
     # validate_ring: grading and labels

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-import hodgecs.gaussian
-from hodgecs.gaussian import MAX_LITERAL_DIGITS, int_from_str, rational_from_str, rational_to_str
+import hodgecs.linalg
+from hodgecs.linalg import MAX_LITERAL_DIGITS, int_from_str, rational_from_str, rational_to_str
 
 
 def test_rational_strings():
@@ -27,7 +27,7 @@ def test_rational_literal_digit_limit(monkeypatch):
     assert rational_from_str(f"-{top}/{top[:-1]}8") == Fraction(-int(top), int(top) - 1)
     assert rational_from_str(f"+{top}") == int(top)
     converted = []
-    monkeypatch.setattr(hodgecs.gaussian, "Fraction", lambda s: converted.append(s))
+    monkeypatch.setattr(hodgecs.linalg, "Fraction", lambda s: converted.append(s))
     for text, digits in ((f"{top}1", 641), (f"1/{top}1", 641), (f"-{'7' * 5001}/3", 5001)):
         with pytest.raises(ValueError) as err:
             rational_from_str(text)

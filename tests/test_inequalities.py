@@ -25,6 +25,7 @@ from hodgecs.inequalities import (
     verify_theorem,
 )
 from hodgecs.lefschetz import hr_check, primitive_basis
+from hodgecs.linalg import Matrix
 from hodgecs.ring import (
     FLAG_KAHLER,
     FLAG_NEF,
@@ -51,10 +52,10 @@ def _setup(ring, p, omega_name="omega", aux=None):
 
 
 def _g_three_wedges(alpha, setup):
-    """Oracle: g from three product classes and the setup's tower, as
+    """Oracle: g from three product classes and the setup's rungs, as
     (int alpha * alpha * Omega_p) * V - (int alpha * w^p * Omega_p)^2."""
     aa = integrate(wedge(wedge(alpha, alpha), setup.omega_p))
-    return aa * setup.volume - integrate(wedge(alpha, setup.tower[setup.p])) ** 2
+    return aa * setup.volume - integrate(wedge(alpha, setup.rung(setup.p))) ** 2
 
 
 def _g_complex(x, y, setup):
@@ -65,7 +66,7 @@ def _g_complex(x, y, setup):
     ring, p = setup.ring, setup.p
     a = list(zip(x.coeffs, y.coeffs))
     q = form_matrix(ring, p, setup.omega_p)
-    m = [integrate(wedge(ring.basis_class(p, i), setup.tower[p])) for i in range(ring.dim(p))]
+    m = [integrate(wedge(ring.basis_class(p, i), setup.rung(p))) for i in range(ring.dim(p))]
     pairs = [(q[i, j], a[i], a[j]) for i in range(len(a)) for j in range(len(a))]
     aqa_re = sum(f * (ui * uj + vi * vj) for f, (ui, vi), (uj, vj) in pairs)
     aqa_im = sum(f * (vi * uj - ui * vj) for f, (ui, vi), (uj, vj) in pairs)
@@ -361,8 +362,16 @@ def _blp4_classes():
     (lambda r, w, h, c2: proportional(w, c2),
      DegreeError, "proportionality needs classes of equal degree"),
     (lambda r, w, h, c2: kt_chain(r, c2, w), DegreeError, "divisor classes must have degree 1"),
+    (lambda r, w, h, c2: power(w, -1), ValueError, "negative powers are not defined"),
+    (lambda r, w, h, c2: w + c2, DegreeError, "degree mismatch: 1 vs 2"),
+    (lambda r, w, h, c2: Matrix.from_columns([[1, 2], [3]]), ValueError, "ragged columns"),
+    (lambda r, w, h, c2: Matrix.identity(2).apply([1]), ValueError,
+     "vector length does not match column count"),
+    (lambda r, w, h, c2: Matrix.identity(2).solve([1, 2, 3]), ValueError,
+     "right-hand side length does not match row count"),
 ], ids=["counterexample boundary setup", "counterexample setup p", "check_cs direction",
-        "hodge_condition kind", "proportional degrees", "kt degree"])
+        "hodge_condition kind", "proportional degrees", "kt degree", "negative power",
+        "sum across degrees", "ragged columns", "apply length", "solve length"])
 def test_refusals_name_the_fault(call, error, message):
     with pytest.raises(error) as err:
         call(*_blp4_classes())
@@ -585,7 +594,7 @@ def test_g_direct_conjugates_its_mixed_integral(monkeypatch):
         * integrate(wedge(power(setup.omega, 6), setup.omega_p))
         - integrate(wedge(alpha, mid)) * integrate(wedge(alpha, mid))
     )
-    setup.tower  # built once per setup, not per call
+    setup.rung(2 * setup.p)  # the rungs are built once per setup, not per call
     calls = _count_wedges(monkeypatch)
     assert compute_g_direct(alpha, setup) == expected
     assert len(calls) == 0  # g contracts int numerators; it forms no product class
@@ -599,7 +608,7 @@ def test_counterexample_kernel_comes_from_the_tower(monkeypatch):
     # Oracle: the primitive basis for (w, w^2), multiplied out on its own.
     witness = primitive_basis(ring, 1, w, [w, w]).basis[0]
     theta = power(w, 2) + wedge(witness, w)
-    setup.levels  # builds the tower and the decomposer levels before counting
+    setup.levels  # builds the rungs and the decomposer levels before counting
     calls = _count_wedges(monkeypatch)
     ce = construct_counterexample(ring, 2, setup, "cs")
     assert (ce.witness, ce.theta) == (witness, theta)
@@ -612,7 +621,7 @@ def test_counterexample_kernel_comes_from_the_tower(monkeypatch):
 def test_verdicts_take_w_to_the_p_from_the_setup(monkeypatch):
     # On blp8 at p = 4, no sample verdict forms a class: g and proportionality
     # read w^4 and the integrals from the int setup data. All 12 wedges are the
-    # counterexample's: the tower (8) and theta (4); the kernel operator, the
+    # counterexample's: the rungs (8) and theta (4); the kernel operator, the
     # decomposition's levels and its closed-form check form no class.
     ring = zoo.blowup_pn(8).ring
     calls = _count_wedges(monkeypatch)
@@ -656,7 +665,7 @@ def test_verify_builds_pinned_class_counts():
     # Per sample: three cone draws and one class draw; nothing else, as g and
     # proportionality run on ints. The cs counterexample adds 10: its setup's
     # Omega_p = w_1 * w_2 (one class, built from its int product) and the two
-    # tower rungs, the witness, w^p, theta (w^0 is the unit, then a product and
+    # rungs 1 and 2, the witness, w^p, theta (w^0 is the unit, then a product and
     # a sum), and per decomposition level a component and a certificate; the
     # remainder is a Fraction and its closed-form check one int pairing.
     assert seen == {"constructions": 4 * 50 + 10}

@@ -113,7 +113,7 @@ def test_no_fraction_from_matrices_to_elimination_results():
     ring = _p1_fifth()
     p = 2
     setup = random_strict_setup(ring, p, 10, seed=5, index=0)
-    tower = setup.tower
+    rung1, rung2 = setup.rung(1), setup.rung(2)
 
     steps = {}
 
@@ -123,9 +123,9 @@ def test_no_fraction_from_matrices_to_elimination_results():
         return result
 
     # The primitive operator, the Gram matrix and a decomposer level's map.
-    op = record("multiplication_matrix", lambda: multiplication_matrix(ring, p, tower[1]))
+    op = record("multiplication_matrix", lambda: multiplication_matrix(ring, p, rung1))
     form = record("form_matrix", lambda: form_matrix(ring, p, setup.omega_p))
-    lower = record("level map", lambda: multiplication_matrix(ring, p - 1, tower[2]))
+    lower = record("level map", lambda: multiplication_matrix(ring, p - 1, rung2))
     rank = record("rank", op.rank)
     kernel = record("kernel", op.kernel)
     inverse = record("inverse", lower.inverse)

@@ -2,6 +2,8 @@
 
 import gc
 import re
+import sys
+import threading
 import weakref
 from fractions import Fraction
 from functools import cached_property
@@ -32,6 +34,7 @@ from hodgecs.ring import (
     wedge,
 )
 from hodgecs.sampling import random_strict_setup, sample_random_class
+from test_inequalities import _count_wedges
 
 
 # -- lefschetz operator ----------------------------------------------------------
@@ -201,6 +204,7 @@ def test_hr_p1xp1():
     assert report.passed
     assert report.restricted_inertia == (1, 0, 0)
     assert report.restricted_gram[0, 0] == 2
+    assert str(report) == "ring 'p1xp1' p=1: primitive dim 1, restricted inertia (1, 0, 0) [ok]"
 
 
 def test_hr_projective_space_vacuous():
@@ -258,7 +262,7 @@ def _setup_route_rings():
 
 
 def test_hr_check_on_the_setup_matches_the_list_routes(monkeypatch):
-    # Oracle: hr_check reads one setup's Omega_p and tower; the list routes
+    # Oracle: hr_check reads one setup's Omega_p and rungs; the list routes
     # multiply the reference out on their own.
     import hodgecs.lefschetz
     import hodgecs.ring
@@ -449,7 +453,7 @@ def test_decompose_matches_split_oracle():
             assert all(c.is_zero for c in certificates), where
 
 
-# -- one tower and one decomposer per setup ------------------------------------------
+# -- rungs and one decomposer per setup ------------------------------------------------
 
 def test_tower_matches_powers_times_omega_p():
     a, b, c = _p1_fourth_ample()
@@ -459,12 +463,52 @@ def test_tower_matches_powers_times_omega_p():
         for p in range(1, ring.n // 2 + 1):
             setups.append(random_strict_setup(ring, p, 5, seed=45, index=p))
     for setup in setups:
-        tower = setup.tower
-        assert len(tower) == 2 * setup.p + 1
-        assert tower[0] is setup.omega_p
-        for k, entry in enumerate(tower):
-            assert entry == wedge(power(setup.omega, k), setup.omega_p), (setup.describe(), k)
-        assert setup.tower is tower
+        assert setup.rung(0) is setup.omega_p
+        for k in range(2 * setup.p + 1):
+            rung = setup.rung(k)
+            assert rung == wedge(power(setup.omega, k), setup.omega_p), (setup.describe(), k)
+            assert setup.rung(k) is rung
+        with pytest.raises(DegreeError):
+            setup.rung(2 * setup.p + 1)
+
+
+def test_rungs_read_by_threads_at_once_stay_in_place():
+    # Threads that read one fresh setup's top rung at once all get w^(2p) * Omega_p,
+    # and every stored rung sits at its own index.
+    ring = zoo.blowup_pn(8).ring
+    w = ring.sample("omega")
+    expected = [power(w, k) for k in range(9)]  # Omega_p is the unit at p = n/2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            setup, start, tops = mixed_setup(4, w, []), threading.Barrier(8), []
+
+            def read():
+                start.wait()
+                tops.append(setup.rung(8))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert tops == [expected[8]] * 8
+            assert [setup.rung(k) for k in range(9)] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_hr_check_builds_the_rungs_it_reads(monkeypatch):
+    # At p = n/2, hr_check reads rung 1 (the primitive kernel) and rung 2p - 2
+    # (the degree-1 signature). On blp8 at p = 4 it forms rungs 1 .. 6, one
+    # wedge each, and not the two above them.
+    ring = zoo.blowup_pn(8).ring
+    w = ring.sample("omega")
+    calls = _count_wedges(monkeypatch)
+    assert hr_check(ring, 4, w, []).passed
+    assert len(calls) == 6
 
 
 def test_each_setup_builds_one_decomposer(monkeypatch):
@@ -498,8 +542,8 @@ def test_each_setup_builds_one_decomposer(monkeypatch):
 
 
 def test_used_setup_is_freed_without_the_cycle_collector():
-    # Nothing the setup caches (tower, levels) points back at it, so dropping
-    # the last reference frees it at once, with its tower and level inverses.
+    # Nothing the setup caches (rungs, levels) points back at it, so dropping
+    # the last reference frees it at once, with its rungs and level inverses.
     ring = zoo.blowup_pn(8).ring
     setup = random_strict_setup(ring, 3, 5, seed=48, index=0)
     alpha = sample_random_class(ring, 3, 5, seed=48, index=0)

@@ -109,11 +109,11 @@ def test_inverse_of_singular_or_non_square_is_none():
 
 def _old_decompose(setup, alpha):
     """Components and remainder by one ``solve`` of each level's Lefschetz matrix."""
-    ring, p, tower = setup.ring, setup.p, setup.tower
+    ring, p, rung = setup.ring, setup.p, setup.rung
     components, current = [], alpha
     for i in range(p, 0, -1):
-        lower = multiplication_matrix(ring, i - 1, tower[2 * (p - i) + 2])
-        rest = ring.class_vector(i - 1, lower.solve(wedge(current, tower[2 * (p - i) + 1]).coeffs))
+        lower = multiplication_matrix(ring, i - 1, rung(2 * (p - i) + 2))
+        rest = ring.class_vector(i - 1, lower.solve(wedge(current, rung(2 * (p - i) + 1)).coeffs))
         components.append(current - wedge(rest, setup.omega))
         current = rest
     return current.coeffs[0], tuple(reversed(components))

@@ -11,10 +11,9 @@ from hodgecs import zoo
 from hodgecs.bundle import _json_text
 from hodgecs.cli import _coeffs_json
 from hodgecs.errors import MissingSamplesError
-from hodgecs.gaussian import rational_to_str
 from hodgecs.inequalities import (_proportional_ints, _verdict, compute_g_decomposed,
                                   compute_g_direct, proportional, verify_theorem)
-from hodgecs.linalg import Matrix
+from hodgecs.linalg import Matrix, rational_to_str
 from hodgecs.ring import (FLAG_KAHLER, FLAGS, POSITIVE_FLAGS, ClassVector, IntersectionRing,
                           RingSample, mixed_setup, power, wedge)
 from hodgecs.sampling import (STREAM_CONE, Xoshiro256StarStar, random_cone_class,

@@ -51,8 +51,8 @@ def _rings():
 def _oracle_g(alpha, setup) -> Fraction:
     """g by the Fraction formula: pair * vol - mixed^2."""
     pair = _oracle_integral(wedge(wedge(alpha, alpha), setup.omega_p))
-    vol = _oracle_integral(setup.tower[2 * setup.p])
-    mixed = _oracle_integral(wedge(alpha, setup.tower[setup.p]))
+    vol = _oracle_integral(setup.rung(2 * setup.p))
+    mixed = _oracle_integral(wedge(alpha, setup.rung(setup.p)))
     return pair * vol - mixed * mixed
 
 
@@ -78,13 +78,13 @@ def test_g_and_lambda_match_the_gaussian_formulas():
             setups.append(_boundary_setup(ring, p))
             for k, setup in enumerate(setups):
                 where = (ring.name, p, k, setup.mode)
-                vol = _oracle_integral(setup.tower[2 * setup.p])
-                assert setup.volume == integrate(setup.tower[2 * p]) == vol, where
+                vol = _oracle_integral(setup.rung(2 * setup.p))
+                assert setup.volume == integrate(setup.rung(2 * p)) == vol, where
                 for alpha in (*_alphas(ring, p, k), setup.omega_power.scaled(Fraction(-3, 4))):
                     g = compute_g_direct(alpha, setup)
                     assert g == _oracle_g(alpha, setup), where
                     assert check_cs(alpha, setup).g_value == g, where
-                    mixed = wedge(alpha, setup.tower[p])
+                    mixed = wedge(alpha, setup.rung(p))
                     assert integrate(mixed) == _oracle_integral(mixed), where
                     if setup.mode == "strict":
                         dec = LefschetzDecomposer(setup).decompose(alpha)

@@ -296,12 +296,30 @@ def test_unknown_ring_error_line_is_unquoted(capsys):
     (["check", "zoo:p1xp1", "-p", "1", "--alpha", "a", "--omega", "a + b"], 1),
 ])
 def test_closed_stdout_keeps_the_exit_code(argv, code):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.Popen([sys.executable, "-m", "hodgecs", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = _hodgecs_process(argv)
     proc.stdout.close()   # the reader goes away before the report is written
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == code
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_reader_gone_after_one_line_keeps_exit_0():
+    # The report is about 98 KB, more than a pipe and the reader's buffer hold,
+    # so the write is still blocked when the reader (``| head -n 1``) goes.
+    proc = _hodgecs_process(["verify", "zoo:blp4", "-p", "1", "--samples", "400",
+                             "--output", "json"])
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
+
+
+def _hodgecs_process(argv):
+    """``python -m hodgecs argv`` with its stdout and stderr on pipes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.Popen([sys.executable, "-m", "hodgecs", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
