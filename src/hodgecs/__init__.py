@@ -23,7 +23,7 @@ from .errors import (
     UnknownRingError,
     ValidationLimitError,
 )
-from .linalg import Matrix, inertia, nullspace, rank, rational_from_str, rational_to_str, solve
+from .linalg import Matrix, rational_from_str, rational_to_str
 from .ring import (
     ClassVector,
     IntersectionRing,

@@ -425,7 +425,6 @@ def verify_theorem(
 @dataclass(frozen=True)
 class KtStep:
     k: int
-    lhs: Fraction
     lhs_squared: Fraction
     rhs_product: Fraction
     difference: Fraction
@@ -483,8 +482,7 @@ def kt_chain(ring: IntersectionRing, d1: ClassVector, d2: ClassVector) -> KtRepo
     numbers = [integrate(wedge(powers1[k], powers2[n - k])) for k in range(n + 1)]
     steps = []
     for k in range(1, n):
-        lhs = numbers[k]
-        square, rhs = lhs * lhs, numbers[k - 1] * numbers[k + 1]
-        steps.append(KtStep(k, lhs, square, rhs, square - rhs))
+        square, rhs = numbers[k] ** 2, numbers[k - 1] * numbers[k + 1]
+        steps.append(KtStep(k, square, rhs, square - rhs))
     mode = MODE_STRICT if d1.flag == FLAG_KAHLER and d2.flag == FLAG_KAHLER else MODE_BOUNDARY
     return KtReport(ring.name, mode, proportional(d1, d2), tuple(steps))

@@ -360,20 +360,3 @@ def _int_inertia(a: list[list[int]]) -> tuple[int, int, int]:
             a = [[x // g for x in row] for row in a]
     return n_plus, n_minus, n_zero
 
-
-# Functional aliases matching the operation names used throughout the docs.
-
-def nullspace(m: Matrix) -> list[Vector]:
-    return m.nullspace()
-
-
-def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
-    return m.solve(b)
-
-
-def inertia(m: Matrix) -> tuple[int, int, int]:
-    return m.inertia()
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()

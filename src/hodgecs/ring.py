@@ -8,13 +8,14 @@ on the top degree. The classes are rational, as the ring is the rational
 over one denominator, and a coefficient or scalar other than an int or a
 Fraction raises ``TypeError`` where it enters (``class_vector``, ``scaled``,
 and the constructor for structure constants, integral and sample coefficients).
-Every product reads one sparse structure table per ordered degree pair,
-degree 0 included (the unit row is the identity), built once per ring:
-``wedge`` and ``_product_ints`` contract numerators over it, an operator
-matrix scatters a class's numerators through it into int rows, and
-``validate_ring`` and the int pairing matrices read it. A form matrix is the
-pairing times an operator, and every integral of a class is the int
-``_integral``. Int products and integrals carry their denominator as
+Every product reads the sparse structure table of its ordered degree pair,
+degree 0 included (the unit row is the identity); the first read builds every
+table in one pass over the stored products, each filed under both orders of
+its factors. ``wedge`` and ``_product_ints`` contract numerators over a
+table, an operator matrix scatters a class's numerators through one into int
+rows, and ``validate_ring`` and the int pairing matrices read them. A form
+matrix is the pairing times an operator, and every integral of a class is the
+int ``_integral``. Int products and integrals carry their denominator as
 (numerators, den) pairs, not reduced (``_product_ints``, ``_pair_ints``), so
 only this module reads D (``_den``) and the integral's scale (``_weights``).
 Fractions are built only where values leave (``coeffs``, ``integrate``).
@@ -200,30 +201,33 @@ class IntersectionRing:
             raise KeyError(f"no basis element {label!r} in degree {p}") from None
 
     def _table(self, da: int, db: int) -> tuple:
-        """The products of degrees da x db, for any ordered pair: i -> {j: ((k, D * c_k), ...)}.
+        """The products of degrees da x db, da + db <= n: i -> {j: ((k, D * c_k), ...)}.
 
-        The one product view of the ring, built once per ordered pair on first
-        use; the pairs with a zero product are left out. A table with da > db is
-        the transpose of the (db, da) one and shares its entries. In degree 0
+        The one product view of the ring. The first read builds the tables of
+        every pair in one pass over ``products``, clearing each product once and
+        filing it under both orders of its factors, so a table and its transpose
+        share entries; the pairs with a zero product are left out. In degree 0
         the unit, basis element 0, acts as the identity, and any other element
         (in a ring that fails validation) as zero.
         """
-        if (da, db) not in self._tables:
-            if da > db:
-                rows = [{} for _ in range(self.hodge[da])]
-                for j, row in enumerate(self._table(db, da)):
-                    for i, out in row.items():
-                        rows[i][j] = out
-            elif da == 0:
-                unit = {j: ((j, self._den),) for j in range(self.hodge[db])}
-                rows = [{} if i else unit for i in range(self.hodge[0])]
-            else:
-                rows = [{j: tuple((k, c) for k, c in enumerate(_cleared(out, self._den)) if c)
-                         for j in range(self.hodge[db])
-                         if (out := self.products.get(canonical_product_key(da, i, db, j)))}
-                        for i in range(self.hodge[da])]
-            self._tables[da, db] = tuple(rows)
-        return self._tables[da, db]
+        tables = self._tables
+        if not tables:
+            h, den = self.hodge, self._den
+            tables = {(a, b): tuple({} for _ in range(h[a]))
+                      for a in range(self.n + 1) for b in range(self.n + 1 - a)}
+            # The unit rows; in the (0, 0) table only the unit's row is filled.
+            for b in range(self.n + 1) if h[0] else ():
+                for j in range(h[b]):
+                    unit = ((j, den),)
+                    tables[0, b][0][j] = unit
+                    if b:
+                        tables[b, 0][j][0] = unit
+            for (a, i, b, j), out in self.products.items():
+                tables[a, b][i][j] = tables[b, a][j][i] = tuple(
+                    (k, c) for k, c in enumerate(_cleared(out, den)) if c)
+            # Stored whole, so a concurrent reader never sees a partly filled table.
+            object.__setattr__(self, "_tables", tables)
+        return tables[da, db]
 
     def _pairing(self, p: int) -> Matrix:
         """The pairing (a, b) -> integral of a * b of degrees p x (n - p), built once:

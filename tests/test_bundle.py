@@ -44,6 +44,8 @@ def test_syntax_error_has_position():
     with pytest.raises(BundleSyntaxError) as err:
         parse_ring_bundle('{"name": "x",')
     assert err.value.line is not None
+    assert str(err.value).startswith(f"line {err.value.line}, column {err.value.col}: ")
+    assert str(BundleSyntaxError("not JSON")) == "not JSON"
 
 
 def test_commutativity_conflict_diagnostic():

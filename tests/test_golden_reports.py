@@ -69,6 +69,8 @@ CASES = [
     (('kt', 'zoo:blp2', '--d1', 'sample:hyperplane', '--d2', 'sample:omega', '--output', 'json'), 0, "1b4fbd1387c7cdfa3fe0c77e16ac3f48e47b1ce19dace4990e63745119ca86a2"),
     (('kt', 'zoo:flag3', '--d1', 'sample:rho', '--d2', 'sample:w21'), 0, "9c24583f1a93bf9bd820af794c1c80072e35089e6dd2857a7620924cb4464811"),
     (('kt', 'zoo:p1xp1', '--d1', '1*a', '--d2', '1*b', '--nef'), 0, "4a0d96a5be1c2861f97c17dbb20e6eca1163c26ae51066fc87deca508f224513"),
+    (('kt', 'zoo:blp3', '--d1=-2*H-2*E', '--d2=-2*H-1*E', '--nef'), 1, "40f5c178dad8d24d235c2b50e6c60e37b592ddfd6c795fc7b6b5dcf7b138bd9b"),
+    (('kt', 'zoo:blp3', '--d1=-2*H-2*E', '--d2=-2*H-1*E', '--nef', '--output', 'json'), 1, "34dfb3da84e15c5416658f8587b5f85d203036610bac9bd41cb1dfe1b6f237ca"),
 ]
 
 

@@ -723,6 +723,21 @@ def test_kt_blp2_fixed_instance():
     assert report.all_hold
 
 
+def test_kt_violated_on_nef_flagged_classes_off_the_cone():
+    # The flag is taken as declared; neither class is nef (the nef cone of blp3
+    # is spanned by H and H - E), and both steps fail. The same classes
+    # through the CLI are two golden reports that exit 1.
+    ring = zoo.get("blp3").ring
+    d1 = ring.class_vector(1, [-2, -2], "nef")
+    d2 = ring.class_vector(1, [-2, -1], "nef")
+    report = kt_chain(ring, d1, d2)
+    assert report.mode == "boundary" and not report.proportional
+    assert [(s.k, s.lhs_squared, s.rhs_product, s.difference, s.verdict)
+            for s in report.steps] == [(1, 100, 108, -8, "violated"),
+                                       (2, 144, 160, -16, "violated")]
+    assert not report.all_hold and not report.all_strict
+
+
 def test_kt_requires_flags():
     ring = zoo.get("blp2").ring
     with pytest.raises(FlagError):

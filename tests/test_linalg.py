@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from hodgecs.linalg import Matrix, inertia, nullspace, rank, solve
+from hodgecs.linalg import Matrix
 from hodgecs.sampling import Xoshiro256StarStar
 
 
@@ -18,11 +18,11 @@ def _random_matrix(rng, rows, cols, bound=5):
 # -- nullspace ---------------------------------------------------------------
 
 def test_nullspace_full_rank_is_empty():
-    assert nullspace(Matrix.identity(2)) == []
+    assert Matrix.identity(2).nullspace() == []
 
 
 def test_nullspace_sum_row():
-    ns = nullspace(Matrix([[1, 1]]))
+    ns = Matrix([[1, 1]]).nullspace()
     assert ns == [(1, -1)]
     assert all(type(x) is Fraction for x in ns[0])
 
@@ -36,7 +36,7 @@ def test_nullspace_blowup_pairing_row():
     e_coef = Fraction(-1) ** 3 * (-1)
     row = [h_coef, e_coef]
     assert row == [8, 1]
-    ns = nullspace(Matrix([row]))
+    ns = Matrix([row]).nullspace()
     assert ns == [(1, -8)]
 
 
@@ -63,25 +63,25 @@ def test_rank_plus_nullity():
     rng = Xoshiro256StarStar(7)
     for trial in range(40):
         m = _random_matrix(rng, rng.int_between(1, 4), rng.int_between(1, 4))
-        assert rank(m) + len(nullspace(m)) == m.cols
+        assert m.rank() + len(m.nullspace()) == m.cols
 
 
 # -- solve --------------------------------------------------------------------
 
 def test_solve_identity():
     m = Matrix.identity(3)
-    x = solve(m, [5, -2, Fraction(1, 3)])
+    x = m.solve([5, -2, Fraction(1, 3)])
     assert x == (5, -2, Fraction(1, 3))
     assert all(type(v) is Fraction for v in x)
 
 
 def test_solve_pivot_first_convention():
-    assert solve(Matrix([[1, 1]]), [2]) == (2, 0)
+    assert Matrix([[1, 1]]).solve([2]) == (2, 0)
 
 
 def test_solve_inconsistent():
     m = Matrix([[1, 1], [1, 1]])
-    assert solve(m, [1, 2]) is None
+    assert m.solve([1, 2]) is None
 
 
 def test_solve_roundtrip_random():
@@ -98,44 +98,44 @@ def test_solve_roundtrip_random():
 # -- rank ----------------------------------------------------------------------
 
 def test_rank_identity():
-    assert rank(Matrix.identity(4)) == 4
+    assert Matrix.identity(4).rank() == 4
 
 
 def test_rank_proportional_rows():
-    assert rank(Matrix([[1, 2], [2, 4]])) == 1
+    assert Matrix([[1, 2], [2, 4]]).rank() == 1
 
 
 def test_rank_two():
     # Oracle: determinant of [[3, 1], [1, 1]] is 3 - 1 = 2, nonzero.
-    assert rank(Matrix([[3, 1], [1, 1]])) == 2
+    assert Matrix([[3, 1], [1, 1]]).rank() == 2
 
 
 # -- inertia ---------------------------------------------------------------------
 
 def test_inertia_diagonal():
-    assert inertia(Matrix([[2, 0], [0, -3]])) == (1, 1, 0)
+    assert Matrix([[2, 0], [0, -3]]).inertia() == (1, 1, 0)
 
 
 def test_inertia_zero_matrix():
-    assert inertia(Matrix.zeros(3, 3)) == (0, 0, 3)
+    assert Matrix.zeros(3, 3).inertia() == (0, 0, 3)
 
 
 def test_inertia_hyperbolic_pair():
     # Oracle: characteristic polynomial of [[0,1],[1,0]] is t^2 - 1, so the
     # eigenvalues are +1 and -1.
-    assert inertia(Matrix([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert Matrix([[0, 1], [1, 0]]).inertia() == (1, 1, 0)
 
 
 def test_inertia_rejects_nonsymmetric():
     with pytest.raises(ValueError):
-        inertia(Matrix([[0, 1], [2, 0]]))
+        Matrix([[0, 1], [2, 0]]).inertia()
 
 
 def test_inertia_rejects_complex_without_flag():
     # A complex entry is refused when the matrix is built, before any inertia.
     for i in (1j, sympy.I):
         with pytest.raises(TypeError, match="as a rational"):
-            inertia(Matrix([[0, i], [i, 0]]))
+            Matrix([[0, i], [i, 0]]).inertia()
 
 
 def test_inertia_congruence_invariant():

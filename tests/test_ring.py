@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodgecs import zoo
 from hodgecs.errors import DegreeError, FlagError, RingMismatchError
+from hodgecs.linalg import Matrix
 from hodgecs.ring import (
     ClassVector,
     IntersectionRing,
@@ -69,7 +70,7 @@ def test_wedge_commutes_and_bilinear():
         a = ring.class_vector(1, [rng.int_between(-4, 4), rng.int_between(-4, 4)])
         b = ring.class_vector(2, [rng.int_between(-4, 4), rng.int_between(-4, 4)])
         c = ring.class_vector(2, [rng.int_between(-4, 4), rng.int_between(-4, 4)])
-        assert wedge(a, b) == wedge(b, a)
+        assert wedge(a, b) == wedge(b, a) == a * b
         assert wedge(a, b + c) == wedge(a, b) + wedge(a, c)
 
 
@@ -120,6 +121,25 @@ def test_ring_mismatch_rejected():
     b = zoo.get("p3").ring.basis_class(1, 0)
     with pytest.raises(RingMismatchError):
         wedge(a, b)
+
+
+def test_rings_classes_and_matrices_are_immutable_and_compare_only_to_their_kind():
+    ring = zoo.get("blp4").ring
+    a = ring.basis_class(1, 0)
+    m = Matrix([[1, 2]])
+    assert repr(ring) == "IntersectionRing('blp4', n=4, hodge=[1, 2, 2, 2, 1])"
+    for obj, attr, kind in ((ring, "n", "IntersectionRing"), (a, "den", "ClassVector"),
+                            (m, "den", "Matrix")):
+        with pytest.raises(AttributeError, match=f"{kind} is immutable"):
+            setattr(obj, attr, 3)
+        with pytest.raises(AttributeError, match=f"{kind} is immutable"):
+            obj.extra = 1
+        assert obj.__eq__(object()) is NotImplemented
+        assert obj != 1 and not obj == "blp4"
+    assert ring.n == 4 and a.den == 1 and m.den == 1
+    assert a.__add__(1) is NotImplemented
+    with pytest.raises(TypeError):
+        a - Fraction(1, 2)
 
 
 def test_class_vector_and_scaled_refuse_a_non_real_value():

@@ -78,6 +78,20 @@ def test_degree_zero_acts_as_in_wedge_on_a_ring_that_fails_validation():
         assert r._pairing(r.n) == Matrix([[c] for c in r.integral]), name
 
 
+def test_first_read_builds_every_table_sharing_each_product_with_its_transpose():
+    entry = zoo.projective_space(1, "a")
+    for label in "bcd":
+        entry = zoo.product(entry, zoo.projective_space(1, label))
+    for r in [zoo.get(name).ring for name in zoo.list_entries()] + [entry.ring]:
+        ring = IntersectionRing(r.name, r.n, r.hodge, r.basis_labels, r.products, r.integral)
+        assert ring._tables == {}
+        ring._table(0, 0)
+        assert set(ring._tables) == {(a, b) for a in range(ring.n + 1)
+                                     for b in range(ring.n + 1 - a)}, ring.name
+        for (a, i, b, j) in ring.products:
+            assert ring._tables[b, a][j][i] is ring._tables[a, b][i][j], (ring.name, a, i, b, j)
+
+
 def test_decomposition_and_g_on_rings_with_fractional_constants():
     # The scalings are positive, so the Kahler samples stay Kahler.
     for ring in (_scaled(zoo.get("flag3").ring), _scaled(zoo.get("quadric4").ring),
