@@ -1,9 +1,13 @@
 """Batched ring validation against a per-triple oracle, and its work limit."""
 
+import array
+import fcntl
 import json
 import os
 import subprocess
 import sys
+import termios
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from hodgecs.ring import (
     VALIDATE_LIMIT,
     IntersectionRing,
     ValidationReport,
+    _spanned_by_degree_1,
     integrate,
     validate_ring,
     validation_work,
@@ -99,8 +104,10 @@ def assert_same_ranks(ring: IntersectionRing) -> None:
 
 @pytest.mark.parametrize("name", zoo.list_entries())
 def test_zoo_rings_match_the_oracle(name):
-    ring = zoo.get(name).ring
+    ring = replaced(zoo.get(name).ring)   # a fresh ring has built no pairing
     assert validate_ring(ring).issues == oracle_validate(ring).issues == []
+    # Pairing n - p is the transpose of pairing p: only p <= n/2 is ranked.
+    assert sorted(ring._pairings) == list(range(ring.n // 2 + 1))
     assert_same_ranks(ring)
 
 
@@ -110,6 +117,7 @@ def test_degenerate_integral_matches_the_oracle(name):
     report = validate_ring(ring)
     assert report.issues == oracle_validate(ring).issues
     assert [i.location for i in report.issues] == [f"pairing p={p}" for p in range(ring.n + 1)]
+    assert sorted(ring._pairings) == list(range(ring.n // 2 + 1))
     assert_same_ranks(ring)
 
 
@@ -127,13 +135,26 @@ def test_partly_degenerate_pairing_ranks():
     assert_same_ranks(broken)
 
 
-MUTABLE = [name for name in zoo.list_entries() if zoo.get(name).ring.n >= 3]
+def power(k: int, n: int) -> zoo.ZooEntry:
+    """(P^n)^k through zoo.product, one label family per factor."""
+    entry = zoo.projective_space(n, "x0")
+    for i in range(1, k):
+        entry = zoo.product(entry, zoo.projective_space(n, f"x{i}"))
+    return entry
 
 
-@settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(MUTABLE), data=st.data())
+# The zoo rings of dimension 3 or more, of which quadric4 alone is not
+# generated in degree 1 and takes the full triple loop, and two rings that
+# are, (P^1)^4 and blp6, whose associative mutations pass the spanning test.
+MUTABLE = {**{name: zoo.get(name).ring for name in zoo.list_entries()
+              if zoo.get(name).ring.n >= 3},
+           "p1x4": power(4, 1).ring, "blp6": zoo.blowup_pn(6).ring}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(MUTABLE)), data=st.data())
 def test_mutated_product_record_is_rejected_where_the_oracle_rejects(name, data):
-    ring = zoo.get(name).ring
+    ring = MUTABLE[name]
     doc = json.loads(serialize_ring_bundle(ring))
     rec = data.draw(st.sampled_from(doc["products"]), label="record")
     k = data.draw(st.integers(0, len(rec["out"]) - 1), label="entry")
@@ -154,6 +175,64 @@ def test_mutated_product_record_is_rejected_where_the_oracle_rejects(name, data)
         assert (err.value.constraint, err.value.path) == (expected[0].check, expected[0].location)
     else:
         parse_ring_bundle(text)
+
+
+# -- each check once: degree-1 triples, one rank per transposed pair --------------
+
+def test_degree_1_spans_every_ring_but_quadric4():
+    spanned = {name: _spanned_by_degree_1(zoo.get(name).ring) for name in zoo.list_entries()}
+    assert [name for name, ok in spanned.items() if not ok] == ["quadric4"]
+    # The seven ring-bundle documents of the benchmark's bundle-load workload.
+    documents = [zoo.blowup_pn(6), power(4, 1), zoo.blowup_pn(8),
+                 zoo.product(zoo.projective_space(3, "u"), zoo.projective_space(3, "v")),
+                 zoo.product(power(3, 1), zoo.projective_space(2, "y")),
+                 power(3, 2), power(5, 1)]
+    assert all(_spanned_by_degree_1(entry.ring) for entry in documents)
+
+
+def test_degenerate_pairing_is_reported_at_p_and_n_minus_p():
+    # Dropping E * E^3 from blp4 leaves the pairing of degrees 1 and 3
+    # degenerate; its one rank is reported at p = 1 and at p = 3, after the
+    # associativity issues.
+    ring = zoo.get("blp4").ring
+    e, e3 = ring.label_index(1, "E"), ring.label_index(3, "E^3")
+    broken = replaced(ring, products={k: v for k, v in ring.products.items()
+                                      if k != (1, e, 3, e3)})
+    issues = validate_ring(broken).issues
+    assert issues == oracle_validate(broken).issues
+    assert [i.location for i in issues if i.check == "poincare-duality"] == [
+        "pairing p=1", "pairing p=3"]
+
+
+def unspanned_sixfold() -> IntersectionRing:
+    """A 6-fold whose degree 2 holds H^2 and three classes a, b, c outside H * H.
+
+    H kills a, b, c and their duals a', b', c' in degree 4, so every triple of
+    first degree 1 associates; a * b = c' while b * c = a * c = 0, so (a * b) * c
+    = pt differs from a * (b * c) = 0, a failure first met at degrees (2, 2, 2).
+    """
+    hodge = (1, 1, 4, 1, 4, 1, 1)
+    basis = [["1"], ["H"], ["H^2", "a", "b", "c"], ["H^3"],
+             ["H^4", "a'", "b'", "c'"], ["H^5"], ["pt"]]
+    products = {}
+    for i in range(1, 7):
+        for j in range(i, 7 - i):
+            products[(i, 0, j, 0)] = [1] + [0] * (hodge[i + j] - 1)
+    for k in (1, 2, 3):
+        products[(2, k, 4, k)] = [1]
+    products[(2, 1, 2, 2)] = [0, 0, 0, 1]
+    return IntersectionRing("unspanned6", 6, hodge, basis, products, [1])
+
+
+def test_unspanned_ring_checks_the_triples_past_degree_1():
+    ring = unspanned_sixfold()
+    assert not _spanned_by_degree_1(ring)
+    issues = validate_ring(ring).issues
+    assert issues == oracle_validate(ring).issues
+    assert [str(i) for i in issues] == [
+        f"[associativity] {t}: products do not associate"
+        for t in ("(2,1)*(2,2)*(2,3)", "(2,2)*(2,1)*(2,3)",
+                  "(2,3)*(2,1)*(2,2)", "(2,3)*(2,2)*(2,1)")]
 
 
 # -- work limit ------------------------------------------------------------------
@@ -317,9 +396,41 @@ def test_reader_gone_after_one_line_keeps_exit_0():
     assert err == ""
 
 
+def test_reader_gone_while_many_lines_are_buffered_keeps_exit_0(tmp_path):
+    # ``info`` prints one line per sample, so 3,000 samples make about 85 KB in
+    # short lines, more than the pipe and the 8 KB stdout buffer. The reader
+    # takes one line and goes once the pipe has stopped filling: the writer is
+    # then blocked part way through a write, which returns short and leaves
+    # bytes in the buffer, and the next write fails with them still there.
+    document = json.loads(serialize_ring_bundle(zoo.get("blp4").ring))
+    document["samples"] += [{"name": f"s{i}", "flag": "nef", "coeffs": [str(i), "0"]}
+                            for i in range(3000)]
+    path = tmp_path / "many-samples.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = _hodgecs_process(["info", str(path)])
+    assert proc.stdout.readline().startswith(b"ring 'blp4'")
+    held, last, still = array.array("i", [0]), -1, 0
+    while still < 20 and proc.poll() is None:
+        time.sleep(0.01)
+        fcntl.ioctl(proc.stdout.fileno(), termios.FIONREAD, held)
+        still, last = (still + 1 if held[0] == last else 0), held[0]
+    assert proc.poll() is None, "the report fit in the pipe"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
+
+
 def _hodgecs_process(argv):
-    """``python -m hodgecs argv`` with its stdout and stderr on pipes."""
+    """``python -m hodgecs argv`` with its stdout and stderr on pipes.
+
+    Its stdout is buffered, as by default: with PYTHONUNBUFFERED set, a failed
+    write keeps no bytes for the exit-time flush to fail on again, and the
+    closed-pipe tests could not see that flush.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-m", "hodgecs", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
