@@ -18,6 +18,8 @@ orders with different outputs is rejected as a commutativity violation.
 Serialization is canonical (sorted keys, reduced rationals, records sorted by
 (da, ia, db, ib), zero products omitted), so parse then serialize
 canonicalizes any valid document and round-trips canonical ones byte-exactly.
+Product vectors are dense and mostly "0", so parsing converts each distinct
+literal once per document and serialization writes each distinct entry once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import BundleSemanticError, BundleSyntaxError
@@ -48,11 +51,12 @@ def _semantic(message: str, path: str, constraint: str) -> BundleSemanticError:
     return BundleSemanticError(message, path=path, constraint=constraint)
 
 
-def _want(value, typ, path: str):
+def _want(value, typ, path: str, suffix: str = ""):
+    """``value`` when it is a ``typ``; the path ``path + suffix`` is joined only to refuse."""
     # bool is an int subclass but never a valid count/index in this format.
     if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
         raise _semantic(
-            f"expected {typ.__name__}, got {type(value).__name__}", path, "type"
+            f"expected {typ.__name__}, got {type(value).__name__}", path + suffix, "type"
         )
     return value
 
@@ -71,7 +75,17 @@ def _check_fields(value, path: str, required: tuple, allowed: tuple = ()) -> Non
 
 
 def _rational_list(value, path: str, memo: dict[str, Fraction]) -> tuple[Fraction, ...]:
-    """Parse a list of rational strings; ``memo`` caches successful parses per document."""
+    """Parse a list of rational strings; ``memo`` caches successful parses per document.
+
+    A list whose every entry is a literal already in ``memo`` is looked up whole;
+    only a miss, or a value that is not a list, takes the loop that checks,
+    parses and names each entry.
+    """
+    if isinstance(value, list):
+        try:
+            return tuple(map(memo.__getitem__, value))
+        except (KeyError, TypeError):
+            pass
     for i, c in enumerate(_want(value, list, path)):
         if _want(c, str, f"{path}[{i}]") not in memo:
             try:
@@ -120,11 +134,11 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
     for r, rec in enumerate(_want(doc["products"], list, "products")):
         path = f"products[{r}]"
         _check_fields(rec, path, ("da", "ia", "db", "ib", "out"))
-        da = _want(rec["da"], int, f"{path}.da")
-        ia = _want(rec["ia"], int, f"{path}.ia")
-        db = _want(rec["db"], int, f"{path}.db")
-        ib = _want(rec["ib"], int, f"{path}.ib")
-        out = _rational_list(rec["out"], f"{path}.out", literals)
+        da = _want(rec["da"], int, path, ".da")
+        ia = _want(rec["ia"], int, path, ".ia")
+        db = _want(rec["db"], int, path, ".db")
+        ib = _want(rec["ib"], int, path, ".ib")
+        out = _rational_list(rec["out"], path + ".out", literals)
         key = canonical_product_key(da, ia, db, ib)
         if key in seen:
             prev_record, prev_out = seen[key]
@@ -143,11 +157,11 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
     for s, rec in enumerate(_want(doc.get("samples", []), list, "samples")):
         path = f"samples[{s}]"
         _check_fields(rec, path, ("name", "flag", "coeffs"))
-        flag = _want(rec["flag"], str, f"{path}.flag")
+        flag = _want(rec["flag"], str, path, ".flag")
         if flag not in POSITIVE_FLAGS:
             raise _semantic(f"flag must be kahler or nef, got {flag!r}", f"{path}.flag", "flag")
         coeffs = _rational_list(rec["coeffs"], f"{path}.coeffs", literals)
-        sample = _want(rec["name"], str, f"{path}.name")
+        sample = _want(rec["name"], str, path, ".name")
         if any(x.name == sample for x in samples):
             raise _semantic(f"sample name {sample!r} is already declared", f"{path}.name", "duplicate-sample")
         samples.append(RingSample(sample, flag, coeffs))
@@ -167,29 +181,33 @@ def parse_ring_bundle(text: str, source: str = "<string>") -> IntersectionRing:
 
 
 def serialize_ring_bundle(ring: IntersectionRing) -> str:
-    """Canonical serialization: stable ordering, reduced rationals, newline-terminated."""
+    """Canonical serialization: stable ordering, reduced rationals, newline-terminated.
+
+    Each entry object is written once by ``rational_to_str`` and its text reused
+    wherever it stands: product vectors are dense and mostly zero, and a parsed
+    ring holds one Fraction per distinct literal, so a parsed ring's rationals are
+    written once per distinct literal. Entries are keyed by identity, as hashing a
+    Fraction costs more than writing it.
+    """
+    vectors = [*ring.products.values(), ring.integral, *(s.coeffs for s in ring.samples)]
+    entries = {id(c): c for c in chain.from_iterable(vectors)}
+    text = {i: rational_to_str(c) for i, c in entries.items()}
+
+    def strs(values) -> list[str]:
+        return list(map(text.__getitem__, map(id, values)))
+
     records = []
     for key in sorted(ring.products):
         da, ia, db, ib = key
-        records.append({
-            "da": da, "ia": ia, "db": db, "ib": ib,
-            "out": [rational_to_str(c) for c in ring.products[key]],
-        })
+        records.append({"da": da, "ia": ia, "db": db, "ib": ib, "out": strs(ring.products[key])})
     doc = {
         "name": ring.name,
         "n": ring.n,
         "hodge": list(ring.hodge),
         "basis": [list(row) for row in ring.basis_labels],
         "products": records,
-        "integral": [rational_to_str(c) for c in ring.integral],
-        "samples": [
-            {
-                "name": s.name,
-                "flag": s.flag,
-                "coeffs": [rational_to_str(c) for c in s.coeffs],
-            }
-            for s in ring.samples
-        ],
+        "integral": strs(ring.integral),
+        "samples": [{"name": s.name, "flag": s.flag, "coeffs": strs(s.coeffs)} for s in ring.samples],
     }
     return _json_text(doc) + "\n"
 

@@ -234,9 +234,16 @@ _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$", _re.ASCII)
 MAX_LITERAL_DIGITS = 640
 
 
-def rational_to_str(q: Fraction) -> str:
-    """Serialize a rational as "p/q", omitting the denominator when it is 1."""
-    return str(Fraction(q))
+def rational_to_str(q: int | Fraction) -> str:
+    """Serialize a rational as "p/q", omitting the denominator when it is 1.
+
+    An int or a Fraction, as ``_rationals`` reads them; any other value raises
+    ``TypeError``, so a float is never written as its binary fraction.
+    """
+    if isinstance(q, Fraction):
+        return str(q)
+    _rationals((q,))
+    return int.__repr__(q)
 
 
 def _ratios(nums, den: int) -> list[str]:

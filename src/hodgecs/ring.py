@@ -43,7 +43,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import (DegreeError, FlagError, RingMismatchError, SingularSplitError,
                      ValidationLimitError)
-from .linalg import Matrix, _cleared, _rational_ints, _rationals, int_from_str
+from .linalg import Matrix, _rational_ints, _rationals, int_from_str
 
 FLAG_NONE = "none"
 FLAG_KAHLER = "kahler"
@@ -121,7 +121,10 @@ class IntersectionRing:
             for d, i in ((da, ia), (db, ib)):
                 if not (0 <= d <= n) or not (0 <= i < hodge[d]):
                     raise ValueError(f"product key {key}: index out of range")
-            out = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in _rationals(out))
+            out = tuple(out)
+            # A vector of exact Fractions, as parsing and the zoo give, is taken as it is.
+            if set(map(type, out)) != {Fraction}:
+                out = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in _rationals(out))
             if da + db > n:
                 if any(out):
                     raise ValueError(f"product key {key}: degree {da + db} exceeds n")
@@ -175,7 +178,7 @@ class IntersectionRing:
         )
         # D, one denominator of every structure constant; the integral as int weights.
         weights, scale = _rational_ints(integral)
-        object.__setattr__(self, "_den", lcm(*(c.denominator for out in table.values() for c in out)))
+        object.__setattr__(self, "_den", lcm(*{c.denominator for out in table.values() for c in out}))
         object.__setattr__(self, "_weights", (weights, scale))
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_pairings", {})
@@ -204,9 +207,10 @@ class IntersectionRing:
         """The products of degrees da x db, da + db <= n: i -> {j: ((k, D * c_k), ...)}.
 
         The one product view of the ring. The first read builds the tables of
-        every pair in one pass over ``products``, clearing each product once and
-        filing it under both orders of its factors, so a table and its transpose
-        share entries; the pairs with a zero product are left out. In degree 0
+        every pair in one pass over ``products``, clearing each nonzero entry of a
+        product once and filing the product under both orders of its factors, so a
+        table and its transpose share entries; the pairs with a zero product are
+        left out. In degree 0
         the unit, basis element 0, acts as the identity, and any other element
         (in a ring that fails validation) as zero.
         """
@@ -224,7 +228,7 @@ class IntersectionRing:
                         tables[b, 0][j][0] = unit
             for (a, i, b, j), out in self.products.items():
                 tables[a, b][i][j] = tables[b, a][j][i] = tuple(
-                    (k, c) for k, c in enumerate(_cleared(out, den)) if c)
+                    (k, c.numerator * (den // c.denominator)) for k, c in enumerate(out) if c)
             # Stored whole, so a concurrent reader never sees a partly filled table.
             object.__setattr__(self, "_tables", tables)
         return tables[da, db]

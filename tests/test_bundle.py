@@ -18,14 +18,17 @@ from hodgecs.bundle import (
 )
 from hodgecs.cli import main
 from hodgecs.errors import BundleSemanticError, BundleSyntaxError
+from test_validate_batched import bundle_load_entries
 
 
 def test_round_trip_every_zoo_ring():
-    for name in zoo.list_entries():
-        ring = zoo.get(name).ring
-        text = serialize_ring_bundle(ring)
+    # The zoo and the seven bundle-load documents: parse then serialize gives
+    # back each canonical document byte for byte.
+    entries = {name: zoo.get(name) for name in zoo.list_entries()}
+    for name, entry in {**entries, **bundle_load_entries()}.items():
+        text = serialize_ring_bundle(entry.ring)
         parsed = parse_ring_bundle(text)
-        assert parsed == ring, name
+        assert parsed == entry.ring, name
         assert serialize_ring_bundle(parsed) == text, name
 
 
@@ -258,6 +261,46 @@ def test_bad_sample_flag_diagnostic():
     with pytest.raises(BundleSemanticError) as err:
         parse_ring_bundle(json.dumps(doc))
     assert err.value.constraint == "flag"
+
+
+def _set(*steps):
+    """A change to a document: follow the keys of ``steps[:-2]``, then set the
+    entry ``steps[-2]`` there to ``steps[-1]``."""
+    *where, key, value = steps
+
+    def apply(doc):
+        for k in where:
+            doc = doc[k]
+        doc[key] = value
+    return apply
+
+
+RECORD_REFUSALS = [
+    (_set("products", 0, "da", True), "type", "products[0].da", "expected int, got bool"),
+    (_set("products", 0, "ia", "0"), "type", "products[0].ia", "expected int, got str"),
+    (_set("products", 0, "out", "1"), "type", "products[0].out", "expected list, got str"),
+    (_set("products", 0, "out", 0, 1), "type", "products[0].out[0]", "expected str, got int"),
+    (_set("products", 0, "out", 0, ["1"]), "type", "products[0].out[0]", "expected str, got list"),
+    (_set("products", 0, "out", 0, "1.5"), "rational", "products[0].out[0]",
+     "not a rational literal: '1.5'"),
+    (_set("samples", 0, "coeffs", 0, None), "type", "samples[0].coeffs[0]",
+     "expected str, got NoneType"),
+]
+
+
+@pytest.mark.parametrize("change, constraint, path, message", RECORD_REFUSALS)
+def test_record_level_refusals_name_constraint_path_and_message(
+        change, constraint, path, message, tmp_path, capsys):
+    doc = json.loads(serialize_ring_bundle(zoo.get("p1xp1").ring))
+    change(doc)
+    with pytest.raises(BundleSemanticError) as err:
+        parse_ring_bundle(json.dumps(doc))
+    assert (err.value.constraint, err.value.path, err.value.args[0]) == (constraint, path, message)
+    bundle_path = tmp_path / "refused.json"
+    bundle_path.write_text(json.dumps(doc))
+    assert main(["info", str(bundle_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"invalid ring bundle: {path}: {message}\n")
 
 
 # -- class literals -----------------------------------------------------------------

@@ -25,7 +25,7 @@ from hodgecs.inequalities import (
     proportional,
 )
 from hodgecs.lefschetz import LefschetzDecomposer
-from hodgecs.linalg import Matrix
+from hodgecs.linalg import Matrix, rational_to_str
 from hodgecs.ring import (
     FLAG_KAHLER,
     FLAG_NEF,
@@ -201,6 +201,21 @@ def test_floats_and_complex_entries_keep_their_errors():
         with pytest.raises(TypeError) as err:
             IntersectionRing(**{**args, **change})
         assert str(err.value) == message
+
+
+def test_rational_to_str_writes_ints_and_fractions_only():
+    # ints and Fractions, a bool as its int; the denominator is left out when it is 1.
+    for q, text in [(0, "0"), (-7, "-7"), (True, "1"), (False, "0"), (Fraction(3, 6), "1/2"),
+                    (Fraction(-4, 2), "-2"), (Fraction(-2, 3), "-2/3"), (10**50, "1" + "0" * 50)]:
+        assert rational_to_str(q) == text, q
+    # A float is refused, not written as its binary fraction, as is any other value.
+    for bad in (0.1, 1.0, 1 + 0j, "1/2", None, sympy.Rational(1, 2)):
+        with pytest.raises(TypeError) as err:
+            rational_to_str(bad)
+        assert str(err.value) == f"cannot interpret {bad!r} as a rational"
+    # A Fraction is written as it is, without building another.
+    q = Fraction(-5, 12)
+    assert _constructions(lambda: rational_to_str(q)) == ("-5/12", {})
 
 
 # -- ring identity ------------------------------------------------------------------

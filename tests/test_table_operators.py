@@ -15,6 +15,7 @@ classes: reconstruction, the decomposition's g and the three-wedge g.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -27,7 +28,8 @@ from hodgecs.ring import (ClassVector, IntersectionRing, class_columns, form_mat
 from hodgecs.sampling import random_strict_setup, sample_random_class
 from test_inequalities import _g_three_wedges
 from test_int_matrix import _p1_fifth, _scaled
-from test_ring_ints import _old_wedge
+from test_ring_ints import _old_wedge, _rescaled
+from test_validate_batched import bundle_load_entries
 
 
 def test_matrices_reject_degrees_past_the_top():
@@ -90,6 +92,56 @@ def test_first_read_builds_every_table_sharing_each_product_with_its_transpose()
                                      for b in range(ring.n + 1 - a)}, ring.name
         for (a, i, b, j) in ring.products:
             assert ring._tables[b, a][j][i] is ring._tables[a, b][i][j], (ring.name, a, i, b, j)
+
+
+def _dense_tables(ring) -> tuple[int, dict]:
+    """D, the lcm of every entry's denominator, and every table as the ring files
+    it, from each product cleared whole over D, zeros included."""
+    den = lcm(*(c.denominator for out in ring.products.values() for c in out))
+    h = ring.hodge
+    tables = {(a, b): tuple({} for _ in range(h[a]))
+              for a in range(ring.n + 1) for b in range(ring.n + 1 - a)}
+    for b in range(ring.n + 1):
+        for j in range(h[b]):
+            tables[0, b][0][j] = tables[b, 0][j][0] = ((j, den),)
+    for (a, i, b, j), out in ring.products.items():
+        cleared = [c.numerator * (den // c.denominator) for c in out]
+        tables[a, b][i][j] = tables[b, a][j][i] = tuple((k, c) for k, c in enumerate(cleared) if c)
+    return den, tables
+
+
+class _Q(Fraction):
+    """A Fraction subclass: its vectors take the constructor's conversion, not the
+    path of vectors of exact Fractions."""
+
+
+def test_denominator_and_tables_match_the_dense_build_for_every_vector_type():
+    rings = [zoo.get(name).ring for name in zoo.list_entries()]
+    rings += [entry.ring for entry in bundle_load_entries().values()]
+    rings += [_rescaled(zoo.get("blp3").ring), _scaled(zoo.get("flag3").ring)]
+    assert {r._den for r in rings} > {1}
+    for ring in rings:
+        den, tables = _dense_tables(ring)
+        integral = all(c.denominator == 1 for out in ring.products.values() for c in out)
+        variants = {
+            "fractions": ring.products,
+            "lists": {k: list(out) for k, out in ring.products.items()},
+            "mixed": {k: tuple(int(c) if i % 2 and c.denominator == 1 else c
+                               for i, c in enumerate(out)) for k, out in ring.products.items()},
+            "subclass": {k: tuple(map(_Q, out)) for k, out in ring.products.items()},
+        }
+        if integral:
+            variants["ints"] = {k: tuple(map(int, out)) for k, out in ring.products.items()}
+        for kind, products in variants.items():
+            built = IntersectionRing(ring.name, ring.n, ring.hodge, ring.basis_labels,
+                                     products, ring.integral, ring.samples)
+            where = (ring.name, kind)
+            assert built.products == ring.products, where
+            assert all(type(out) is tuple and all(isinstance(c, Fraction) for c in out)
+                       for out in built.products.values()), where
+            assert built._den == den, where
+            for (a, b), table in tables.items():
+                assert built._table(a, b) == table, (*where, a, b)
 
 
 def test_decomposition_and_g_on_rings_with_fractional_constants():

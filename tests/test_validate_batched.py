@@ -135,12 +135,26 @@ def test_partly_degenerate_pairing_ranks():
     assert_same_ranks(broken)
 
 
-def power(k: int, n: int) -> zoo.ZooEntry:
+def power(k: int, n: int, prefix: str = "x") -> zoo.ZooEntry:
     """(P^n)^k through zoo.product, one label family per factor."""
-    entry = zoo.projective_space(n, "x0")
+    entry = zoo.projective_space(n, f"{prefix}0")
     for i in range(1, k):
-        entry = zoo.product(entry, zoo.projective_space(n, f"x{i}"))
+        entry = zoo.product(entry, zoo.projective_space(n, f"{prefix}{i}"))
     return entry
+
+
+def bundle_load_entries() -> dict[str, zoo.ZooEntry]:
+    """The seven ring-bundle documents of the benchmark's bundle-load workload, by
+    name, built with the same zoo calls and labels."""
+    return {
+        "blp6": zoo.blowup_pn(6),
+        "p1x4": power(4, 1),
+        "blp8": zoo.blowup_pn(8),
+        "p3xp3": zoo.product(zoo.projective_space(3, "u"), zoo.projective_space(3, "v")),
+        "p1x3p2": zoo.product(power(3, 1), zoo.projective_space(2, "y")),
+        "p2x3": power(3, 2, "y"),
+        "p1x5": power(5, 1),
+    }
 
 
 # The zoo rings of dimension 3 or more, of which quadric4 alone is not
@@ -182,12 +196,7 @@ def test_mutated_product_record_is_rejected_where_the_oracle_rejects(name, data)
 def test_degree_1_spans_every_ring_but_quadric4():
     spanned = {name: _spanned_by_degree_1(zoo.get(name).ring) for name in zoo.list_entries()}
     assert [name for name, ok in spanned.items() if not ok] == ["quadric4"]
-    # The seven ring-bundle documents of the benchmark's bundle-load workload.
-    documents = [zoo.blowup_pn(6), power(4, 1), zoo.blowup_pn(8),
-                 zoo.product(zoo.projective_space(3, "u"), zoo.projective_space(3, "v")),
-                 zoo.product(power(3, 1), zoo.projective_space(2, "y")),
-                 power(3, 2), power(5, 1)]
-    assert all(_spanned_by_degree_1(entry.ring) for entry in documents)
+    assert all(_spanned_by_degree_1(entry.ring) for entry in bundle_load_entries().values())
 
 
 def test_degenerate_pairing_is_reported_at_p_and_n_minus_p():
