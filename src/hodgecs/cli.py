@@ -177,8 +177,7 @@ def _cmd_info(args) -> tuple[int, dict, list[str]]:
             f"deg {p}: {', '.join(row)}" for p, row in enumerate(ring.basis_labels)
         ),
     ]
-    for s in ring.samples:
-        cls = ring.sample(s.name)
+    for s, cls in zip(ring.samples, ring.sample_classes()):
         lines.append(f"sample {s.name!r} [{s.flag}]: {cls}")
     return 0, report, lines
 

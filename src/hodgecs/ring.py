@@ -116,6 +116,7 @@ class IntersectionRing:
                 raise ValueError(f"degree {p}: {len(row)} labels for dimension {hodge[p]}")
 
         table: dict[ProductKey, tuple[Fraction, ...]] = {}
+        dens: set[int] = set()
         for key, out in products.items():
             da, ia, db, ib = map(index, key)
             for d, i in ((da, ia), (db, ib)):
@@ -148,22 +149,29 @@ class IntersectionRing:
                         f"{ckey} (commutativity)"
                     )
                 continue
-            if any(out):
+            # One read per entry: the denominators of the nonzero entries make D.
+            nonzero = {c.denominator for c in out if c}
+            if nonzero:
                 table[ckey] = out
+                dens |= nonzero
 
         integral = tuple(map(Fraction, _rationals(integral)))
         if len(integral) != hodge[n]:
             raise ValueError(f"integral vector must have length {hodge[n]}")
 
+        # Each sample cleared once, to (re, den, flag) in lowest terms: the numerators
+        # of reduced Fractions over the lcm of their denominators have gcd 1 with it.
         samples = tuple(samples)
+        sample_rows = []
         for k, s in enumerate(samples):
-            _rationals(s.coeffs)
+            re, den = _rational_ints(s.coeffs)
             if s.flag not in POSITIVE_FLAGS:
                 raise ValueError(f"sample {s.name!r}: flag must be kahler or nef")
-            if len(s.coeffs) != hodge[1]:
+            if len(re) != hodge[1]:
                 raise ValueError(f"sample {s.name!r}: coefficient length mismatch")
             if any(t.name == s.name for t in samples[:k]):
                 raise ValueError(f"sample {s.name!r}: name is already declared")
+            sample_rows.append((tuple(re), den, s.flag))
 
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "n", n)
@@ -178,11 +186,13 @@ class IntersectionRing:
         )
         # D, one denominator of every structure constant; the integral as int weights.
         weights, scale = _rational_ints(integral)
-        object.__setattr__(self, "_den", lcm(*{c.denominator for out in table.values() for c in out}))
+        object.__setattr__(self, "_den", lcm(*dens))
         object.__setattr__(self, "_weights", (weights, scale))
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_pairings", {})
-        object.__setattr__(self, "_sample_rows", None)
+        # Ints, not classes: a class points back at its ring, and the cycle would
+        # leave a ring that drew to the cycle collector instead of freeing it.
+        object.__setattr__(self, "_sample_rows", tuple(sample_rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionRing is immutable")
@@ -262,41 +272,23 @@ class IntersectionRing:
     def zero_class(self, p: int) -> "ClassVector":
         return ClassVector(self, p, (0,) * self.dim(p))
 
-    def _sample_row(self, k: int) -> tuple:
-        """Declared sample k as (re, den, flag), cleared on its first read and kept,
-        so reading one sample clears no other.
-
-        The ring keeps ints, not classes: a class points back at its ring, and
-        the cycle would leave every ring that read its samples to the cycle
-        collector instead of freeing it when its last reference goes.
-        """
-        rows = self._sample_rows
-        if rows is None:
-            rows = [None] * len(self.samples)
-            object.__setattr__(self, "_sample_rows", rows)
-        if rows[k] is None:
-            s = self.samples[k]
-            c = self.class_vector(1, s.coeffs, s.flag)
-            rows[k] = (c.re, c.den, c.flag)
-        return rows[k]
-
     def _sample_ints(self, flag: Optional[str] = None) -> tuple[tuple, ...]:
-        """Each declared sample of ``flag`` (any flag for None) as (re, den, flag)."""
-        return tuple(self._sample_row(k) for k, s in enumerate(self.samples)
-                     if flag is None or s.flag == flag)
+        """Each declared sample of ``flag`` (any flag for None) as (re, den, flag),
+        the ints the constructor cleared it to, in declaration order."""
+        return tuple(row for row in self._sample_rows if flag is None or row[2] == flag)
 
     def sample(self, name: str) -> "ClassVector":
-        for k, s in enumerate(self.samples):
+        for s, row in zip(self.samples, self._sample_rows):
             if s.name == name:
-                return ClassVector(self, 1, *self._sample_row(k))
+                return ClassVector(self, 1, *row)
         raise KeyError(f"ring {self.name!r} has no sample {name!r}")
 
     def sample_classes(self, flag: Optional[str] = None) -> tuple["ClassVector", ...]:
         """The declared samples as flagged degree-1 classes, in declaration order;
         with ``flag``, only the samples of that flag.
 
-        Each call builds its classes from the ring's cleared ints, through the
-        constructor, which checks them like any other class.
+        Each call builds its classes from the ints the ring cleared when it was
+        built, through the constructor, which checks them like any other class.
         """
         return tuple(ClassVector(self, 1, re, den, f) for re, den, f in self._sample_ints(flag))
 

@@ -12,8 +12,7 @@ Draws stay on ints. Each coefficient is a numerator and a denominator drawn
 by ``int_between`` (numerator first); a class is built once, as int
 numerators over the lcm of its denominators, and ``ClassVector`` brings it to
 lowest terms. A cone draw sums int multiples of the ring's Kahler sample
-numerators, which the ring clears once per ring on first use, over one
-denominator.
+numerators, which the ring clears when it is built, over one denominator.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import UnknownRingError
 from .ring import (
@@ -33,13 +33,6 @@ class ZooEntry:
     name: str
     ring: IntersectionRing
     note: str
-
-
-def _with_samples(ring: IntersectionRing, samples: Sequence[RingSample]) -> IntersectionRing:
-    return IntersectionRing(
-        ring.name, ring.n, ring.hodge, ring.basis_labels,
-        ring.products, ring.integral, samples,
-    )
 
 
 def projective_space(n: int, label: str = "h") -> ZooEntry:
@@ -183,26 +176,14 @@ def product(e1: ZooEntry, e2: ZooEntry, name: str | None = None) -> ZooEntry:
     return ZooEntry(name, ring, f"product of {r1.name} and {r2.name} (Kunneth)")
 
 
-def _build_p1xp1() -> ZooEntry:
-    entry = product(projective_space(1, "a"), projective_space(1, "b"), name="p1xp1")
-    ring = _with_samples(entry.ring, [
-        RingSample("omega", FLAG_KAHLER, (Fraction(1), Fraction(1))),
-        RingSample("omega2", FLAG_KAHLER, (Fraction(2), Fraction(1))),
-        RingSample("a", FLAG_NEF, (Fraction(1), Fraction(0))),
-        RingSample("b", FLAG_NEF, (Fraction(0), Fraction(1))),
-    ])
-    return ZooEntry("p1xp1", ring, "quadric surface; cone = xa + yb with x, y > 0")
-
-
-def _build_p1xp2() -> ZooEntry:
-    entry = product(projective_space(1, "a"), projective_space(2, "b"), name="p1xp2")
-    ring = _with_samples(entry.ring, [
-        RingSample("omega", FLAG_KAHLER, (Fraction(1), Fraction(1))),
-        RingSample("omega2", FLAG_KAHLER, (Fraction(1), Fraction(2))),
-        RingSample("a", FLAG_NEF, (Fraction(1), Fraction(0))),
-        RingSample("b", FLAG_NEF, (Fraction(0), Fraction(1))),
-    ])
-    return ZooEntry("p1xp2", ring, "product threefold; cone = xa + yb with x, y > 0")
+def _p1_times_pm(m: int, omega2: tuple[int, int], note: str) -> ZooEntry:
+    """p1 x pm with the Kahler samples omega = a + b and omega2, and a and b as nef."""
+    r = product(projective_space(1, "a"), projective_space(m, "b")).ring
+    samples = [RingSample(name, flag, tuple(map(Fraction, coeffs))) for name, flag, coeffs in (
+        ("omega", FLAG_KAHLER, (1, 1)), ("omega2", FLAG_KAHLER, omega2),
+        ("a", FLAG_NEF, (1, 0)), ("b", FLAG_NEF, (0, 1)))]
+    ring = IntersectionRing(r.name, r.n, r.hodge, r.basis_labels, r.products, r.integral, samples)
+    return ZooEntry(r.name, ring, f"{note}; cone = xa + yb with x, y > 0")
 
 
 def load_bundled(name: str) -> ZooEntry:
@@ -239,8 +220,8 @@ _BUILDERS: dict[str, Callable[[], ZooEntry]] = {
     "blp2": lambda: blowup_pn(2),
     "blp3": lambda: blowup_pn(3),
     "blp4": lambda: blowup_pn(4),
-    "p1xp1": _build_p1xp1,
-    "p1xp2": _build_p1xp2,
+    "p1xp1": lambda: _p1_times_pm(1, (2, 1), "quadric surface"),
+    "p1xp2": lambda: _p1_times_pm(2, (1, 2), "product threefold"),
     **{name: functools.partial(load_bundled, name) for name in _BUNDLED},
 }
 

@@ -334,7 +334,9 @@ def test_validate_file_validates_once(tmp_path, monkeypatch, capsys):
 
 
 def test_validate_gates_only_the_kahler_samples(tmp_path, monkeypatch, capsys):
-    from hodgecs.ring import IntersectionRing
+    from fractions import Fraction
+
+    from test_sampling import _clearings
 
     _, text, _ = run(capsys, "export", "zoo:p1xp2")
     doc = json.loads(text)
@@ -344,14 +346,12 @@ def test_validate_gates_only_the_kahler_samples(tmp_path, monkeypatch, capsys):
                       {"name": "bad", "flag": "kahler", "coeffs": ["1", "-1"]}]
     path = tmp_path / "samples.json"
     path.write_text(json.dumps(doc))
-    cleared = []
-    real = IntersectionRing.class_vector
-    monkeypatch.setattr(IntersectionRing, "class_vector",
-                        lambda self, *args: cleared.append(args[0]) or real(self, *args))
+    cleared = _clearings(monkeypatch)
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 1
-    # The Kahler samples are cleared to ints once each, not once per gate; no nef one is.
-    assert cleared == [1, 1]
+    # Parsing clears each sample to ints once, in declaration order; no gate clears one again.
+    coeffs = [tuple(Fraction(x) for x in s["coeffs"]) for s in doc["samples"]]
+    assert [tuple(c) for c in cleared if tuple(c) in coeffs] == coeffs
     assert out.splitlines()[:3] == ["ring 'p1xp2': all checks passed",
                                     "kahler sample 'w': ok", "kahler sample 'bad': FAIL"]
 

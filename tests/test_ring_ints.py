@@ -15,18 +15,26 @@ read, is checked against ``wedge`` and ``integrate`` in the same loop: each
 
 The representation properties check that the int fields are canonical:
 equal classes have equal fields and hashes, and arithmetic round trips.
+
+The constructor reads each product entry once and clears each declared sample
+once: D is checked against ``_old_den``, the lcm over every stored entry, and
+each sample row against ``class_vector``, which cleared samples before.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgecs import zoo
+from hodgecs.bundle import parse_ring_bundle, serialize_ring_bundle
+from hodgecs.linalg import _rational_ints
 from hodgecs.ring import (
+    FLAG_NEF,
     IntersectionRing,
+    RingSample,
     _pair_ints,
     _product_ints,
     canonical_product_key,
@@ -250,3 +258,76 @@ def test_basis_and_zero_classes():
             e = ring.basis_class(p, i)
             assert e.coeffs == tuple(Fraction(int(k == i)) for k in range(ring.dim(p)))
             assert e == ring.class_vector(p, [int(k == i) for k in range(ring.dim(p))])
+
+
+# -- D and the sample rows, as the constructor builds them ------------------------
+
+def _old_den(ring) -> int:
+    """D by the previous formula: the lcm of the denominators of every stored entry."""
+    return lcm(*{c.denominator for out in ring.products.values() for c in out})
+
+
+def _as_given(ring, name, convert, extra=()):
+    """``ring`` rebuilt from its products passed through ``convert``, plus ``extra``."""
+    products = {key: convert(out) for key, out in ring.products.items()}
+    products.update(extra)
+    return IntersectionRing(name, ring.n, ring.hodge, ring.basis_labels, products,
+                            ring.integral, ring.samples)
+
+
+def _int_or_fraction(out):
+    return tuple(int(c) if c.denominator == 1 else c for c in out)
+
+
+def test_den_matches_the_lcm_over_every_stored_entry():
+    rings = [zoo.get(name).ring for name in zoo.list_entries()]
+    rings += [_power_product(k) for k in range(1, 7)]
+    # Rescaled, a later entry of a product can hold a denominator its first ones lack.
+    rings += [RINGS["blp3-rescaled"](), RINGS["flag3-rescaled"](), _rescaled(_power_product(4))]
+    p1x3, blp3 = _power_product(3), RINGS["blp3-rescaled"]()
+    rings += [
+        # Every vector of ints, and mixed vectors of ints and Fractions.
+        _as_given(p1x3, "p1^3-ints", lambda out: tuple(map(int, out))),
+        _as_given(blp3, "blp3-mixed", _int_or_fraction),
+        _as_given(_rescaled(p1x3), "p1^3-mixed", _int_or_fraction),
+        # All-zero vectors (H * E = 0 given), and zero vectors past degree n.
+        _as_given(blp3, "blp3-zeros", _int_or_fraction,
+                  {(1, 0, 1, 1): (0, 0), (2, 1, 1, 0): (Fraction(0),), (2, 0, 2, 1): (0,)}),
+        _as_given(p1x3, "p1^3-zeros", tuple, {(2, 0, 2, 0): (Fraction(0),), (1, 0, 3, 0): (0,)}),
+    ]
+    assert any(r._den > 1 for r in rings)
+    for ring in rings:
+        assert ring._den == _old_den(ring), ring.name
+        assert validate_ring(ring).ok, ring.name
+
+
+def _mixed_sample_ring() -> IntersectionRing:
+    """(P^1)^4 with a sample whose coefficients mix 1/2, 1/3, 0 and ints."""
+    r = _power_product(4)
+    samples = [RingSample("mixed", FLAG_NEF, (Fraction(1, 2), Fraction(1, 3), 0, 5)),
+               *r.samples]
+    return IntersectionRing("p1^4/mixed", r.n, r.hodge, r.basis_labels, r.products,
+                            r.integral, samples)
+
+
+def test_sample_rows_are_the_cleared_classes():
+    mixed = _mixed_sample_ring()
+    assert mixed._sample_rows[0] == ((3, 2, 0, 30), 6, FLAG_NEF)
+    rings = [zoo.get(name).ring for name in zoo.list_entries()] + [mixed]
+    rings += [parse_ring_bundle(serialize_ring_bundle(r)) for r in rings]
+    for ring in rings:
+        assert len(ring._sample_rows) == len(ring.samples)
+        for s, row in zip(ring.samples, ring._sample_rows):
+            c = ring.class_vector(1, s.coeffs, s.flag)
+            assert row == (c.re, c.den, c.flag), (ring.name, s.name)
+            assert all(type(x) is int for x in row[0]) and type(row[1]) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)),
+                max_size=8))
+def test_rational_ints_are_in_lowest_terms(values):
+    # The sample rows rely on this: their numerators and den need no reduction.
+    nums, den = _rational_ints(values)
+    assert den >= 1 and gcd(den, *nums) == 1
+    assert [Fraction(x, den) for x in nums] == values

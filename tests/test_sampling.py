@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import hodgecs.ring
 from hodgecs import zoo
 from hodgecs.bundle import parse_ring_bundle, serialize_ring_bundle
 from hodgecs.cli import main
@@ -191,45 +192,57 @@ def test_draws_build_no_fraction_once_the_samples_are_cached():
         assert _constructions(draws)[1] == {}, ring.name
 
 
-def test_sample_coefficients_are_cleared_lazily_once_per_ring(monkeypatch):
-    ring = parse_ring_bundle(serialize_ring_bundle(zoo.get("flag3").ring))
-    assert ring._sample_rows is None
-    cleared = []
-    real = IntersectionRing.class_vector
-    monkeypatch.setattr(IntersectionRing, "class_vector",
-                        lambda self, *args: cleared.append(args) or real(self, *args))
+def _clearings(monkeypatch) -> list:
+    """Record every coefficient list that ``hodgecs.ring`` clears to ints from now on:
+    the constructor's samples and integral, and each ``class_vector``."""
+    calls = []
+    real = hodgecs.ring._rational_ints
+    monkeypatch.setattr(hodgecs.ring, "_rational_ints", lambda values: calls.append(values) or real(values))
+    return calls
+
+
+def test_sample_coefficients_are_cleared_once_when_the_ring_is_built(monkeypatch):
+    text = serialize_ring_bundle(zoo.get("flag3").ring)
+    cleared = _clearings(monkeypatch)
+    ring = parse_ring_bundle(text)
+    # The constructor clears each sample once, in declaration order.
+    assert [c for c in cleared if any(c is s.coeffs for s in ring.samples)] == \
+        [s.coeffs for s in ring.samples]
+    rows = ring._sample_rows
+    cleared.clear()
     for _ in range(3):
         everything = ring.sample_classes()
         kahler = ring.kahler_samples()
+        by_name = [ring.sample(s.name) for s in ring.samples]
+        nef = ring.nef_samples()
         random_cone_class(ring, 10, seed=1, index=0)
-    assert len(cleared) == len(ring.samples)
+    # No accessor and no draw clears a sample again.
+    assert cleared == [] and ring._sample_rows is rows
     monkeypatch.undo()
     assert [_fields(c) for c in everything] == \
         [_fields(ring.class_vector(1, s.coeffs, s.flag)) for s in ring.samples]
-    assert [_fields(ring.sample(s.name)) for s in ring.samples] == [_fields(c) for c in everything]
+    assert [_fields(c) for c in by_name] == [_fields(c) for c in everything]
     assert [c.flag for c in kahler] == [FLAG_KAHLER] * 3
-    assert sorted((repr(c), c.flag) for c in ring.nef_samples()) == \
-        sorted((repr(c), c.flag) for c in everything)
+    assert sorted((repr(c), c.flag) for c in nef) == sorted((repr(c), c.flag) for c in everything)
 
 
-def test_sample_by_name_clears_only_that_sample(tmp_path, capsys, monkeypatch):
+def test_sample_by_name_and_info_clear_no_sample_again(tmp_path, capsys, monkeypatch):
     text = serialize_ring_bundle(zoo.get("p1xp1").ring)
     ring = parse_ring_bundle(text)
-    cleared = []
-    real = IntersectionRing.class_vector
-    monkeypatch.setattr(IntersectionRing, "class_vector",
-                        lambda self, *args: cleared.append(args[1]) or real(self, *args))
-    # On a fresh ring, each sample(name) clears that sample alone, once.
+    cleared = _clearings(monkeypatch)
+    # On a built ring, sample(name) clears nothing and gives the cleared class.
     for s in ring.samples:
-        before = len(cleared)
-        assert ring.sample(s.name) == ring.sample(s.name)
-        assert cleared[before:] == [s.coeffs], s.name
-    # info prints every sample, so it clears each sample of its freshly parsed ring once.
+        assert _fields(ring.sample(s.name)) == _fields(ring.sample(s.name))
+    assert cleared == []
+    assert [_fields(ring.sample(s.name)) for s in ring.samples] == \
+        [_fields(ring.class_vector(1, s.coeffs, s.flag)) for s in ring.samples]
+    # info prints every sample: parsing its file clears each sample once, and printing none.
     path = tmp_path / "p1xp1.json"
     path.write_text(text, encoding="utf-8")
     cleared.clear()
     assert main(["info", str(path)]) == 0
-    assert cleared == [s.coeffs for s in ring.samples]
+    coeffs = [s.coeffs for s in ring.samples]
+    assert [tuple(c) for c in cleared if tuple(c) in coeffs] == coeffs
     assert capsys.readouterr().out.count("sample '") == len(ring.samples)
 
 
