@@ -375,7 +375,7 @@ def verify_theorem(
     explicit counterexample instead. Deterministic for fixed (seed, height).
     Raises ValueError for ``samples`` below 0 or ``height`` below 1.
     """
-    from .sampling import _setup_draws, sample_random_class
+    from .sampling import _class_draws, _setup_draws
 
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -386,13 +386,17 @@ def verify_theorem(
     report = TheoremReport(ring.name, p, seed, height, cond_cs, cond_opp)
 
     # Each sample's verdict reads its draws' int setup data alone; a MixedSetup
-    # is built only for a violation and for the counterexamples.
+    # is built only for a violation and for the counterexamples. The two drawers
+    # serve the whole call, and are built only when there are samples.
     first_draws = None
+    if samples:
+        draw_setup = _setup_draws(ring, p, height, seed)
+        draw_class = _class_draws(ring, p, height, seed)
     for k in range(samples):
-        draws = _setup_draws(ring, p, height, seed, k)
+        draws = draw_setup(k)
         if k == 0:
             first_draws = draws
-        alpha = sample_random_class(ring, p, height, seed, k)
+        alpha = draw_class(k)
         w, omegas = draws
         g, relation, prop = _verdict(alpha, _setup_ints(ring, p, w, _omega_ints(ring, omegas)))
         report.records.append(SampleRecord(k, alpha, w, g, relation, prop))
@@ -413,7 +417,7 @@ def verify_theorem(
 
     if not (cond_cs.holds and cond_opp.holds):
         # Counterexamples use the setup of sample 0, drawn at most once.
-        first_setup = mixed_setup(p, *(first_draws or _setup_draws(ring, p, height, seed, 0)))
+        first_setup = mixed_setup(p, *(first_draws or _setup_draws(ring, p, height, seed)(0)))
         for kind, cond in ((DIRECTION_CS, cond_cs), (DIRECTION_OPPOSITE, cond_opp)):
             if not cond.holds:
                 ce = construct_counterexample(ring, p, first_setup, kind)

@@ -281,18 +281,18 @@ class LefschetzDecomposer:
         for i, c, inverse, d in self._levels:
             k, c = ring.n - 2 * i + 1, (c.re, c.den)    # the degree of C_i, and C_i
             # rest = L^-1 (current * C_i), with L^-1 = inverse / d, in lowest terms.
-            v, v_den = _product_ints(ring, i, current, k, c)
+            v, v_den = _lower_first(ring, i, current, k, c)
             rest, rest_den = [sum(map(mul, row, v)) for row in inverse], v_den * d
             g = gcd(rest_den, *rest)
             rest = [x // g for x in rest], rest_den // g
             # a_i = current - rest * w.
-            (x, x_den), (y, y_den) = current, _product_ints(ring, i - 1, rest, 1, w)
+            (x, x_den), (y, y_den) = current, _lower_first(ring, i - 1, rest, 1, w)
             m = lcm(x_den, y_den)
             s, t = m // x_den, m // y_den
             a = ClassVector(ring, i, [s * xi - t * yi for xi, yi in zip(x, y)], m)
             components.append(a)
             certificates.append(ClassVector(ring, ring.n - i + 1,
-                                            *_product_ints(ring, i, (a.re, a.den), k, c)))
+                                            *_lower_first(ring, i, (a.re, a.den), k, c)))
             current = rest
 
         # The recursion remainder lam = current must match the closed form
@@ -309,6 +309,14 @@ class LefschetzDecomposer:
 
         return DecompositionResult(setup, alpha, lam,
                                    tuple(reversed(components)), tuple(reversed(certificates)))
+
+
+def _lower_first(ring: IntersectionRing, da: int, x: tuple, db: int, y: tuple) -> tuple:
+    """:func:`_product_ints` led by the factor of lower dimension: the contraction
+    loops over its first factor's rows, and the sums are the same either way."""
+    if ring.hodge[db] < ring.hodge[da]:
+        return _product_ints(ring, db, y, da, x)
+    return _product_ints(ring, da, x, db, y)
 
 
 def mixed_lefschetz_decompose(alpha: ClassVector, setup: MixedSetup) -> DecompositionResult:

@@ -465,9 +465,9 @@ def test_verify_draws_each_setup_once(monkeypatch):
     real = hodgecs.sampling._setup_draws
     indices = []
 
-    def counting(ring, p, height, seed, index):
-        indices.append(index)
-        return real(ring, p, height, seed, index)
+    def counting(ring, p, height, seed):
+        draw = real(ring, p, height, seed)
+        return lambda index: indices.append(index) or draw(index)
 
     monkeypatch.setattr(hodgecs.sampling, "_setup_draws", counting)
     ring = zoo.get("blp4").ring

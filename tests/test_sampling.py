@@ -11,6 +11,7 @@ from hodgecs import zoo
 from hodgecs.bundle import parse_ring_bundle, serialize_ring_bundle
 from hodgecs.cli import main
 from hodgecs.errors import DegreeError
+from hodgecs.inequalities import construct_counterexample, verify_theorem
 from hodgecs.ring import FLAG_KAHLER, FLAG_NEF, IntersectionRing, RingSample
 from hodgecs.sampling import (
     STREAM_CLASS,
@@ -95,9 +96,14 @@ def test_random_setup_shape():
 
 
 def test_height_validation():
+    # Each drawer refuses the height at its entry, before any draw.
     ring = zoo.get("p2").ring
-    with pytest.raises(ValueError):
-        sample_random_class(ring, 1, 0, seed=1, index=0)
+    for height in (0, -1, -(2**70)):
+        for draw in (lambda: sample_random_class(ring, 1, height, seed=1, index=0),
+                     lambda: random_cone_class(ring, height, seed=1, index=0),
+                     lambda: random_strict_setup(ring, 1, height, seed=1, index=0)):
+            with pytest.raises(ValueError, match="^height must be at least 1$"):
+                draw()
 
 
 def test_zero_dimensional_degree_raises_instead_of_spinning():
@@ -154,7 +160,9 @@ def _fractional_samples():
 
 
 _DRAW_RINGS = [zoo.get(name).ring for name in zoo.list_entries()] + [_fractional_samples()]
-_PAIRS = [(seed, index) for seed in (0, 1, 7, 2**64 + 3) for index in range(25)]
+# Seeds and indices of 2^64 and above, and negative ones, are masked to 64 bits.
+_PAIRS = [(seed, index) for seed in (0, 1, 7, 2**64 + 3, -5)
+          for index in (*range(25), 2**64, 2**64 + 9, -1, -(2**70) - 3)]
 
 
 @pytest.mark.parametrize("height", [1, 10, 1000])
@@ -175,6 +183,57 @@ def test_int_draws_equal_the_fraction_route(ring, height):
             expected = [draw() for _ in range(ring.n - 2 * p + 1)]
             assert [_fields(w) for w in (setup.omega, *setup.omegas)] == \
                 [_fields(w) for w in expected]
+
+
+def _oracle_setup(ring, p, height, seed, index):
+    draw = _oracle_cone_draws(ring, Xoshiro256StarStar(seed, STREAM_SETUP, index), height)
+    return [draw() for _ in range(ring.n - 2 * p + 1)]
+
+
+_VERIFY_CASES = [(ring, p) for ring in (zoo.get(name).ring for name in zoo.list_entries())
+                 for p in range(1, ring.n // 2 + 1)]
+
+
+@pytest.mark.parametrize("height", [1, 10, 1000])
+@pytest.mark.parametrize("case", _VERIFY_CASES, ids=lambda c: f"{c[0].name}-p{c[1]}")
+def test_verify_draws_equal_the_public_draws_and_the_fraction_route(case, height):
+    # verify_theorem draws through one setup drawer and one class drawer per call;
+    # its records and its counterexamples' setup are the public functions' draws,
+    # which are the Fraction route's, at seeds masked to 64 bits.
+    ring, p = case
+    for seed in (0, 2**64 + 3, -5):
+        report = verify_theorem(ring, p, 3, seed, height)
+        for r in report.records:
+            alpha = sample_random_class(ring, p, height, seed, r.index)
+            setup = random_strict_setup(ring, p, height, seed, r.index)
+            assert _fields(r.alpha) == _fields(alpha) == \
+                _fields(_oracle_class(ring, p, height, seed, r.index))
+            assert _fields(r.omega) == _fields(setup.omega) == \
+                _fields(_oracle_setup(ring, p, height, seed, r.index)[0])
+        first = random_strict_setup(ring, p, height, seed, 0)
+        assert [_fields(w) for w in (first.omega, *first.omegas)] == \
+            [_fields(w) for w in _oracle_setup(ring, p, height, seed, 0)]
+        for kind, ce in report.counterexamples.items():
+            expected = construct_counterexample(ring, p, first, kind)
+            assert (ce.theta, ce.g_value) == (expected.theta, expected.g_value)
+
+
+def test_verify_redraws_an_all_zero_first_class_draw():
+    # At height 1 a numerator is 0 with probability 1/3, so on p1xp1 (h^1 = 2) about
+    # one index in nine draws the zero class first and takes the redraw.
+    ring, seed = zoo.get("p1xp1").ring, 4
+    zero_first = []
+    for k in range(40):
+        rng = _ReferenceXoshiro(seed, STREAM_CLASS, k)
+        # Numerator, then denominator, per coefficient.
+        words = [rng.int_between(lo, hi) for _ in range(2) for lo, hi in ((-1, 1), (1, 1))]
+        if not any(words[::2]):
+            zero_first.append(k)
+    assert len(zero_first) >= 2, zero_first
+    report = verify_theorem(ring, 1, zero_first[-1] + 1, seed, 1)
+    for k in zero_first:
+        assert _fields(report.records[k].alpha) == _fields(_oracle_class(ring, 1, 1, seed, k))
+        assert not report.records[k].alpha.is_zero
 
 
 def test_draws_build_no_fraction_once_the_samples_are_cached():
@@ -348,6 +407,38 @@ def test_generator_matches_its_reference_formulation():
         for lo, hi in _RANGES * 3:
             assert fast.next_u64() == ref.next_u64(), (seed, salts)
             assert fast.int_between(lo, hi) == ref.int_between(lo, hi), (seed, salts, lo, hi)
+
+
+_BATCH_RANGES = [(0, 1), (5, 1), (-(2**70), 1), (-10, 21), (1, 1000), (-1000, 2001),
+                 (5, 2**64 - 5), (0, 2**64), (0, 2**64 + 1), (-(2**70), 2**71 + 1)]
+
+
+def test_int_batch_equals_successive_int_between_calls():
+    # ints(bounds) draws lo + word mod n per (lo, n), as int_between(lo, lo + n - 1)
+    # calls would, and leaves the state where those calls leave it.
+    rng = random.Random("int-batches")
+    for seed, salts in _stream_cases():
+        fast, ref = Xoshiro256StarStar(seed, *salts), _ReferenceXoshiro(seed, *salts)
+        for size in (0, 1, 2, 7, 30):
+            bounds = [rng.choice(_BATCH_RANGES) for _ in range(size)]
+            assert fast.ints(bounds) == [ref.int_between(lo, lo + n - 1) for lo, n in bounds], \
+                (seed, salts, bounds)
+            assert fast._s == ref._s
+    # From the all-zero fallback state as well.
+    fast, ref = Xoshiro256StarStar(0), _ReferenceXoshiro(0)
+    fast._s, ref._s = [_GOLDEN, 0, 0, 0], [_GOLDEN, 0, 0, 0]
+    bounds = _BATCH_RANGES * 5
+    assert fast.ints(bounds) == [ref.int_between(lo, lo + n - 1) for lo, n in bounds]
+    assert fast._s == ref._s
+
+
+def test_int_batch_refuses_an_empty_range_and_keeps_its_state():
+    rng = Xoshiro256StarStar(9, 2)
+    state = list(rng._s)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="range must be positive"):
+            rng.ints([(1, 10), (0, n)])
+        assert rng._s == state
 
 
 def test_generator_state_fallback_and_empty_range():
